@@ -85,7 +85,51 @@ def _norm_scalar(ring, value):
         return value
     if isinstance(value, str):
         return parse_scalar(value, ring)
-    return ring.from_rational(value)
+    try:
+        return ring.from_rational(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"bad scalar {value!r}") from None
+
+
+def _sequence(value, what):
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{what} must be a list")
+    return value
+
+
+def _mapping(value, what):
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a mapping")
+    return value
+
+
+def _block(ring, b):
+    """(epsilon, length) of a block given as a dict or a pair."""
+    if isinstance(b, dict) and "epsilon" in b:
+        eps, length = b["epsilon"], b.get("length", 2)
+    elif isinstance(b, (list, tuple)) and len(b) == 2:
+        eps, length = b
+    else:
+        raise SpecError(f"bad block {b!r}: expected epsilon and length")
+    eps = _norm_scalar(ring, eps)
+    if isinstance(length, bool) or not isinstance(length, int):
+        raise SpecError(f"block length must be an integer, not {length!r}")
+    if length < 2:
+        raise SpecError("block length must be >= 2")
+    return eps, length
+
+
+def _index_pair(key):
+    """(i, k) from a pair of ints or an "i,k" string."""
+    if isinstance(key, str):
+        try:
+            key = tuple(int(s) for s in key.split(","))
+        except ValueError:
+            pass
+    if not (isinstance(key, tuple) and len(key) == 2
+            and all(type(x) is int for x in key)):
+        raise SpecError(f"bad index pair {key!r}: expected 'i,k'")
+    return key
 
 
 class BraidedSpaceSpec(_BraidedBase):
@@ -100,22 +144,23 @@ class BraidedSpaceSpec(_BraidedBase):
 
     def __init__(self, ring, blocks, points, qmat, avals=None):
         self.ring = ring
-        self.blocks = []
-        for b in blocks:
-            eps = _norm_scalar(ring, b["epsilon"] if isinstance(b, dict) else b[0])
-            length = b.get("length", 2) if isinstance(b, dict) else b[1]
-            if length < 2:
-                raise SpecError("block length must be >= 2")
-            self.blocks.append((eps, int(length)))
+        self.blocks = [_block(ring, b) for b in _sequence(blocks, "blocks")]
         self.points = []
-        for p in points:
-            q = _norm_scalar(ring, p["q"] if isinstance(p, dict) else p)
+        for p in _sequence(points, "points"):
+            if isinstance(p, dict):
+                if "q" not in p:
+                    raise SpecError(f"point {p!r} has no 'q'")
+                p = p["q"]
+            q = _norm_scalar(ring, p)
             if q.is_zero():
                 raise SpecError("point label must be nonzero")
             self.points.append(q)
         self.t = len(self.blocks)
         self.theta = self.t + len(self.points)
         self.ngroups = self.theta
+        if len(_sequence(qmat, "q")) != self.theta or any(
+                len(_sequence(row, "q row")) != self.theta for row in qmat):
+            raise SpecError(f"q must be a {self.theta}x{self.theta} matrix")
         self.qmat = [[_norm_scalar(ring, qmat[i][j]) for j in range(self.theta)]
                      for i in range(self.theta)]
         for row in self.qmat:
@@ -130,9 +175,10 @@ class BraidedSpaceSpec(_BraidedBase):
                 raise SpecError("diagonal q entries must match point labels")
         self.avals = {}
         if avals:
-            for key, val in avals.items():
-                i, k = key if isinstance(key, tuple) else tuple(
-                    int(s) for s in key.split(","))
+            for key, val in _mapping(avals, "a").items():
+                i, k = _index_pair(key)
+                if not 1 <= i <= self.theta:
+                    raise SpecError(f"a_({i},{k}): {i} is not a vertex index")
                 if not 1 <= k <= self.t:
                     raise SpecError(f"a_({i},{k}): {k} is not a block index")
                 self.avals[(i, k)] = _norm_scalar(ring, val)
@@ -269,10 +315,6 @@ def braid_letters(spec, i, j):
     return TensorElement(spec, terms)
 
 
-def braid_pale(spec: PaleBlockPointSpec, i, j):
-    return braid_letters(spec, i, j)
-
-
 def interaction(spec, k: int, j: int) -> Interaction:
     """Block-point interaction from q_kj * q_jk."""
     v = spec.q(k, j) * spec.q(j, k)
@@ -342,32 +384,42 @@ def principal_realization(spec) -> dict:
 
 
 def ring_from_json(obj) -> ScalarRing:
-    return ScalarRing(obj.get("cyclotomic_order", 1), obj.get("params", []))
+    if not isinstance(obj, dict):
+        raise SpecError("ring must be a JSON object")
+    order = obj.get("cyclotomic_order", 1)
+    params = obj.get("params", [])
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise SpecError(f"cyclotomic_order must be an integer, not {order!r}")
+    if not all(isinstance(p, str) for p in _sequence(params, "params")):
+        raise SpecError("params must be a list of names")
+    return ScalarRing(order, params)
 
 
 def spec_from_json(obj) -> BraidedSpaceSpec:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except ValueError as exc:
+            raise SpecError(f"bad spec JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise SpecError("spec must be a JSON object")
+    if "q" not in obj:
+        raise SpecError("spec has no 'q' matrix")
     ring = ring_from_json(obj.get("ring", {}))
-    blocks = obj.get("blocks", [])
-    points = obj.get("points", [])
-    avals = {}
-    for key, val in obj.get("a", {}).items():
-        avals[key] = val
-    t = len(blocks)
-    if "ghost" in obj:
-        for key, gval in obj["ghost"].items():
-            j, k = (int(s) for s in key.split(","))
-            if f"{j},{k}" in avals:
-                continue
-            eps = parse_scalar(str(blocks[k - 1]["epsilon"]), ring) \
-                if isinstance(blocks[k - 1], dict) else blocks[k - 1][0]
-            g = _norm_scalar(ring, gval)
-            if eps == ring.one():
-                avals[f"{j},{k}"] = g / ring.from_int(-2)
-            else:
-                avals[f"{j},{k}"] = g
-    return BraidedSpaceSpec(ring, blocks, points, obj["q"], avals)
+    blocks = [_block(ring, b) for b in _sequence(obj.get("blocks", []),
+                                                 "blocks")]
+    avals = dict(_mapping(obj.get("a", {}), "a"))
+    for key, gval in _mapping(obj.get("ghost", {}), "ghost").items():
+        j, k = _index_pair(key)
+        if not 1 <= k <= len(blocks):
+            raise SpecError(f"ghost ({j},{k}): {k} is not a block index")
+        if f"{j},{k}" in avals:
+            continue
+        g = _norm_scalar(ring, gval)
+        avals[f"{j},{k}"] = g / ring.from_int(-2) \
+            if blocks[k - 1][0] == ring.one() else g
+    return BraidedSpaceSpec(ring, blocks, obj.get("points", []), obj["q"],
+                            avals)
 
 
 def spec_to_json(spec: BraidedSpaceSpec) -> dict:

@@ -39,6 +39,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _nonnegative(text):
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
@@ -291,7 +303,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dims", help="graded dimensions of the Nichols "
                                     "algebra")
     p.add_argument("spec")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_nonnegative, required=True)
     _add_budget(p)
     p.set_defaults(func=_cmd_dims)
 
@@ -308,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", action="append",
                    help="entry parameters: JSON object or key=value")
     p.add_argument("--presentation", help="presentation JSON file")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_nonnegative, required=True)
     _add_budget(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -322,8 +334,8 @@ def build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--i", required=True, help="letter name, e.g. x1")
     p.add_argument("--j", required=True, help="letter name, e.g. x2")
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--count", type=_nonnegative, default=4)
+    p.add_argument("--max-degree", type=_nonnegative, required=True)
     _add_budget(p)
     p.set_defaults(func=_cmd_probe)
 

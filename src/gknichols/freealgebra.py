@@ -28,6 +28,29 @@ def word_key(word):
     return (len(word), word)
 
 
+def add_term(acc, key, value):
+    """acc[key] += value in a sparse dict of Scalars, dropping a zero sum."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = value
+    else:
+        s = cur + value
+        if s.is_zero():
+            del acc[key]
+        else:
+            acc[key] = s
+
+
+def add_into(acc, vec, coeff=None):
+    """acc += coeff * vec for sparse dicts of Scalars (coeff None means 1)."""
+    if coeff is None:
+        for k, v in vec.items():
+            add_term(acc, k, v)
+    else:
+        for k, v in vec.items():
+            add_term(acc, k, v * coeff)
+
+
 class TensorElement:
     """Exact element of T(V): map word -> nonzero Scalar."""
 
@@ -67,9 +90,6 @@ class TensorElement:
     def degrees(self):
         return sorted({len(w) for w in self.terms})
 
-    def is_length_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         degs = self.degrees()
         if len(degs) != 1:
@@ -106,15 +126,7 @@ class TensorElement:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in terms:
-                s = terms[w] + c
-                if s.is_zero():
-                    del terms[w]
-                else:
-                    terms[w] = s
-            else:
-                terms[w] = c
+        add_into(terms, other.terms)
         out = TensorElement(self.spec)
         out.terms = terms
         return out
@@ -145,16 +157,7 @@ class TensorElement:
         terms = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                w = wa + wb
-                c = ca * cb
-                if w in terms:
-                    s = terms[w] + c
-                    if s.is_zero():
-                        del terms[w]
-                    else:
-                        terms[w] = s
-                else:
-                    terms[w] = c
+                add_term(terms, wa + wb, ca * cb)
         out = TensorElement(self.spec)
         out.terms = terms
         return out
@@ -202,16 +205,7 @@ def act_on_word(spec, group: int, word, coeff=None):
         new = {}
         for w, c in out.items():
             for tgt, a in expansion:
-                key = w + (tgt,)
-                v = c * a
-                if key in new:
-                    s = new[key] + v
-                    if s.is_zero():
-                        del new[key]
-                    else:
-                        new[key] = s
-                else:
-                    new[key] = v
+                add_term(new, w + (tgt,), c * a)
         out = new
     return out
 
@@ -219,15 +213,7 @@ def act_on_word(spec, group: int, word, coeff=None):
 def group_act(spec, group: int, e: TensorElement) -> TensorElement:
     terms = {}
     for word, coeff in e.terms.items():
-        for w, c in act_on_word(spec, group, word, coeff).items():
-            if w in terms:
-                s = terms[w] + c
-                if s.is_zero():
-                    del terms[w]
-                else:
-                    terms[w] = s
-            else:
-                terms[w] = c
+        add_into(terms, act_on_word(spec, group, word, coeff))
     out = TensorElement(spec)
     out.terms = terms
     return out
@@ -249,16 +235,7 @@ def braid_tensors(u: TensorElement, v: TensorElement) -> TensorElement:
     out = TensorElement(spec)
     for wv, cv in acted.terms.items():
         for wu, cu in u.terms.items():
-            w = wv + wu
-            c = cv * cu
-            if w in out.terms:
-                s = out.terms[w] + c
-                if s.is_zero():
-                    del out.terms[w]
-                else:
-                    out.terms[w] = s
-            else:
-                out.terms[w] = c
+            add_term(out.terms, wv + wu, cv * cu)
     return out
 
 
@@ -284,308 +261,228 @@ def skew_derivation(spec, i, e: TensorElement) -> TensorElement:
             prefix = word[:pos]
             suffix = word[pos + 1:]
             for w, c in act_on_word(spec, group, suffix, coeff).items():
-                key = prefix + w
-                if key in terms:
-                    s = terms[key] + c
-                    if s.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = s
-                else:
-                    terms[key] = c
-    out = TensorElement(spec)
-    out.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-    return out
+                add_term(terms, prefix + w, c)
+    return TensorElement(spec, terms)
 
 
 # ---------------------------------------------------------------------------
 # parsing / printing
 
 
+def _parse_tree(text: str, spec, macros) -> tuple:
+    """Parse the element grammar (see :func:`parse_element`) into a tree.
+
+    Nodes are ``("sum", [(negate, node), ...])``, ``("prod", [node, ...])``,
+    ``("pow", node, n)``, ``("neg", node)``, ``("comm", left, right)``,
+    ``("scalar", literal)``, ``("num", numerator, denominator or None)``,
+    ``("letter", name)`` and ``("macro", name)``.  Syntax errors, unknown
+    names and bad rational literals raise :class:`ParseError`.
+    """
+    pos = 0
+    end = len(text)
+
+    def peek():
+        nonlocal pos
+        while pos < end and text[pos].isspace():
+            pos += 1
+        return text[pos] if pos < end else ""
+
+    def expect(ch):
+        nonlocal pos
+        if peek() != ch:
+            raise ParseError(f"expected {ch!r}", pos)
+        pos += 1
+
+    def digits():
+        nonlocal pos
+        start = pos
+        while pos < end and text[pos].isdigit():
+            pos += 1
+        return text[start:pos]
+
+    def parse_sum():
+        nonlocal pos
+        terms = [(False, parse_product())]
+        while peek() in ("+", "-"):
+            pos += 1
+            terms.append((text[pos - 1] == "-", parse_product()))
+        return terms[0][1] if len(terms) == 1 else ("sum", terms)
+
+    def parse_product():
+        nonlocal pos
+        factors = [parse_power()]
+        while True:
+            ch = peek()
+            if ch == "*":
+                pos += 1
+            elif not (ch and (ch in "([{" or ch.isalpha() or ch.isdigit())):
+                break
+            factors.append(parse_power())
+        return factors[0] if len(factors) == 1 else ("prod", factors)
+
+    def parse_power():
+        nonlocal pos
+        node = parse_atom()
+        if peek() == "^":
+            pos += 1
+            if not peek().isdigit():
+                raise ParseError("positive integer exponent expected", pos)
+            node = ("pow", node, int(digits()))
+        return node
+
+    def commutator(close):
+        left = parse_sum()
+        expect(",")
+        right = parse_sum()
+        expect(close)
+        return ("comm", left, right)
+
+    def parse_atom():
+        nonlocal pos
+        ch = peek()
+        start = pos
+        if ch == "(":
+            pos += 1
+            node = parse_sum()
+            expect(")")
+            return node
+        if ch == "[":
+            pos += 1
+            return commutator("]")
+        if ch == "{":
+            depth = 0
+            while pos < end:
+                if text[pos] == "{":
+                    depth += 1
+                elif text[pos] == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                pos += 1
+            if depth != 0:
+                raise ParseError("unterminated scalar literal", start)
+            pos += 1
+            return ("scalar", text[start + 1:pos - 1])
+        if ch == "-":
+            pos += 1
+            return ("neg", parse_atom())
+        if ch.isdigit():
+            num, den = int(digits()), None
+            if text[pos:pos + 1] == "/":
+                pos += 1
+                den = digits()
+                if not den or int(den) == 0:
+                    raise ParseError(
+                        f"bad rational literal {text[start:pos]!r}", start)
+                den = int(den)
+            return ("num", num, den)
+        if ch.isalpha() or ch == "_":
+            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            name = text[start:pos]
+            if name == "ad":
+                expect("(")
+                return commutator(")")
+            if name in spec.name_to_idx:
+                return ("letter", name)
+            if name in macros:
+                return ("macro", name)
+            raise ParseError(f"unknown letter or macro {name!r}", start)
+        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end", pos)
+
+    node = parse_sum()
+    if peek():
+        raise ParseError(f"unexpected {text[pos]!r}", pos)
+    return node
+
+
 def parse_element(text: str, spec, macros=None) -> TensorElement:
     """Parse the element grammar.
 
     Letters by name (`x1`, `x1h`, ...), `*`, `+`, `-`, `^`, parentheses,
-    `{scalar}` coefficients, `ad(x, e)`, `[e1, e2]`, and names from the
-    supplied macro table (strings expanded recursively, or elements).
+    `{scalar}` coefficients, integer and `p/r` literals, `ad(x, e)`,
+    `[e1, e2]`, and names from the supplied macro table (strings expanded
+    recursively, or elements).  Each expanded string macro is written back
+    into ``macros``, so a table shared across calls expands it once.
     """
     macros = macros or {}
-    pos = [0]
+    return _element(_parse_tree(text, spec, macros), spec, macros)
 
-    def skip():
-        while pos[0] < len(text) and text[pos[0]].isspace():
-            pos[0] += 1
 
-    def peek():
-        skip()
-        return text[pos[0]] if pos[0] < len(text) else ""
-
-    def expect(ch):
-        if peek() != ch:
-            raise ParseError(f"expected {ch!r}", pos[0])
-        pos[0] += 1
-
-    def parse_sum():
-        value = parse_product()
-        while True:
-            ch = peek()
-            if ch == "+":
-                pos[0] += 1
-                value = value + parse_product()
-            elif ch == "-":
-                pos[0] += 1
-                value = value - parse_product()
-            else:
-                return value
-
-    def parse_product():
-        value = parse_power()
-        while True:
-            ch = peek()
-            if ch == "*":
-                pos[0] += 1
-                value = value * parse_power()
-            elif ch and (ch in "([{" or ch.isalpha() or ch.isdigit()):
-                value = value * parse_power()
-            else:
-                return value
-
-    def parse_power():
-        value = parse_atom()
-        if peek() == "^":
-            pos[0] += 1
-            if not peek().isdigit():
-                raise ParseError("positive integer exponent expected", pos[0])
-            start = pos[0]
-            while pos[0] < len(text) and text[pos[0]].isdigit():
-                pos[0] += 1
-            value = value ** int(text[start:pos[0]])
+def _element(node, spec, macros) -> TensorElement:
+    kind = node[0]
+    if kind == "sum":
+        terms = node[1]
+        value = _element(terms[0][1], spec, macros)
+        for negate, term in terms[1:]:
+            other = _element(term, spec, macros)
+            value = value - other if negate else value + other
         return value
-
-    def take_name():
-        skip()
-        start = pos[0]
-        while pos[0] < len(text) and (text[pos[0]].isalnum()
-                                      or text[pos[0]] == "_"):
-            pos[0] += 1
-        return text[start:pos[0]], start
-
-    def parse_atom():
-        ch = peek()
-        if ch == "(":
-            pos[0] += 1
-            value = parse_sum()
-            expect(")")
-            return value
-        if ch == "[":
-            pos[0] += 1
-            left = parse_sum()
-            expect(",")
-            right = parse_sum()
-            expect("]")
-            return braided_commutator(left, right)
-        if ch == "{":
-            start = pos[0]
-            depth = 0
-            while pos[0] < len(text):
-                if text[pos[0]] == "{":
-                    depth += 1
-                elif text[pos[0]] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                pos[0] += 1
-            if depth != 0:
-                raise ParseError("unterminated scalar literal", start)
-            literal = text[start + 1:pos[0]]
-            pos[0] += 1
-            coeff = parse_scalar(literal, spec.ring)
-            return TensorElement.unit(spec).scale(coeff)
-        if ch == "-":
-            pos[0] += 1
-            return -parse_atom()
-        if ch.isdigit():
-            start = pos[0]
-            while pos[0] < len(text) and text[pos[0]].isdigit():
-                pos[0] += 1
-            tail = text[pos[0]:pos[0] + 1]
-            value = int(text[start:pos[0]])
-            if tail == "/":
-                pos[0] += 1
-                dstart = pos[0]
-                while pos[0] < len(text) and text[pos[0]].isdigit():
-                    pos[0] += 1
-                den = int(text[dstart:pos[0]])
-                coeff = spec.ring.from_rational(value, den)
-            else:
-                coeff = spec.ring.from_int(value)
-            return TensorElement.unit(spec).scale(coeff)
-        if ch.isalpha() or ch == "_":
-            name, start = take_name()
-            if name == "ad":
-                expect("(")
-                inner = parse_sum()
-                expect(",")
-                arg = parse_sum()
-                expect(")")
-                return braided_commutator(inner, arg)
-            if name in spec.name_to_idx:
-                return TensorElement.letter(spec, name)
-            if name in macros:
-                value = macros[name]
-                if isinstance(value, str):
-                    value = parse_element(value, spec, macros)
-                    macros[name] = value
-                return value
-            raise ParseError(f"unknown letter or macro {name!r}", start)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end",
-                         pos[0])
-
-    value = parse_sum()
-    skip()
-    if pos[0] != len(text):
-        raise ParseError(f"unexpected {text[pos[0]]!r}", pos[0])
-    return value
+    if kind == "prod":
+        factors = node[1]
+        value = _element(factors[0], spec, macros)
+        for factor in factors[1:]:
+            value = value * _element(factor, spec, macros)
+        return value
+    if kind == "pow":
+        return _element(node[1], spec, macros) ** node[2]
+    if kind == "neg":
+        return -_element(node[1], spec, macros)
+    if kind == "comm":
+        return braided_commutator(_element(node[1], spec, macros),
+                                  _element(node[2], spec, macros))
+    if kind == "letter":
+        return TensorElement.letter(spec, node[1])
+    if kind == "macro":
+        value = macros[node[1]]
+        if isinstance(value, str):
+            value = parse_element(value, spec, macros)
+            macros[node[1]] = value
+        return value
+    if kind == "scalar":
+        coeff = parse_scalar(node[1], spec.ring)
+    elif node[2] is None:
+        coeff = spec.ring.from_int(node[1])
+    else:
+        coeff = spec.ring.from_rational(node[1], node[2])
+    return TensorElement.unit(spec).scale(coeff)
 
 
 def expression_degree(text: str, spec, macros=None) -> int:
     """Length degree of an element expression, without building the element.
 
-    Walks the same grammar as :func:`parse_element` but only adds up word
-    lengths; a sum reports the maximum degree of its terms (scalar-only
-    terms count as 0).  Useful for deciding whether an expression is worth
-    expanding at a given truncation degree.
+    Evaluates the tree of :func:`_parse_tree` on word lengths only; a sum
+    reports the maximum degree of its terms (scalar-only terms count as 0).
+    Useful for deciding whether an expression is worth expanding at a given
+    truncation degree.
     """
     macros = macros or {}
-    cache = {}
-    pos = [0]
+    return _degree(_parse_tree(text, spec, macros), spec, macros, {})
 
-    def skip():
-        while pos[0] < len(text) and text[pos[0]].isspace():
-            pos[0] += 1
 
-    def peek():
-        skip()
-        return text[pos[0]] if pos[0] < len(text) else ""
-
-    def expect(ch):
-        if peek() != ch:
-            raise ParseError(f"expected {ch!r}", pos[0])
-        pos[0] += 1
-
-    def parse_sum():
-        value = parse_product()
-        while True:
-            ch = peek()
-            if ch == "+" or ch == "-":
-                pos[0] += 1
-                value = max(value, parse_product())
-            else:
-                return value
-
-    def parse_product():
-        value = parse_power()
-        while True:
-            ch = peek()
-            if ch == "*":
-                pos[0] += 1
-                value += parse_power()
-            elif ch and (ch in "([{" or ch.isalpha() or ch.isdigit()):
-                value += parse_power()
-            else:
-                return value
-
-    def parse_power():
-        value = parse_atom()
-        if peek() == "^":
-            pos[0] += 1
-            if not peek().isdigit():
-                raise ParseError("positive integer exponent expected", pos[0])
-            start = pos[0]
-            while pos[0] < len(text) and text[pos[0]].isdigit():
-                pos[0] += 1
-            value *= int(text[start:pos[0]])
-        return value
-
-    def take_name():
-        skip()
-        start = pos[0]
-        while pos[0] < len(text) and (text[pos[0]].isalnum()
-                                      or text[pos[0]] == "_"):
-            pos[0] += 1
-        return text[start:pos[0]], start
-
-    def macro_degree(name):
+def _degree(node, spec, macros, cache) -> int:
+    kind = node[0]
+    if kind == "sum":
+        return max(_degree(t, spec, macros, cache) for _, t in node[1])
+    if kind == "prod":
+        return sum(_degree(f, spec, macros, cache) for f in node[1])
+    if kind == "pow":
+        return _degree(node[1], spec, macros, cache) * node[2]
+    if kind == "neg":
+        return _degree(node[1], spec, macros, cache)
+    if kind == "comm":
+        return (_degree(node[1], spec, macros, cache)
+                + _degree(node[2], spec, macros, cache))
+    if kind == "letter":
+        return 1
+    if kind == "macro":
+        name = node[1]
         if name not in cache:
             value = macros[name]
-            if isinstance(value, str):
-                cache[name] = expression_degree(value, spec, macros)
-            else:
-                cache[name] = value.degree()
+            cache[name] = expression_degree(value, spec, macros) \
+                if isinstance(value, str) else value.degree()
         return cache[name]
-
-    def parse_atom():
-        ch = peek()
-        if ch == "(":
-            pos[0] += 1
-            value = parse_sum()
-            expect(")")
-            return value
-        if ch == "[":
-            pos[0] += 1
-            left = parse_sum()
-            expect(",")
-            right = parse_sum()
-            expect("]")
-            return left + right
-        if ch == "{":
-            depth = 0
-            start = pos[0]
-            while pos[0] < len(text):
-                if text[pos[0]] == "{":
-                    depth += 1
-                elif text[pos[0]] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                pos[0] += 1
-            if depth != 0:
-                raise ParseError("unterminated scalar literal", start)
-            pos[0] += 1
-            return 0
-        if ch == "-":
-            pos[0] += 1
-            return parse_atom()
-        if ch.isdigit():
-            while pos[0] < len(text) and text[pos[0]].isdigit():
-                pos[0] += 1
-            if pos[0] < len(text) and text[pos[0]] == "/":
-                pos[0] += 1
-                while pos[0] < len(text) and text[pos[0]].isdigit():
-                    pos[0] += 1
-            return 0
-        if ch.isalpha() or ch == "_":
-            name, start = take_name()
-            if name == "ad":
-                expect("(")
-                left = parse_sum()
-                expect(",")
-                right = parse_sum()
-                expect(")")
-                return left + right
-            if name in spec.name_to_idx:
-                return 1
-            if name in macros:
-                return macro_degree(name)
-            raise ParseError(f"unknown letter or macro {name!r}", start)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end",
-                         pos[0])
-
-    value = parse_sum()
-    skip()
-    if pos[0] != len(text):
-        raise ParseError(f"unexpected {text[pos[0]]!r}", pos[0])
-    return value
+    return 0
 
 
 def print_element(e: TensorElement) -> str:

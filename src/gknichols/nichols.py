@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .braidings import Interaction, interaction
-from .freealgebra import (TensorElement, ad_letter, braided_commutator,
-                          expression_degree, parse_element, print_element,
-                          skew_derivation)
+from .freealgebra import (TensorElement, ad_letter, add_into, add_term,
+                          braided_commutator, expression_degree,
+                          parse_element, print_element, skew_derivation)
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 10 ** 6
@@ -45,19 +45,52 @@ class NotWeak(NicholsError):
     pass
 
 
-def _vec_addmul(acc, vec, coeff):
-    """acc += coeff * vec for sparse dicts of Scalars."""
-    for k, v in vec.items():
-        w = v * coeff
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = w
-        else:
-            s = cur + w
-            if s.is_zero():
-                del acc[k]
-            else:
-                acc[k] = s
+class _Echelon:
+    """Incremental sparse echelon form with expression tracking.
+
+    Vectors are dicts key -> nonzero Scalar, pivoting on the largest key.
+    Each pivot row is normalized to a leading 1 (the leading entry itself
+    is not stored) and carries, negated, the combination of inserted labels
+    whose image it is, so reducing a vector needs one negation per pivot
+    step rather than one per term.
+    """
+
+    def __init__(self):
+        # lead key -> (row without its lead, negated label combination)
+        self.pivots = {}
+
+    def reduce(self, img):
+        """Reduce ``img`` in place until its leading key is not a pivot.
+
+        Returns ``expr`` with ``img_before == img_after + image(expr)``,
+        where image(label) is the vector inserted under that label.
+        """
+        pivots = self.pivots
+        expr = {}
+        while img:
+            key = max(img)
+            hit = pivots.get(key)
+            if hit is None:
+                break
+            row, neg_ex = hit
+            neg = -img.pop(key)
+            add_into(img, row, neg)
+            add_into(expr, neg_ex, neg)
+        return expr
+
+    def insert(self, img, expr, label):
+        """Make the reduced, nonzero ``img`` (consumed) a pivot row.
+
+        ``img`` and ``expr`` are the outcome of :meth:`reduce` on the
+        vector inserted under ``label``, so ``img`` is the image of
+        ``label - expr``.
+        """
+        lead = max(img)
+        inv = img.pop(lead).inverse()
+        neg_ex = {label: -inv}
+        for k, v in expr.items():
+            neg_ex[k] = v * inv
+        self.pivots[lead] = ({k: v * inv for k, v in img.items()}, neg_ex)
 
 
 class NicholsTruncation:
@@ -98,13 +131,11 @@ class NicholsTruncation:
             raise BudgetExceeded(n, count, self.budget)
         prev_d = self._dcoords
         nf_prev = self.nf[n - 1]
-        nf_pp = self.nf[n - 2] if n >= 2 else None
         act = spec._act
         group_of = spec.group_of
-        ring = spec.ring
-        one = ring.one()
+        one = spec.ring.one()
 
-        pivots = {}
+        echelon = _Echelon()
         basis_n = []
         nf_n = {}
         new_d = {}
@@ -122,44 +153,18 @@ class NicholsTruncation:
                     for tgt, beta in expansion:
                         vec = nf_prev[u + (tgt,)]
                         if vec:
-                            _vec_addmul(acc, vec, alpha * beta)
+                            add_into(acc, vec, alpha * beta)
                 if d == last and nfp:
-                    _vec_addmul(acc, nfp, one)
+                    add_into(acc, nfp)
                 dvecs.append(acc)
                 for cw, cc in acc.items():
                     img[(d, cw)] = cc
             new_d[w] = dvecs
-            # incremental elimination with expression tracking
-            expr = {}
-            while img:
-                key = max(img)
-                hit = pivots.get(key)
-                if hit is None:
-                    break
-                rv, ex = hit
-                alpha = img.pop(key)
-                for k, v in rv.items():
-                    if k == key:
-                        continue
-                    s = img.get(k, None)
-                    t = (-alpha) * v if s is None else s - alpha * v
-                    if t.is_zero():
-                        img.pop(k, None)
-                    else:
-                        img[k] = t
-                _vec_addmul(expr, ex, alpha)
+            expr = echelon.reduce(img)
             if not img:
                 nf_n[w] = expr  # w is congruent to expr modulo I(n)
             else:
-                lead = max(img)
-                inv = img[lead].inverse()
-                rv = {k: v * inv for k, v in img.items()}
-                ex = {w: inv}
-                for cw, cc in expr.items():
-                    val = -cc * inv
-                    if not val.is_zero():
-                        ex[cw] = val
-                pivots[lead] = (rv, ex)
+                echelon.insert(img, expr, w)
                 basis_n.append(w)
                 nf_n[w] = {w: one}
         self.basis[n] = basis_n
@@ -177,33 +182,8 @@ class NicholsTruncation:
         acc = {}
         for w, c in e.terms.items():
             if len(w) == n:
-                _vec_addmul(acc, nf_n[w], c)
+                add_into(acc, nf_n[w], c)
         return acc
-
-    def normal_form(self, e: TensorElement) -> TensorElement:
-        out = TensorElement(self.spec)
-        for n in e.degrees():
-            if n > self.max_degree:
-                raise DegreeTooLarge(
-                    f"degree {n} exceeds truncation {self.max_degree}")
-            for w, c in self.normal_form_vector(e, n).items():
-                out.terms[w] = c
-        return out
-
-    def ideal_basis(self, n: int):
-        """Reduced basis of I(n): one vector per non-complement word."""
-        out = []
-        one = self.spec.ring.one()
-        comp = set(self.basis[n])
-        for w, vec in sorted(self.nf[n].items()):
-            if w in comp:
-                continue
-            tail = TensorElement(self.spec)
-            tail.terms = dict(vec)
-            elt = TensorElement(self.spec)
-            elt.terms = {w: one}
-            out.append(elt - tail)
-        return out
 
 
 def compute_truncation(spec, max_degree: int,
@@ -218,7 +198,6 @@ def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
     degree above only needs all skew derivations to land in the ideal, and the
     recursion extends this to any finite overshoot.
     """
-    spec = trunc.spec
     for n in e.degrees():
         comp = e.homogeneous_component(n)
         ok, witness = _component_zero(comp, n, trunc)
@@ -259,17 +238,7 @@ def _apply_braid_at(spec, e_terms, pos):
     for word, coeff in e_terms.items():
         br = braid_letters(spec, word[pos], word[pos + 1])
         for w2, c2 in br.terms.items():
-            t = word[:pos] + w2 + word[pos + 2:]
-            c = coeff * c2
-            cur = out.get(t)
-            if cur is None:
-                out[t] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[t]
-                else:
-                    out[t] = s
+            add_term(out, word[:pos] + w2 + word[pos + 2:], coeff * c2)
     return out
 
 
@@ -297,16 +266,7 @@ def quantum_symmetrizer(spec, n: int) -> dict:
             cur = v
             for j in range(1, m):
                 cur = _apply_braid_at(spec, cur, j - 1)
-                for t, c in cur.items():
-                    cur2 = acc.get(t)
-                    if cur2 is None:
-                        acc[t] = c
-                    else:
-                        s = cur2 + c
-                        if s.is_zero():
-                            del acc[t]
-                        else:
-                            acc[t] = s
+                add_into(acc, cur)
             new[w] = acc
         table = new
     return table
@@ -317,45 +277,16 @@ def quantum_symmetrizer_kernel(spec, n: int):
     if n == 1:
         return []
     table = quantum_symmetrizer(spec, n)
-    pivots = {}
+    echelon = _Echelon()
     kernel = []
-    L = spec.nletters
-    for w in product(range(L), repeat=n):
+    for w in product(range(spec.nletters), repeat=n):
         img = dict(table[w])
-        expr = {}
-        while img:
-            key = max(img)
-            hit = pivots.get(key)
-            if hit is None:
-                break
-            rv, ex = hit
-            alpha = img.pop(key)
-            for k, v in rv.items():
-                if k == key:
-                    continue
-                s = img.get(k)
-                t = (-alpha) * v if s is None else s - alpha * v
-                if t.is_zero():
-                    img.pop(k, None)
-                else:
-                    img[k] = t
-            _vec_addmul(expr, ex, alpha)
-        if not img:
-            elt = TensorElement(spec)
-            elt.terms = {w: spec.ring.one()}
-            tail = TensorElement(spec)
-            tail.terms = dict(expr)
-            kernel.append(elt - tail)
+        expr = echelon.reduce(img)
+        if img:
+            echelon.insert(img, expr, w)
         else:
-            lead = max(img)
-            inv = img[lead].inverse()
-            rv = {k: v * inv for k, v in img.items()}
-            ex = {w: inv}
-            for cw, cc in expr.items():
-                val = -cc * inv
-                if not val.is_zero():
-                    ex[cw] = val
-            pivots[lead] = (rv, ex)
+            kernel.append(TensorElement(spec, {w: spec.ring.one()})
+                          - TensorElement(spec, expr))
     return kernel
 
 
@@ -535,41 +466,22 @@ def infinite_probe(spec, i, j, count: int, nstar: int,
             if d > nstar:
                 continue
             prod = current * y if current is not None else y
-            products.append((tuple(), prod))
+            products.append(prod)
             build(pos + 1, prod, d)
 
     build(0, None, 0)
-    vectors = []
-    for _, prod in products:
-        n = prod.degree()
-        vec = trunc.normal_form_vector(prod, n)
-        vectors.append({(n,) + w: c for w, c in vec.items()})
-    # independence by elimination
-    pivots = {}
+    # independence by elimination; words are keyed (degree, word)
+    echelon = _Echelon()
     dependent = 0
-    for vec in vectors:
-        img = dict(vec)
-        while img:
-            key = max(img)
-            hit = pivots.get(key)
-            if hit is None:
-                break
-            alpha = img.pop(key)
-            for kk, v in hit.items():
-                if kk == key:
-                    continue
-                s = img.get(kk)
-                t = (-alpha) * v if s is None else s - alpha * v
-                if t.is_zero():
-                    img.pop(kk, None)
-                else:
-                    img[kk] = t
-        if not img:
-            dependent += 1
+    for label, prod in enumerate(products):
+        n = prod.degree()
+        img = {(n,) + w: c
+               for w, c in trunc.normal_form_vector(prod, n).items()}
+        expr = echelon.reduce(img)
+        if img:
+            echelon.insert(img, expr, label)
         else:
-            lead = max(img)
-            inv = img[lead].inverse()
-            pivots[lead] = {k: v * inv for k, v in img.items()}
+            dependent += 1
     evidence = "INFINITE" if (dependent == 0 and len(nonzero) >= 2
                               and len(products) > len(nonzero)) \
         else "INCONCLUSIVE"

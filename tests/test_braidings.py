@@ -172,6 +172,14 @@ def test_spec_json_ghost_table():
     assert ghost(spec, 2, 1).is_one()
 
 
+def test_spec_json_ghost_with_pair_blocks():
+    # a block given as an [epsilon, length] pair converts ghosts with its
+    # epsilon just like the dict form does
+    obj = _jordan_point_json(blocks=[["1", 2]], ghost={"2,1": "1"})
+    spec = spec_from_json(obj)
+    assert spec.a(2, 1) == spec.ring.from_rational(-1, 2)
+
+
 def test_pale_spec_letters():
     ring = ScalarRing(1)
     p = PaleBlockPointSpec(ring, "-1", "1", "1", "1")
@@ -179,3 +187,84 @@ def test_pale_spec_letters():
     assert p.qtilde().is_one()
     # g2 acts on x2 with a Jordan tail
     assert p.act_letter(2, "x2") == ((1, ring.one()), (0, ring.one()))
+
+
+def _jordan_point_json(**changes):
+    obj = {"ring": {"cyclotomic_order": 1, "params": []},
+           "blocks": [{"epsilon": "1", "length": 2}],
+           "points": [{"q": "-1"}],
+           "q": [["1", "1"], ["1", "-1"]]}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    _jordan_point_json(q=[["1"]]),
+    _jordan_point_json(q=[["1", "1"], ["1"]]),
+    _jordan_point_json(ghost={"2,5": "1"}),
+    _jordan_point_json(a={"7,1": "1"}),
+    _jordan_point_json(a={"2": "1"}),
+    _jordan_point_json(blocks=[{"length": 2}]),
+    _jordan_point_json(blocks=[{"epsilon": "1", "length": "2"}]),
+    _jordan_point_json(points=[{"label": "-1"}]),
+    _jordan_point_json(ring={"cyclotomic_order": "4"}),
+    {"blocks": [], "points": []},
+], ids=["list", "small-q", "ragged-q", "ghost-block", "a-vertex", "a-key",
+        "no-epsilon", "str-length", "no-point-q", "str-order", "no-q"])
+def test_malformed_spec_json_raises_spec_error(obj):
+    with pytest.raises(SpecError):
+        spec_from_json(obj)
+
+
+_GOOD = st.sampled_from(["1", "-1", "z", "z^2", 1, -1])
+_SCALARS = st.one_of(_GOOD, _GOOD, _GOOD, st.sampled_from(
+    ["0", "q", "1/0", "x+", "", 0, 0.5, True, None, [], {}]))
+_JUNK = st.sampled_from([None, 3, "x", [], {}, [[]], {"q": "1"}])
+_PAIRS = st.sampled_from(["1,1", "2,1", "1,2", "3,1", "2,5", "7,1", "0,1",
+                          "-1,1", "x", "", "1,2,3", " 2, 1"])
+
+
+@st.composite
+def spec_shapes(draw):
+    """Spec-like JSON values: mostly well-formed, with random damage."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_JUNK, st.lists(_SCALARS, max_size=2)))
+    blocks = draw(st.lists(st.one_of(
+        st.fixed_dictionaries({"epsilon": _SCALARS},
+                              optional={"length": st.sampled_from(
+                                  [2, 3, 1, "2", 2.0, None])}),
+        st.tuples(_SCALARS, st.sampled_from([2, 1])).map(list),
+        _JUNK), max_size=2))
+    points = draw(st.lists(st.one_of(st.fixed_dictionaries({"q": _SCALARS}),
+                                     _SCALARS, _JUNK), max_size=2))
+    theta = len(blocks) + len(points)
+    size = draw(st.sampled_from([theta, theta, theta - 1, theta + 1]))
+    obj = {
+        "ring": draw(st.one_of(*[st.just({"cyclotomic_order": n})
+                                 for n in (1, 3, 4)], st.fixed_dictionaries(
+            {}, optional={
+                "cyclotomic_order": st.sampled_from([1, 0, "4", None]),
+                "params": st.sampled_from([["q"], ["q", "q"], "q", [1]])}),
+            _JUNK)),
+        "blocks": blocks,
+        "points": points,
+        "q": [draw(st.lists(_SCALARS, min_size=max(size, 0),
+                            max_size=max(size, 0)))
+              for _ in range(max(size, 0))],
+        "a": draw(st.dictionaries(_PAIRS, _SCALARS, max_size=2)),
+        "ghost": draw(st.dictionaries(_PAIRS, _SCALARS, max_size=2)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2)):
+        obj[key] = draw(st.one_of(st.just(None), _JUNK))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_shapes())
+def test_spec_json_fuzz_raises_only_package_errors(obj):
+    from gknichols.scalars import ScalarError
+    try:
+        spec_from_json(obj)
+    except (SpecError, ScalarError):
+        pass

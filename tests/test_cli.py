@@ -127,8 +127,38 @@ def test_probe(jordan_spec_file):
     assert out["evidence"] in ("INFINITE", "INCONCLUSIVE")
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(jordan_spec_file):
     assert run_cli("frobnicate").returncode == 1
     assert run_cli("dims", "/nonexistent.json",
                    "--max-degree", "2").returncode == 1
     assert run_cli("verify", "--max-degree", "3").returncode == 1
+    spec = jordan_spec_file
+    r = run_cli("dims", spec, "--max-degree", "-3")
+    assert r.returncode == 1 and r.stdout == ""
+    r = run_cli("probe", spec, "--i", "x1", "--j", "x1h", "--count", "-1",
+                "--max-degree", "3")
+    assert r.returncode == 1 and r.stdout == ""
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"blocks": [{"epsilon": "1"}], "points": [{"q": "-1"}], "q": [["1"]]},
+    {"blocks": [{"epsilon": "1"}], "points": [{"q": "-1"}],
+     "q": [["1", "1"], ["1", "-1"]], "ghost": {"2,5": "1"}},
+    {"blocks": [{"epsilon": "1"}], "points": [{"q": "-1"}],
+     "q": [["1", "1"], ["1", "-1"]], "a": {"7,1": "1"}},
+], ids=["list", "small-q", "ghost-block", "a-vertex"])
+def test_malformed_spec_is_one_line_error(obj, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    r = run_cli("classify", str(path))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("gknichols: error: ")
+    assert r.stderr.count("\n") == 1
+
+
+def test_member_bad_rational_is_one_line_error(jordan_spec_file):
+    r = run_cli("member", jordan_spec_file, "--element", "3/0 x1")
+    assert r.returncode == 1
+    assert r.stderr == ("gknichols: error: bad rational literal '3/0' "
+                        "(at position 0)\n")

@@ -135,3 +135,60 @@ def test_parse_errors():
         parse_element("x9", SPEC)
     with pytest.raises((ElementError, ParseError)):
         parse_element("x1 +", SPEC)
+
+
+# (text, message, position): malformed expressions and the exact error that
+# both the element and the degree evaluator report for them
+PARSE_ERRORS = [
+    ("x1 +", "unexpected end", 4),
+    ("(x1", "expected ')'", 3),
+    ("[x1 x1h]", "expected ','", 7),
+    ("x1^", "positive integer exponent expected", 3),
+    ("{1", "unterminated scalar literal", 0),
+    ("ad(x1 x1h)", "expected ','", 9),
+    ("x1 )", "unexpected ')'", 3),
+    ("", "unexpected end", 0),
+    ("-", "unexpected end", 1),
+    ("x1h^2 + + x1", "unexpected '+'", 8),
+]
+
+BAD_RATIONALS = [
+    ("3/", "bad rational literal '3/'", 0),
+    ("3/0 x1", "bad rational literal '3/0'", 0),
+    ("x1 + 2/ x2", "bad rational literal '2/'", 5),
+]
+
+
+def _parse_error(fn, text):
+    from gknichols.scalars import ParseError
+    with pytest.raises(ParseError) as info:
+        fn(text, SPEC)
+    return str(info.value), info.value.position
+
+
+@pytest.mark.parametrize("fn", [parse_element, expression_degree])
+@pytest.mark.parametrize("text,message,position", PARSE_ERRORS)
+def test_parse_error_table(fn, text, message, position):
+    assert _parse_error(fn, text) == (
+        f"{message} (at position {position})", position)
+
+
+@pytest.mark.parametrize("fn", [parse_element, expression_degree])
+@pytest.mark.parametrize("text,message,position", BAD_RATIONALS)
+def test_bad_rational_literal_is_parse_error(fn, text, message, position):
+    assert _parse_error(fn, text) == (
+        f"{message} (at position {position})", position)
+
+
+def test_parse_element_writes_expanded_macros_back():
+    macros = {"x12": "[x1, x2]", "w": "[x1, x12]"}
+    first = parse_element("w + x12", SPEC, macros)
+    assert isinstance(macros["x12"], TensorElement)
+    assert isinstance(macros["w"], TensorElement)
+    assert (macros["w"] - parse_element("[x1, [x1, x2]]", SPEC)).is_zero()
+    # a second relation reuses the expanded elements from the shared table
+    expanded = macros["w"]
+    again = parse_element("w + x12", SPEC, macros)
+    assert macros["w"] is expanded
+    assert (first - again).is_zero()
+    assert expression_degree("w x12", SPEC, macros) == 5

@@ -137,3 +137,47 @@ def test_infinite_probe_report_shape():
     assert report["evidence"] in ("INFINITE", "INCONCLUSIVE")
     assert set(report) >= {"evidence", "nonzero_y", "products_tested",
                            "dependencies"}
+
+
+# (entry, i, j, count, nstar, report): exact probe reports that a change to
+# the elimination kernel must reproduce
+PROBE_REPORTS = [
+    ("jordan", 0, 1, 3, 4, ("INFINITE", [0, 1], 3, 0)),
+    ("jordan", 1, 0, 5, 6, ("INCONCLUSIVE", [0, 1, 2, 3, 4], 12, 6)),
+    ("jordan", 1, 1, 5, 6, ("INCONCLUSIVE", [0, 1, 2, 3, 4], 12, 1)),
+    ("super_jordan", 1, 1, 5, 6, ("INFINITE", [0, 1, 2, 3, 4], 12, 0)),
+    ("cyc1", 1, 2, 5, 6, ("INFINITE", [0, 1, 2], 7, 0)),
+]
+
+
+@pytest.mark.parametrize("name,i,j,count,nstar,expected", PROBE_REPORTS)
+def test_infinite_probe_report_exact(name, i, j, count, nstar, expected):
+    spec, _ = entry_instance(name)
+    evidence, nonzero, products, dependencies = expected
+    assert infinite_probe(spec, i, j, count, nstar) == {
+        "evidence": evidence, "nonzero_y": nonzero,
+        "products_tested": products, "dependencies": dependencies}
+
+
+def test_echelon_tracks_dependencies():
+    from gknichols.nichols import _Echelon
+    q = RING.from_int
+    vectors = [{(0,): q(1), (1,): q(2)}, {(1,): q(3), (2,): q(1)},
+               {(0,): q(2), (1,): q(7), (2,): q(1)}, {(2,): q(5)}]
+    echelon = _Echelon()
+    dependent = []
+    for label, vec in enumerate(vectors):
+        img = dict(vec)
+        expr = echelon.reduce(img)
+        if img:
+            echelon.insert(img, expr, label)
+            continue
+        # vec is the combination expr of the inserted vectors
+        combo = {}
+        for lab, c in expr.items():
+            for k, v in vectors[lab].items():
+                combo[k] = combo.get(k, RING.zero()) + c * v
+        assert {k: v for k, v in combo.items() if not v.is_zero()} == vec
+        dependent.append(label)
+    assert dependent == [2]
+    assert len(echelon.pivots) == 3
