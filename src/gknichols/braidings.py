@@ -278,7 +278,8 @@ class DiagonalBraiding:
 
     def __init__(self, ring, matrix):
         self.ring = ring
-        self.matrix = [[_norm_scalar(ring, v) for v in row] for row in matrix]
+        self.matrix = [[_norm_scalar(ring, v) for v in _sequence(row, "q row")]
+                       for row in _sequence(matrix, "q")]
         self.dim = len(self.matrix)
         for row in self.matrix:
             if len(row) != self.dim:
@@ -444,5 +445,9 @@ def spec_to_json(spec: BraidedSpaceSpec) -> dict:
 def diagonal_from_json(obj) -> DiagonalBraiding:
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise SpecError("diagonal braiding must be a JSON object")
+    if not obj.get("q"):
+        raise SpecError("diagonal braiding needs a nonempty 'q' matrix")
     ring = ring_from_json(obj.get("ring", {}))
     return DiagonalBraiding(ring, obj["q"])

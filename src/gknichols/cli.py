@@ -282,7 +282,8 @@ def _cmd_catalog(args):
 
 def _add_budget(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="monomial cap per degree (default 10^6)")
+                   help="cap on the candidate words of one degree, "
+                        "dims[n-1] * letters (default 10^6)")
 
 
 def build_parser() -> _Parser:

@@ -292,6 +292,11 @@ def gk_of_admissible(g: FlourishedGraph):
     viols = is_admissible(g)
     if viols:
         raise NotAdmissible(f"{len(viols)} violations, first: {viols[0]}")
+    return _gk_of_admissible(g)
+
+
+def _gk_of_admissible(g: FlourishedGraph):
+    """:func:`gk_of_admissible` for a graph known to be admissible."""
     total = 2 * g.t
     decomposition = []
     for comp in g.point_components():
@@ -348,6 +353,11 @@ def is_domain(g: FlourishedGraph) -> bool:
     viols = is_admissible(g)
     if viols:
         raise NotAdmissible(str(viols[0]))
+    return _is_domain(g)
+
+
+def _is_domain(g: FlourishedGraph) -> bool:
+    """:func:`is_domain` for a graph known to be admissible."""
     if any(s != "+" for s in g.signs):
         return False
     for comp in g.point_components():
@@ -403,8 +413,8 @@ def classify(spec: BraidedSpaceSpec):
         if not g.attachments(comp) and len(comp) > 1:
             return Unknown(
                 f"diagonal component {comp} not attached to any block")
-    gk, decomposition = gk_of_admissible(g)
-    return FiniteGK(gk, decomposition, is_domain(g))
+    gk, decomposition = _gk_of_admissible(g)
+    return FiniteGK(gk, decomposition, _is_domain(g))
 
 
 def _classify_diagonal(spec: BraidedSpaceSpec):

@@ -3,11 +3,23 @@
 The defining ideal is computed by the derivation recursion
 I(1) = 0,  I(n) = { t in T^n : partial_i(t) in I(n-1) for every letter i },
 so B^n = T^n / I(n).  Degree n is obtained by incremental sparse elimination:
-words are processed in increasing (length, lex) order and each word either
-joins the monomial complement spanning B^n or yields a reduced ideal element
-whose leading (largest) monomial is that word.  The per-word coordinates of
-all skew derivations in the previous complement are kept, so that degree n
-only needs degree n-1 data.
+candidate words are processed in increasing (length, lex) order and each
+either joins the monomial complement spanning B^n or yields a reduced ideal
+element whose leading (largest) monomial is that word.  The coordinates of
+all skew derivations of each complement word in the previous complement are
+kept, so that degree n only needs degree n-1 data.
+
+The complement is prefix-closed, so the candidates of degree n are only the
+words u.x with u in the degree n-1 complement and x a letter: dims[n-1] * L
+words instead of L^n.  This is exact because I(n-1).V lies in I(n) and the
+(length, lex) order is compatible with concatenation: if the prefix p of p.x
+is congruent modulo I(n-1) to a combination of smaller words, p.x is
+congruent modulo I(n) to the same combination followed by x, again of
+smaller words, so p.x is never a complement word and the skipped words add
+nothing to the span the elimination sees.  The complement and the normal
+forms of the candidates are those of the full enumeration.  The normal form
+of any other word is built on demand and memoised, from
+nf(p.x) = sum_u c_u nf(u.x) where nf(p) = sum_u c_u u.
 
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
@@ -32,9 +44,11 @@ class NicholsError(Exception):
 
 class BudgetExceeded(NicholsError):
     def __init__(self, degree, count, budget):
-        super().__init__(
-            f"degree {degree} needs {count} monomials (budget {budget})")
+        super().__init__(f"degree {degree} needs {count} candidate words "
+                         f"(budget {budget})")
         self.degree = degree
+        self.count = count
+        self.budget = budget
 
 
 class DegreeTooLarge(NicholsError):
@@ -109,7 +123,8 @@ class NicholsTruncation:
         }
         self.dims = [1, L]
         self.ideal_dims = [0, 0]
-        # NF coordinates of all skew derivations of length-1 words in basis[0]
+        # NF coordinates of the skew derivations of each word of basis[n]
+        # in basis[n-1], for the current top degree n
         self._dcoords = {(l,): [({(): one} if d == l else {})
                                 for d in range(L)]
                          for l in range(L)}
@@ -126,7 +141,8 @@ class NicholsTruncation:
         if n == 1:
             self.max_degree = 1
             return
-        count = L ** n
+        prefixes = self.basis[n - 1]
+        count = len(prefixes) * L
         if count > self.budget:
             raise BudgetExceeded(n, count, self.budget)
         prev_d = self._dcoords
@@ -139,34 +155,34 @@ class NicholsTruncation:
         basis_n = []
         nf_n = {}
         new_d = {}
-        for w in product(range(L), repeat=n):
-            prefix, last = w[:-1], w[-1]
+        for prefix in prefixes:
             pd = prev_d[prefix]
-            nfp = nf_prev.get(prefix)
-            dvecs = []
-            img = {}
-            for d in range(L):
-                acc = {}
-                g = group_of(d)
-                expansion = act[g - 1][last]
-                for u, alpha in pd[d].items():
-                    for tgt, beta in expansion:
-                        vec = nf_prev[u + (tgt,)]
-                        if vec:
-                            add_into(acc, vec, alpha * beta)
-                if d == last and nfp:
-                    add_into(acc, nfp)
-                dvecs.append(acc)
-                for cw, cc in acc.items():
-                    img[(d, cw)] = cc
-            new_d[w] = dvecs
-            expr = echelon.reduce(img)
-            if not img:
-                nf_n[w] = expr  # w is congruent to expr modulo I(n)
-            else:
-                echelon.insert(img, expr, w)
-                basis_n.append(w)
-                nf_n[w] = {w: one}
+            for last in range(L):
+                w = prefix + (last,)
+                dvecs = []
+                img = {}
+                for d in range(L):
+                    acc = {}
+                    g = group_of(d)
+                    expansion = act[g - 1][last]
+                    for u, alpha in pd[d].items():
+                        for tgt, beta in expansion:
+                            vec = nf_prev[u + (tgt,)]
+                            if vec:
+                                add_into(acc, vec, alpha * beta)
+                    if d == last:
+                        add_term(acc, prefix, one)
+                    dvecs.append(acc)
+                    for cw, cc in acc.items():
+                        img[(d, cw)] = cc
+                expr = echelon.reduce(img)
+                if not img:
+                    nf_n[w] = expr  # w is congruent to expr modulo I(n)
+                else:
+                    echelon.insert(img, expr, w)
+                    basis_n.append(w)
+                    nf_n[w] = {w: one}
+                    new_d[w] = dvecs
         self.basis[n] = basis_n
         self.nf[n] = nf_n
         self.dims.append(len(basis_n))
@@ -176,13 +192,24 @@ class NicholsTruncation:
 
     # ------------------------------------------------------------------
 
+    def _word_nf(self, w):
+        """Normal form of the word w, memoised in ``nf[len(w)]``."""
+        nf_n = self.nf[len(w)]
+        vec = nf_n.get(w)
+        if vec is None:
+            vec = {}
+            last = w[-1:]
+            for u, c in self._word_nf(w[:-1]).items():
+                add_into(vec, nf_n[u + last], c)
+            nf_n[w] = vec
+        return vec
+
     def normal_form_vector(self, e: TensorElement, n: int) -> dict:
         """Coordinates of the degree-n component of e in the complement basis."""
-        nf_n = self.nf[n]
         acc = {}
         for w, c in e.terms.items():
             if len(w) == n:
-                add_into(acc, nf_n[w], c)
+                add_into(acc, self._word_nf(w), c)
         return acc
 
 

@@ -175,6 +175,8 @@ def reflect(d, i):
     t_jk = q_jk q_ik^{-c_ij} q_ji^{-c_ik} q_ii^{c_ij c_ik}."""
     from .braidings import DiagonalBraiding
     n = d.dim
+    if not 1 <= i <= n:
+        raise WeylError(f"vertex {i} is not in 1..{n}")
     cs = {}
     failing = []
     for j in range(1, n + 1):

@@ -119,6 +119,26 @@ def test_reflect(tmp_path):
     assert len(out["q"]) == 3
 
 
+_DIAG2 = {"q": [["-1", "-1"], ["-1", "-1"]]}
+
+
+@pytest.mark.parametrize("obj,vertex", [
+    ([["-1", "-1"], ["-1", "-1"]], "1"),
+    ({"q": 5}, "1"),
+    ({"q": []}, "1"),
+    (_DIAG2, "5"),
+    (_DIAG2, "0"),
+    (_DIAG2, "-1"),
+], ids=["list", "q-int", "q-empty", "vertex-5", "vertex-0", "vertex-neg"])
+def test_reflect_bad_input_is_one_line_error(obj, vertex, tmp_path):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(obj))
+    r = run_cli("reflect", str(path), "--vertex", vertex)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("gknichols: error: ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_probe(jordan_spec_file):
     r = run_cli("probe", jordan_spec_file, "--i", "x1", "--j", "x1h",
                 "--count", "3", "--max-degree", "4")

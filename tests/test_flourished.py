@@ -65,6 +65,22 @@ def test_classify_attached_plus_one_point():
     assert v.is_domain
 
 
+def test_classify_checks_admissibility_once(monkeypatch):
+    import gknichols.flourished as fl
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_admissible(g)
+
+    monkeypatch.setattr(fl, "is_admissible", counted)
+    spec = _spec(R1, [("1", 2)], ["1"], [["1", "1"], ["1", "1"]],
+                 {(2, 1): "-1/2"})
+    v = classify(spec)
+    assert isinstance(v, FiniteGK) and v.gk == 4 and v.is_domain
+    assert len(calls) == 1
+
+
 def test_classify_unattached_points():
     spec = _spec(R1, [("1", 2)], ["1", "-1"],
                  [["1", "1", "1"], ["1", "1", "1"], ["1", "1", "-1"]])

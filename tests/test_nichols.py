@@ -1,5 +1,7 @@
 """Truncation engine, symmetrizer oracle, mu/z machinery, verification."""
 
+import json
+
 import pytest
 
 from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
@@ -9,6 +11,7 @@ from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
                        verify_presentation, z_element)
 from gknichols.nichols import BudgetExceeded, NotWeak, mu_rank2
 from tests.conftest import entry_instance
+from tests.data.capture_truncation_golden import ENTRIES, FIXTURE, summarise
 
 RING = ScalarRing(1)
 
@@ -45,6 +48,27 @@ def test_budget_is_enforced():
     spec, _ = entry_instance("cyc2")
     with pytest.raises(BudgetExceeded):
         compute_truncation(spec, 6, budget=10)
+
+
+def test_budget_counts_candidate_words():
+    # B(jordan) has dims n + 1, so degree n has 2n candidates, not 2^n words
+    spec, _ = entry_instance("jordan")
+    trunc = compute_truncation(spec, 12, budget=100)
+    assert trunc.dims[12] == 13
+    with pytest.raises(BudgetExceeded) as info:
+        compute_truncation(spec, 12, budget=20)
+    exc = info.value
+    assert (exc.degree, exc.count, exc.budget) == (11, 22, 20)
+    assert str(exc) == "degree 11 needs 22 candidate words (budget 20)"
+
+
+_GOLDEN = json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_truncation_matches_golden(name):
+    """dims, bases and the normal form of every word up to degree 6."""
+    assert summarise(name, _GOLDEN["degree"]) == _GOLDEN["entries"][name]
 
 
 def test_symmetrizer_kernel_equals_ideal():
