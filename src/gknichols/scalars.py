@@ -1,26 +1,34 @@
 """Exact coefficient arithmetic.
 
 Scalars live in Q(zeta_N) optionally extended by transcendental parameters;
-every value is stored as a normalized rational function so that equality is
-decidable.  Internally three representations are used and coerced on demand:
+every value is stored in a canonical form so that equality is decidable.
+A ``Scalar`` has one of three kinds, coerced on demand:
 
-* a plain rational (the common fast path),
-* a vector of rationals of length phi(N) in the basis 1, z, ..., z^{phi-1}
-  reduced modulo the N-th cyclotomic polynomial,
-* a pair numerator/denominator of multivariate polynomials in the declared
-  parameters with cyclotomic coefficients, kept coprime with monic
-  denominator (leading coefficient 1 under graded-lex order).
+* ``"q"``: a plain rational ``_Q`` (the common fast path);
+* ``"c"``: a cyclotomic constant with some z^i (i >= 1) coefficient nonzero,
+  stored as the pair ``(nums, den)``: ``nums`` is a tuple of phi(N) Python
+  ints, the coefficients of 1, z, ..., z^{phi-1} modulo the N-th cyclotomic
+  polynomial scaled by the positive int ``den``, with
+  ``gcd(den, *nums) == 1`` (zero is ``((0,) * phi, 1)``);
+* ``"f"``: a pair numerator/denominator of multivariate polynomials in the
+  declared parameters whose coefficients are such ``(nums, den)`` pairs,
+  kept coprime with monic denominator (leading coefficient 1 under
+  graded-lex order).
+
+Cyclotomic arithmetic is integer arithmetic: products are integer
+convolutions reduced by the monic integer polynomial Phi_N, sums share one
+denominator, and inverses come from the Galois norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _lcm
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # pragma: no cover - gmpy2 is the optional ``fast`` extra
     from fractions import Fraction as _Q
 
 
@@ -86,24 +94,76 @@ def cyclotomic_coeffs(n: int) -> tuple:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _zeta_powers(n: int) -> tuple:
+    """z^p for 0 <= p < n as integer vectors reduced modulo Phi_n."""
+    head = [-c for c in cyclotomic_coeffs(n)[:-1]]  # z^phi (Phi_n monic)
+    cur = [1] + [0] * (len(head) - 1)
+    out = []
+    for _ in range(n):
+        out.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c + top * h for c, h in zip(cur, head)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _galois_tower(n: int) -> tuple:
+    """Steps (k, m) through the Galois group (Z/n)^x of Q(zeta_n): sigma_k,
+    z -> z^k, has order m modulo the subgroup H generated by the earlier
+    steps, so the cosets sigma_k^i H (i < m) tile the next subgroup."""
+    sub, steps = {1 % n}, []
+    for k in range(2, n):
+        if _igcd(k, n) == 1 and k not in sub:
+            m, p = 1, k
+            while p not in sub:
+                p, m = p * k % n, m + 1
+            sub = {h * pow(k, i, n) % n for h in sub for i in range(m)}
+            steps.append((k, m))
+    return tuple(steps)
+
+
 # ---------------------------------------------------------------------------
-# cyclotomic constants: tuples of rationals of length phi(N)
+# cyclotomic constants: canonical pairs (nums, den) of ints, see the docstring
+
+
+def _cyc_reduce(nums, den):
+    """The canonical pair for nums / den, den > 0."""
+    if den == 1:
+        return nums, 1
+    g = _igcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(x // g for x in nums), den // g
 
 
 def _cyc_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _cyc_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _cyc_reduce(tuple(x + y for x, y in zip(an, bn)), ad)
+    g = _igcd(ad, bd)
+    fa, fb = bd // g, ad // g
+    return _cyc_reduce(tuple(x * fa + y * fb for x, y in zip(an, bn)),
+                       ad * fa)
 
 
 def _cyc_neg(a):
-    return tuple(-x for x in a)
+    return tuple(-x for x in a[0]), a[1]
+
+
+def _cyc_sub(a, b):
+    return _cyc_add(a, _cyc_neg(b))
+
+
+def _cyc_scale(a, p, q):
+    """a * p / q for ints p != 0 and q > 0."""
+    return _cyc_reduce(tuple(x * p for x in a[0]), a[1] * q)
 
 
 def _cyc_is_zero(a):
-    return all(x == 0 for x in a)
+    return not any(a[0])
 
 
 class ScalarRing:
@@ -115,24 +175,18 @@ class ScalarRing:
         params = tuple(params)
         if len(set(params)) != len(params):
             raise ScalarError("parameter names must be distinct")
-        self.cyclotomic_order = cyclotomic_order
+        n = cyclotomic_order
+        self.cyclotomic_order = n
         self.params = params
-        self.phi = euler_phi(cyclotomic_order)
-        # reduction table: z^k for phi <= k <= 2*phi - 2 as basis vectors
-        mod = cyclotomic_coeffs(cyclotomic_order)
-        head = [_Q(-c) for c in mod[:-1]]  # z^phi = head (Phi monic)
-        table = []
-        prev = head
-        table.append(tuple(prev))
-        for _ in range(self.phi - 2):
-            shifted = [_Q(0)] + prev[:-1]
-            top = prev[-1]
-            if top:
-                shifted = [s + top * h for s, h in zip(shifted, head)]
-            prev = shifted
-            table.append(tuple(prev))
-        self._red = table  # _red[k - phi] = vector of z^k
-        self._zero_vec = tuple(_Q(0) for _ in range(self.phi))
+        self.phi = phi = euler_phi(n)
+        self._zpow = _zeta_powers(n)
+        # nonzero (index, coefficient) pairs of z^p; _red[k - phi] for z^k
+        self._zsparse = [tuple((j, r) for j, r in enumerate(v) if r)
+                         for v in self._zpow]
+        self._red = [self._zsparse[k % n] for k in range(phi, 2 * phi - 1)]
+        self._tower = _galois_tower(n)
+        self._zero_cyc = ((0,) * phi, 1)
+        self._one_cyc = (self._zpow[0], 1)
 
     # -- constructors -------------------------------------------------------
 
@@ -149,94 +203,85 @@ class ScalarRing:
         return Scalar(self, "q", _Q(p, q))
 
     def zeta(self, power: int = 1) -> "Scalar":
-        n = self.cyclotomic_order
-        power %= n
-        if self.phi == 1:
-            # zeta_1 = 1, zeta_2 = -1
-            return self.from_int(1 if n == 1 or power == 0 else (-1) ** power)
-        if power < self.phi:
-            vec = [_Q(0)] * self.phi
-            vec[power] = _Q(1)
-            return Scalar(self, "c", tuple(vec))._demote()
-        cur = self._red[0]  # z^phi reduced
-        for _ in range(power - self.phi):
-            cur = self._cyc_mul_z(cur)
-        return Scalar(self, "c", cur)._demote()
+        vec = self._zpow[power % self.cyclotomic_order]
+        return Scalar(self, "c", (vec, 1))._demote()
 
     def param(self, name: str) -> "Scalar":
         if name not in self.params:
             raise ScalarError(f"unknown parameter {name!r}")
         i = self.params.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(self.params)))
-        num = {exps: self._one_vec()}
-        return Scalar(self, "f", (num, self._const_poly(self._one_vec())))
+        num = {exps: self._one_cyc}
+        return Scalar(self, "f", (num, self._const_poly(self._one_cyc)))
 
-    def _one_vec(self):
-        return (_Q(1),) + (_Q(0),) * (self.phi - 1)
-
-    def _const_poly(self, vec):
-        if _cyc_is_zero(vec):
+    def _const_poly(self, c):
+        if _cyc_is_zero(c):
             return {}
-        return {(0,) * len(self.params): vec}
+        return {(0,) * len(self.params): c}
 
     # -- cyclotomic multiplication -----------------------------------------
 
-    def _cyc_mul_z(self, a):
-        """Multiply by z, reducing mod Phi_N."""
-        shifted = [_Q(0)] + list(a[:-1])
-        top = a[-1]
-        if top:
-            red = self._red[0]
-            shifted = [s + top * r for s, r in zip(shifted, red)]
-        return tuple(shifted)
-
-    def cyc_mul(self, a, b):
+    def _int_mul(self, a, b):
+        """Product of two integer vectors, reduced modulo Phi_N."""
         phi = self.phi
         if phi == 1:
             return (a[0] * b[0],)
-        conv = [_Q(0)] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
         out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
+        for k, red in enumerate(self._red, phi):
             c = conv[k]
             if c:
-                red = self._red[k - phi]
-                for j in range(phi):
-                    if red[j]:
-                        out[j] += c * red[j]
+                for j, r in red:
+                    out[j] += c * r
         return tuple(out)
 
+    def cyc_mul(self, a, b):
+        return _cyc_reduce(self._int_mul(a[0], b[0]), a[1] * b[1])
+
+    def _galois(self, v, k):
+        """sigma_k(v) for an integer vector v, sigma_k: z -> z^k."""
+        n, zsparse = self.cyclotomic_order, self._zsparse
+        out = [0] * self.phi
+        for i, x in enumerate(v):
+            if x:
+                for j, r in zsparse[i * k % n]:
+                    out[j] += x * r
+        return tuple(out)
+
+    def _conj_prod(self, b, k, m):
+        """prod_{1 <= i < m} sigma_k^i(b), by doubling on
+        c_t = prod_{i < t} sigma_k^i(b): c_2t = c_t * sigma_k^t(c_t) and
+        c_{t+1} = b * sigma_k(c_t)."""
+        n, c, t = self.cyclotomic_order, b, 1
+        for bit in bin(m - 1)[3:]:
+            c = self._int_mul(c, self._galois(c, pow(k, t, n)))
+            t *= 2
+            if bit == "1":
+                c = self._int_mul(b, self._galois(c, k))
+                t += 1
+        return self._galois(c, k)
+
     def cyc_inv(self, a):
-        if _cyc_is_zero(a):
+        """1/a = prod_{k != 1} sigma_k(a) / N(a), sigma_k: z -> z^k.
+
+        The Galois group is walked along ``_tower``: if b is the product of
+        the conjugates of a over a subgroup H, the product over the next
+        subgroup is b * q with q = prod_{1 <= i < m} sigma_k^i(b)."""
+        nums, den = a
+        if not any(nums):
             raise DivisionByZero("cyclotomic inverse of zero")
-        phi = self.phi
-        if phi == 1:
-            return (1 / a[0],)
-        # solve (mult-by-a matrix) x = e0 by Gaussian elimination
-        cols = []
-        basis = (_Q(1),) + (_Q(0),) * (phi - 1)
-        vec = basis
-        for j in range(phi):
-            cols.append(self.cyc_mul(a, vec))
-            vec = self._cyc_mul_z(vec)
-        rows = [[cols[j][i] for j in range(phi)] + [_Q(1) if i == 0 else _Q(0)]
-                for i in range(phi)]
-        for c in range(phi):
-            piv = next((r for r in range(c, phi) if rows[r][c] != 0), None)
-            if piv is None:
-                raise DivisionByZero("singular cyclotomic element")
-            rows[c], rows[piv] = rows[piv], rows[c]
-            inv = 1 / rows[c][c]
-            rows[c] = [x * inv for x in rows[c]]
-            for r in range(phi):
-                if r != c and rows[r][c]:
-                    f = rows[r][c]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-        return tuple(rows[i][phi] for i in range(phi))
+        b, rest = nums, self._zpow[0]  # rest = b / a
+        for k, m in self._tower:
+            q = self._conj_prod(b, k, m)
+            b, rest = self._int_mul(b, q), self._int_mul(rest, q)
+        norm = b[0]  # b = N(nums), a rational integer
+        if norm < 0:
+            norm, den = -norm, -den
+        return _cyc_reduce(tuple(den * x for x in rest), norm)
 
     def __eq__(self, other):
         return (isinstance(other, ScalarRing)
@@ -251,7 +296,7 @@ class ScalarRing:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (dict exponent-tuple -> cyc vector, no zero entries)
+# polynomial helpers (dict exponent-tuple -> (nums, den), no zero entries)
 
 
 def _grlex_key(exps):
@@ -377,7 +422,7 @@ def _poly_gcd(ring, a, b):
         return _poly_monic(ring, a)
     vs = _active_vars(a, b)
     if not vs:
-        return {(0,) * len(ring.params): ring._one_vec()}
+        return {(0,) * len(ring.params): ring._one_cyc}
     var = max(vs)
     ua, ub = _poly_to_univar(a, var), _poly_to_univar(b, var)
     rest_a = _active_vars(*ua.values())
@@ -425,8 +470,8 @@ def _univar_field_gcd(ring, a, b):
             new = dict(a)
             for d, c in b.items():
                 k = d + da - db
-                cur = new.get(k, {const: ring._zero_vec})
-                val = _cyc_sub(cur.get(const, ring._zero_vec),
+                cur = new.get(k, {const: ring._zero_cyc})
+                val = _cyc_sub(cur.get(const, ring._zero_cyc),
                                ring.cyc_mul(f, c[const]))
                 if _cyc_is_zero(val):
                     new.pop(k, None)
@@ -478,7 +523,7 @@ def _poly_monic(ring, a):
     if not a:
         return a
     lc = a[_poly_lt(a)]
-    if lc == ring._one_vec():
+    if lc == ring._one_cyc:
         return a
     return _poly_scale(ring, a, ring.cyc_inv(lc))
 
@@ -510,7 +555,7 @@ NOT_ROOT_OF_UNITY = MultOrder(None)
 class Scalar:
     """An exact element of the ring, immutable.
 
-    kind 'q': payload is a rational; kind 'c': cyclotomic vector;
+    kind 'q': payload is a rational; kind 'c': a (nums, den) pair;
     kind 'f': (numerator, denominator) polynomial pair, normalized.
     """
 
@@ -533,30 +578,32 @@ class Scalar:
             num, den = payload
             nvars = len(ring.params)
             const = (0,) * nvars
-            if set(den) == {const} and den[const] == ring._one_vec():
+            if set(den) == {const} and den[const] == ring._one_cyc:
                 if not num:
                     return ring.zero()
                 if set(num) == {const}:
                     return Scalar(ring, "c", num[const])._demote()
             return self
         if kind == "c":
-            vec = payload
-            if all(x == 0 for x in vec[1:]):
-                return Scalar(ring, "q", vec[0])
+            nums, den = payload
+            if not any(nums[1:]):
+                return Scalar(ring, "q", _Q(nums[0], den))
             return self
         return self
 
     def _as_cyc(self):
         if self.kind == "q":
-            return (self.payload,) + (_Q(0),) * (self.ring.phi - 1)
+            r = self.payload
+            return ((r.numerator,) + (0,) * (self.ring.phi - 1),
+                    r.denominator)
         return self.payload
 
     def _as_frac(self):
         ring = self.ring
         if self.kind == "f":
             return self.payload
-        vec = self._as_cyc()
-        return ring._const_poly(vec), ring._const_poly(ring._one_vec())
+        return (ring._const_poly(self._as_cyc()),
+                ring._const_poly(ring._one_cyc))
 
     # -- predicates ---------------------------------------------------------
 
@@ -592,7 +639,7 @@ class Scalar:
             if isinstance(other, int):
                 return self.ring.from_int(other)
             return NotImplemented
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         return other
 
@@ -647,13 +694,12 @@ class Scalar:
             r = a.payload
             if r == 0:
                 return a.ring.zero()
+            p, q = r.numerator, r.denominator
             if b.kind == "c":
-                return Scalar(a.ring, "c",
-                              tuple(r * x for x in b.payload))._demote()
+                return Scalar(a.ring, "c", _cyc_scale(b.payload, p, q))
             num, den = b.payload
-            vec = (r,) + (_Q(0),) * (a.ring.phi - 1)
-            return Scalar(a.ring, "f",
-                          (_poly_scale(a.ring, num, vec), den))._demote()
+            num = {e: _cyc_scale(c, p, q) for e, c in num.items()}
+            return Scalar(a.ring, "f", (num, den))._demote()
         if a.kind == "c" and b.kind == "c":
             return Scalar(a.ring, "c",
                           a.ring.cyc_mul(a.payload, b.payload))._demote()
@@ -705,7 +751,7 @@ class Scalar:
             other = self.ring.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             return False
         a, b = self, other
         if a.kind == b.kind:
@@ -756,10 +802,6 @@ def _freeze_poly(p):
     return tuple(sorted(p.items(), key=lambda kv: _grlex_key(kv[0])))
 
 
-def _lcm(a, b):
-    return a * b // _igcd(a, b)
-
-
 def _divisors(n):
     out = []
     d = 1
@@ -779,11 +821,11 @@ def _make_frac(ring, num, den):
         return ring.zero()
     g = _poly_gcd(ring, num, den)
     const = (0,) * len(ring.params)
-    if set(g) != {const} or g[const] != ring._one_vec():
+    if set(g) != {const} or g[const] != ring._one_cyc:
         num = _poly_divexact(ring, num, g)
         den = _poly_divexact(ring, den, g)
     lc = den[_poly_lt(den)]
-    if lc != ring._one_vec():
+    if lc != ring._one_cyc:
         inv = ring.cyc_inv(lc)
         num = _poly_scale(ring, num, inv)
         den = _poly_scale(ring, den, inv)
@@ -945,11 +987,13 @@ def _print_q(r):
     return str(r)
 
 
-def _print_cyc(vec, as_factor=False):
+def _print_cyc(cyc, as_factor=False):
+    nums, den = cyc
     parts = []
-    for i, c in enumerate(vec):
-        if c == 0:
+    for i, n in enumerate(nums):
+        if n == 0:
             continue
+        c = _Q(n, den)  # each coefficient in lowest terms on its own
         if i == 0:
             parts.append(_print_q(c))
         else:
@@ -1005,7 +1049,7 @@ def print_scalar(s: Scalar) -> str:
     num, den = s.payload
     ring = s.ring
     const = (0,) * len(ring.params)
-    den_is_one = set(den) == {const} and den[const] == ring._one_vec()
+    den_is_one = set(den) == {const} and den[const] == ring._one_cyc
     num_str = _print_poly(ring, num)
     if den_is_one:
         return num_str

@@ -124,9 +124,16 @@ def dynkin(d) -> DynkinDiagram:
     return DynkinDiagram(labels, edges)
 
 
+def _check_vertex(d, i):
+    if not 1 <= i <= d.dim:
+        raise WeylError(f"vertex {i} is not in 1..{d.dim}")
+
+
 def cartan_coeff(d, i, j):
     """c_ij = -min{ n >= 0 : (n+1)_{q_ii} (1 - q_ii^n q_ij q_ji) = 0 },
     or UNDEFINED when no such n exists within the decidable range."""
+    _check_vertex(d, i)
+    _check_vertex(d, j)
     if i == j:
         raise WeylError("cartan_coeff requires i != j")
     qii = d.q(i, i)
@@ -174,9 +181,8 @@ def reflect(d, i):
     """Reflection at vertex i of a diagonal braiding matrix:
     t_jk = q_jk q_ik^{-c_ij} q_ji^{-c_ik} q_ii^{c_ij c_ik}."""
     from .braidings import DiagonalBraiding
+    _check_vertex(d, i)
     n = d.dim
-    if not 1 <= i <= n:
-        raise WeylError(f"vertex {i} is not in 1..{n}")
     cs = {}
     failing = []
     for j in range(1, n + 1):

@@ -1,42 +1,53 @@
-"""Capture the truncation golden: dims, bases and normal forms per catalog entry.
+"""Capture the truncation goldens: dims, bases and normal forms per spec.
 
-For every named catalog entry (default parameters; ``compose`` builds
-composites and is skipped) the truncation to degree
-``DEGREE`` is summarised per degree n by
+Two fixtures are written, each summarising a truncation per degree n by
   - ``dims[n]``;
   - the sha256 of ``basis[n]`` (one word per line, in engine order);
   - the sha256 of the normal form of *every* word of degree n, taken in lex
     order through ``normal_form_vector``, each printed as its sorted
     ``word:coefficient`` terms.
+
+``truncation_golden.json`` covers every named catalog entry (default
+parameters; ``compose`` builds composites and is skipped) to degree
+``DEGREE``.  ``truncation_golden_zeta12.json`` covers ``ZETA12_COUNT``
+random block+point specs over Q(zeta_12) (``test_acceptance._random_spec``
+drawn from one rng seeded with ``ZETA12_SEED``) to degree ``ZETA12_DEGREE``,
+so that cyclotomic coefficients with phi = 4 are pinned too.
 Normal forms are unique, so any exact engine must reproduce these digests.
 
-Run from the repository root to re-pin the fixture:
+Run from the repository root to re-pin both fixtures:
 
-    PYTHONPATH=src python tests/data/capture_truncation_golden.py
+    PYTHONPATH=src:. python tests/data/capture_truncation_golden.py
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from itertools import product
 from pathlib import Path
 
-from gknichols import TensorElement, catalog, compute_truncation
+from gknichols import ScalarRing, TensorElement, catalog, compute_truncation
 from gknichols.scalars import print_scalar
+from tests.test_acceptance import _random_spec
 
 DEGREE = 6
 ENTRIES = [n for n in catalog.list_entries() if n != "compose"]
 FIXTURE = Path(__file__).with_name("truncation_golden.json")
+
+ZETA12_DEGREE = 4
+ZETA12_SEED = 20261018
+ZETA12_COUNT = 10
+ZETA12_FIXTURE = Path(__file__).with_name("truncation_golden_zeta12.json")
 
 
 def _word(w):
     return ".".join(map(str, w))
 
 
-def summarise(name, degree=DEGREE):
-    spec, _ = catalog.instantiate(name, {})
+def summarise_spec(spec, degree):
     trunc = compute_truncation(spec, degree)
     one = spec.ring.one()
     basis_sha, nf_sha = [], []
@@ -54,12 +65,30 @@ def summarise(name, degree=DEGREE):
             "nf_sha256": nf_sha}
 
 
+def summarise(name, degree=DEGREE):
+    spec, _ = catalog.instantiate(name, {})
+    return summarise_spec(spec, degree)
+
+
+def zeta12_specs():
+    """The ``ZETA12_COUNT`` random specs over Q(zeta_12), in capture order."""
+    ring = ScalarRing(12)
+    rng = random.Random(ZETA12_SEED)
+    return [_random_spec(ring, rng) for _ in range(ZETA12_COUNT)]
+
+
 def main():
     golden = {"degree": DEGREE,
               "entries": {name: summarise(name)
                           for name in ENTRIES}}
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}", file=sys.stderr)
+    zeta12 = {"degree": ZETA12_DEGREE, "seed": ZETA12_SEED,
+              "specs": [summarise_spec(spec, ZETA12_DEGREE)
+                        for spec in zeta12_specs()]}
+    ZETA12_FIXTURE.write_text(json.dumps(zeta12, indent=1, sort_keys=True)
+                              + "\n")
+    print(f"wrote {ZETA12_FIXTURE}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
                        verify_presentation, z_element)
 from gknichols.nichols import BudgetExceeded, NotWeak, mu_rank2
 from tests.conftest import entry_instance
-from tests.data.capture_truncation_golden import ENTRIES, FIXTURE, summarise
+from tests.data.capture_truncation_golden import (ENTRIES, FIXTURE,
+                                                  ZETA12_FIXTURE, summarise,
+                                                  summarise_spec,
+                                                  zeta12_specs)
 
 RING = ScalarRing(1)
 
@@ -69,6 +72,17 @@ _GOLDEN = json.loads(FIXTURE.read_text())
 def test_truncation_matches_golden(name):
     """dims, bases and the normal form of every word up to degree 6."""
     assert summarise(name, _GOLDEN["degree"]) == _GOLDEN["entries"][name]
+
+
+_GOLDEN_ZETA12 = json.loads(ZETA12_FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("index", range(len(_GOLDEN_ZETA12["specs"])))
+def test_truncation_zeta12_matches_golden(index):
+    """The same digests on random block+point specs over Q(zeta_12)."""
+    spec = zeta12_specs()[index]
+    assert summarise_spec(spec, _GOLDEN_ZETA12["degree"]) == \
+        _GOLDEN_ZETA12["specs"][index]
 
 
 def test_symmetrizer_kernel_equals_ideal():

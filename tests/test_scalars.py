@@ -1,5 +1,7 @@
-"""Exact scalar arithmetic: field axioms, orders, q-numbers, parse/print."""
+"""Exact scalar arithmetic: field axioms, orders, q-numbers, parse/print,
+and a differential oracle against sympy over Q(zeta_N)."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -112,3 +114,153 @@ def test_symbolic_fraction_arithmetic():
     s = (q ** 2 - RING.one()) / (q - RING.one())
     assert s == q + RING.one()
     assert s.kind == "f" or s == q + RING.one()
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: sympy's arithmetic modulo the cyclotomic polynomial
+
+ORACLE_ORDERS = (3, 4, 5, 7, 8, 9, 12)
+ORACLE_DRAWS = 20
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _draw(rng, phi):
+    """phi rational coefficients: zeros, small integers, huge denominators."""
+    out = []
+    for _ in range(phi):
+        roll = rng.random()
+        if roll < 0.25:
+            out.append(Fraction(0))
+        elif roll < 0.5:
+            out.append(Fraction(rng.randint(-5, 5)))
+        else:
+            out.append(Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                rng.randint(1, 10 ** 12)))
+    return out
+
+
+def _scalar(ring, coeffs):
+    return sum((ring.from_rational(c) * ring.zeta(i)
+                for i, c in enumerate(coeffs)), ring.zero())
+
+
+class _Oracle:
+    """Q(zeta_N) as sympy polynomials over QQ reduced modulo Phi_N."""
+
+    def __init__(self, sp, n):
+        self.sp, self.n = sp, n
+        self.z = sp.Symbol("z")
+        self.mod = sp.Poly(sp.cyclotomic_poly(n, self.z), self.z,
+                           domain=sp.QQ)
+        self.phi = self.mod.degree()
+
+    def poly(self, coeffs):
+        sp = self.sp
+        expr = sum(sp.Rational(c.numerator, c.denominator) * self.z ** i
+                   for i, c in enumerate(coeffs))
+        return sp.Poly(expr, self.z, domain=sp.QQ).rem(self.mod)
+
+    def coeffs(self, poly):
+        out = [Fraction(int(c.p), int(c.q))
+               for c in reversed(poly.rem(self.mod).all_coeffs())]
+        return out + [Fraction(0)] * (self.phi - len(out))
+
+    def parse(self, text):
+        sp = self.sp
+        expr = sp.sympify(text.replace("^", "**"), locals={"z": self.z})
+        return sp.Poly(expr, self.z, domain=sp.QQ).rem(self.mod)
+
+    def mult_order(self, poly):
+        """Least d | lcm(2, N) with poly^d = 1; None if there is none."""
+        top = self.n if self.n % 2 == 0 else 2 * self.n
+        one = self.sp.Poly(1, self.z, domain=self.sp.QQ)
+        for d in range(1, top + 1):
+            if top % d == 0 and (poly ** d).rem(self.mod) == one:
+                return d
+        return None
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_arithmetic_matches_sympy(sp, n):
+    oracle, ring = _Oracle(sp, n), ScalarRing(n)
+    assert ring.phi == oracle.phi
+    rng = random.Random(7000 + n)
+    for _ in range(ORACLE_DRAWS):
+        ca, cb = _draw(rng, ring.phi), _draw(rng, ring.phi)
+        a, b = _scalar(ring, ca), _scalar(ring, cb)
+        pa, pb = oracle.poly(ca), oracle.poly(cb)
+        total = _scalar(ring, oracle.coeffs(pa + pb))
+        product = _scalar(ring, oracle.coeffs(pa * pb))
+        assert a + b == total and hash(a + b) == hash(total)
+        assert a * b == product and hash(a * b) == hash(product)
+        assert print_scalar(a * b) == print_scalar(product)
+        if any(ca):
+            inverse = _scalar(ring, oracle.coeffs(pa.invert(oracle.mod)))
+            assert a.inverse() == inverse
+            assert hash(a.inverse()) == hash(inverse)
+        else:
+            with pytest.raises(DivisionByZero):
+                a.inverse()
+
+
+@pytest.mark.parametrize("n", (15, 16, 97))
+def test_inverse_in_larger_fields(n):
+    # Galois groups with longer cyclic steps than the oracle orders have
+    ring = ScalarRing(n)
+    rng = random.Random(n)
+    for _ in range(3):
+        a = _scalar(ring, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(ring.phi)])
+        assert (a * a.inverse()).is_one()
+    b = ring.one() + ring.zeta(1)
+    assert (b * b.inverse()).is_one()
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_print_parse_matches_sympy(sp, n):
+    oracle, ring = _Oracle(sp, n), ScalarRing(n)
+    rng = random.Random(8000 + n)
+    for _ in range(ORACLE_DRAWS):
+        coeffs = _draw(rng, ring.phi)
+        a = _scalar(ring, coeffs)
+        text = print_scalar(a)
+        assert parse_scalar(text, ring) == a
+        assert oracle.coeffs(oracle.parse(text)) == coeffs
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_mult_order_matches_sympy(sp, n):
+    oracle, ring = _Oracle(sp, n), ScalarRing(n)
+    rng = random.Random(9000 + n)
+    # sums c * z^p with p in 0..n-1 (not reduced), many of them roots of 1
+    draws = [[(1, k)] for k in range(n)] + [[(-1, k)] for k in range(n)]
+    draws += [[(1, 0), (1, k)] for k in range(1, n)]
+    draws += [[(rng.choice([-1, 1]), rng.randrange(n)) for _ in range(2)]
+              for _ in range(ORACLE_DRAWS)]
+    draws += [[(rng.randint(-2, 2), p) for p in range(ring.phi)]
+              for _ in range(ORACLE_DRAWS)]
+    for terms in draws:
+        a = sum((c * ring.zeta(p) for c, p in terms), ring.zero())
+        expected = oracle.mult_order(
+            sum(c * oracle.poly([Fraction(0)] * p + [Fraction(1)])
+                for c, p in terms).rem(oracle.mod))
+        if a.is_zero():
+            assert expected is None
+            continue
+        assert a.mult_order().order == expected, terms
+
+
+def test_equal_scalars_hash_equal():
+    rng = random.Random(12)
+    ring = ScalarRing(12)
+    for _ in range(ORACLE_DRAWS):
+        a = _scalar(ring, _draw(rng, ring.phi))
+        b = _scalar(ring, _draw(rng, ring.phi)) + ring.zeta(1)
+        pairs = [(a * b, b * a), ((a + b) - b, a), (a * b / b, a),
+                 (a * 3 / 3, a), (parse_scalar(print_scalar(a), ring), a)]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)

@@ -89,6 +89,18 @@ def test_cartan_coeff_rejects_equal_indices():
         cartan_coeff(d, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (-1, 1), (3, 1), (1, 0), (1, -1),
+                                  (1, 3)])
+def test_cartan_coeff_rejects_vertex_out_of_range(i, j):
+    # vertices are 1..dim; 0 and -1 must not wrap around to vertex 2
+    ring = ScalarRing(1)
+    one = ring.one()
+    d = DiagonalBraiding(ring, [[-one, -one], [one, -one]])
+    assert cartan_coeff(d, 2, 1) == -1
+    with pytest.raises(WeylError, match=r"is not in 1\.\.2"):
+        cartan_coeff(d, i, j)
+
+
 def _one_point(ring, label):
     return DynkinDiagram([label], {})
 
