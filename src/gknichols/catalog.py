@@ -8,6 +8,7 @@ braided vector spaces; the composition adds the cross q-commutation family.
 """
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .scalars import ScalarRing, parse_scalar
 from .braidings import BraidedSpaceSpec, PaleBlockPointSpec
@@ -968,9 +969,7 @@ def compose(items):
     eps = comps[0].eps
     if any(c.eps != eps for c in comps):
         raise IncompatibleComponents("component block signs differ")
-    order = 1
-    for c in comps:
-        order = order * c.ring_order // _gcd(order, c.ring_order)
+    order = lcm(*(c.ring_order for c in comps))
     params_needed = tuple(sorted({p for c in comps for p in c.ring_params}))
     ring = ScalarRing(order, params=params_needed)
 
@@ -1075,12 +1074,6 @@ def _rename(text, ren):
             out.append(ch)
             i += 1
     return "".join(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -97,25 +97,18 @@ class FlourishedGraph:
         if not qt.is_one():
             self.point_point[(a, b)] = qt
 
+    def _point_diagram(self) -> DynkinDiagram:
+        """The point subgraph; global index j is local vertex j - t - 1."""
+        off = self.t + 1
+        return DynkinDiagram(self.point_labels,
+                             {(a - off, b - off): qt
+                              for (a, b), qt in self.point_point.items()})
+
     def point_components(self):
         """Connected components of the point subgraph, sorted tuples."""
-        points = list(range(self.t + 1, self.theta + 1))
-        parent = {j: j for j in points}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b) in self.point_point:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        comps = {}
-        for j in points:
-            comps.setdefault(find(j), []).append(j)
-        return [tuple(sorted(c)) for _, c in sorted(comps.items())]
+        off = self.t + 1
+        return [tuple(v + off for v in c)
+                for c in self._point_diagram().components()]
 
     def attachments(self, comp):
         """[(block k, point j, edge data)] for edges touching the component."""
@@ -126,13 +119,7 @@ class FlourishedGraph:
         return out
 
     def component_diagram(self, comp) -> DynkinDiagram:
-        labels = [self.label(j) for j in comp]
-        idx = {j: n for n, j in enumerate(comp)}
-        edges = {}
-        for (a, b), qt in self.point_point.items():
-            if a in idx and b in idx:
-                edges[(idx[a], idx[b])] = qt
-        return DynkinDiagram(labels, edges)
+        return self._point_diagram().subdiagram([j - self.t - 1 for j in comp])
 
     def to_dot(self, name="flourished"):
         lines = [f"graph {name} {{"]

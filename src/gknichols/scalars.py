@@ -2,18 +2,18 @@
 
 Scalars live in Q(zeta_N) optionally extended by transcendental parameters;
 every value is stored in a canonical form so that equality is decidable.
-A ``Scalar`` has one of three kinds, coerced on demand:
+A ``Scalar`` has one of two kinds:
 
-* ``"q"``: a plain rational ``_Q`` (the common fast path);
-* ``"c"``: a cyclotomic constant with some z^i (i >= 1) coefficient nonzero,
-  stored as the pair ``(nums, den)``: ``nums`` is a tuple of phi(N) Python
-  ints, the coefficients of 1, z, ..., z^{phi-1} modulo the N-th cyclotomic
+* ``"c"``: a constant of Q(zeta_N), rationals included, stored as the pair
+  ``(nums, den)``: ``nums`` is a tuple of phi(N) Python ints, the
+  coefficients of 1, z, ..., z^{phi-1} modulo the N-th cyclotomic
   polynomial scaled by the positive int ``den``, with
-  ``gcd(den, *nums) == 1`` (zero is ``((0,) * phi, 1)``);
-* ``"f"``: a pair numerator/denominator of multivariate polynomials in the
-  declared parameters whose coefficients are such ``(nums, den)`` pairs,
-  kept coprime with monic denominator (leading coefficient 1 under
-  graded-lex order).
+  ``gcd(den, *nums) == 1`` (zero is ``((0,) * phi, 1)``, a rational has
+  ``nums[1:]`` all zero);
+* ``"f"``: a non-constant pair numerator/denominator of multivariate
+  polynomials in the declared parameters whose coefficients are such
+  ``(nums, den)`` pairs, kept coprime with monic denominator (leading
+  coefficient 1 under graded-lex order).
 
 Cyclotomic arithmetic is integer arithmetic: products are integer
 convolutions reduced by the monic integer polynomial Phi_N, sums share one
@@ -153,15 +153,6 @@ def _cyc_neg(a):
     return tuple(-x for x in a[0]), a[1]
 
 
-def _cyc_sub(a, b):
-    return _cyc_add(a, _cyc_neg(b))
-
-
-def _cyc_scale(a, p, q):
-    """a * p / q for ints p != 0 and q > 0."""
-    return _cyc_reduce(tuple(x * p for x in a[0]), a[1] * q)
-
-
 def _cyc_is_zero(a):
     return not any(a[0])
 
@@ -191,20 +182,24 @@ class ScalarRing:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return Scalar(self, "q", _Q(0))
+        return Scalar(self, "c", self._zero_cyc)
 
     def one(self) -> "Scalar":
-        return Scalar(self, "q", _Q(1))
+        return Scalar(self, "c", self._one_cyc)
 
     def from_int(self, n) -> "Scalar":
-        return Scalar(self, "q", _Q(n))
+        return self._rational(_Q(n))
 
     def from_rational(self, p, q=1) -> "Scalar":
-        return Scalar(self, "q", _Q(p, q))
+        return self._rational(_Q(p, q))
+
+    def _rational(self, r):
+        nums = (r.numerator,) + self._zero_cyc[0][1:]
+        return Scalar(self, "c", (nums, r.denominator))
 
     def zeta(self, power: int = 1) -> "Scalar":
         vec = self._zpow[power % self.cyclotomic_order]
-        return Scalar(self, "c", (vec, 1))._demote()
+        return Scalar(self, "c", (vec, 1))
 
     def param(self, name: str) -> "Scalar":
         if name not in self.params:
@@ -303,17 +298,21 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _poly_add_term(poly, exps, c):
+    """poly[exps] += c in place, dropping a zero coefficient."""
+    cur = poly.get(exps)
+    if cur is not None:
+        c = _cyc_add(cur, c)
+    if _cyc_is_zero(c):
+        poly.pop(exps, None)
+    else:
+        poly[exps] = c
+
+
 def _poly_add(ring, a, b):
     out = dict(a)
     for e, c in b.items():
-        if e in out:
-            s = _cyc_add(out[e], c)
-            if _cyc_is_zero(s):
-                del out[e]
-            else:
-                out[e] = s
-        else:
-            out[e] = c
+        _poly_add_term(out, e, c)
     return out
 
 
@@ -325,16 +324,8 @@ def _poly_mul(ring, a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ring.cyc_mul(ca, cb)
-            if e in out:
-                s = _cyc_add(out[e], c)
-                if _cyc_is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            elif not _cyc_is_zero(c):
-                out[e] = c
+            _poly_add_term(out, tuple(x + y for x, y in zip(ea, eb)),
+                           ring.cyc_mul(ca, cb))
     return out
 
 
@@ -391,18 +382,9 @@ def _poly_to_univar(a, var):
     """Coefficients of a viewed in K[other vars][x_var], as dict deg -> poly."""
     out = {}
     for e, c in a.items():
-        d = e[var]
-        rest = e[:var] + (0,) + e[var + 1:]
-        coeff = out.setdefault(d, {})
-        if rest in coeff:
-            s = _cyc_add(coeff[rest], c)
-            if _cyc_is_zero(s):
-                del coeff[rest]
-            else:
-                coeff[rest] = s
-        else:
-            coeff[rest] = c
-    return {d: c for d, c in out.items() if c}
+        _poly_add_term(out.setdefault(e[var], {}),
+                       e[:var] + (0,) + e[var + 1:], c)
+    return out
 
 
 def _univar_to_poly(u, var):
@@ -458,28 +440,21 @@ def _univar_deg(u):
 def _univar_field_gcd(ring, a, b):
     """Euclid for univariate polys with cyclotomic-constant coefficients."""
     const = (0,) * len(ring.params)
+    a = {d: p[const] for d, p in a.items()}
+    b = {d: p[const] for d, p in b.items()}
     while b:
         da, db = _univar_deg(a), _univar_deg(b)
         if da < db:
             a, b = b, a
             continue
-        lb_inv = ring.cyc_inv(b[db][const])
+        lb_inv = ring.cyc_inv(b[db])
         while a and _univar_deg(a) >= db:
             da = _univar_deg(a)
-            f = ring.cyc_mul(a[da][const], lb_inv)
-            new = dict(a)
+            f = _cyc_neg(ring.cyc_mul(a[da], lb_inv))
             for d, c in b.items():
-                k = d + da - db
-                cur = new.get(k, {const: ring._zero_cyc})
-                val = _cyc_sub(cur.get(const, ring._zero_cyc),
-                               ring.cyc_mul(f, c[const]))
-                if _cyc_is_zero(val):
-                    new.pop(k, None)
-                else:
-                    new[k] = {const: val}
-            a = new
+                _poly_add_term(a, d + da - db, ring.cyc_mul(f, c))
         a, b = b, a
-    return a
+    return {d: {const: c} for d, c in a.items()}
 
 
 def _univar_prs(ring, a, b):
@@ -555,7 +530,7 @@ NOT_ROOT_OF_UNITY = MultOrder(None)
 class Scalar:
     """An exact element of the ring, immutable.
 
-    kind 'q': payload is a rational; kind 'c': a (nums, den) pair;
+    kind 'c': payload is a constant's (nums, den) pair, rationals included;
     kind 'f': (numerator, denominator) polynomial pair, normalized.
     """
 
@@ -570,67 +545,32 @@ class Scalar:
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
 
-    # -- normalization ------------------------------------------------------
-
-    def _demote(self):
-        ring, kind, payload = self.ring, self.kind, self.payload
-        if kind == "f":
-            num, den = payload
-            nvars = len(ring.params)
-            const = (0,) * nvars
-            if set(den) == {const} and den[const] == ring._one_cyc:
-                if not num:
-                    return ring.zero()
-                if set(num) == {const}:
-                    return Scalar(ring, "c", num[const])._demote()
-            return self
-        if kind == "c":
-            nums, den = payload
-            if not any(nums[1:]):
-                return Scalar(ring, "q", _Q(nums[0], den))
-            return self
-        return self
-
-    def _as_cyc(self):
-        if self.kind == "q":
-            r = self.payload
-            return ((r.numerator,) + (0,) * (self.ring.phi - 1),
-                    r.denominator)
-        return self.payload
-
     def _as_frac(self):
         ring = self.ring
         if self.kind == "f":
             return self.payload
-        return (ring._const_poly(self._as_cyc()),
+        return (ring._const_poly(self.payload),
                 ring._const_poly(ring._one_cyc))
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.kind == "q":
-            return self.payload == 0
-        if self.kind == "c":
-            return _cyc_is_zero(self.payload)
-        return not self.payload[0]
+        return self.kind == "c" and _cyc_is_zero(self.payload)
 
     def is_one(self) -> bool:
         return self == self.ring.one()
 
-    def is_constant(self) -> bool:
-        """True when no parameter occurs in the reduced form."""
-        return self.kind in ("q", "c")
-
     def is_rational(self) -> bool:
-        return self.kind == "q"
+        return self.kind == "c" and not any(self.payload[0][1:])
 
     def as_rational(self):
-        if self.kind != "q":
+        if not self.is_rational():
             raise ScalarError("not a rational scalar")
-        return self.payload
+        nums, den = self.payload
+        return _Q(nums[0], den)
 
     def is_integer(self) -> bool:
-        return self.kind == "q" and self.payload.denominator == 1
+        return self.is_rational() and self.payload[1] == 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -648,11 +588,9 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
-        if a.kind == "q" and b.kind == "q":
-            return Scalar(a.ring, "q", a.payload + b.payload)
-        if a.kind != "f" and b.kind != "f":
-            return Scalar(a.ring, "c", _cyc_add(a._as_cyc(), b._as_cyc()))._demote()
         ring = a.ring
+        if a.kind == "c" and b.kind == "c":
+            return Scalar(ring, "c", _cyc_add(a.payload, b.payload))
         (na, da), (nb, db) = a._as_frac(), b._as_frac()
         num = _poly_add(ring, _poly_mul(ring, na, db), _poly_mul(ring, nb, da))
         den = _poly_mul(ring, da, db)
@@ -661,8 +599,6 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.kind == "q":
-            return Scalar(self.ring, "q", -self.payload)
         if self.kind == "c":
             return Scalar(self.ring, "c", _cyc_neg(self.payload))
         num, den = self.payload
@@ -685,25 +621,18 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
-        if a.kind == "q" and b.kind == "q":
-            return Scalar(a.ring, "q", a.payload * b.payload)
-        if a.kind == "q" or b.kind == "q":
-            # rational times anything: scale cheaply
-            if b.kind == "q":
-                a, b = b, a
-            r = a.payload
-            if r == 0:
-                return a.ring.zero()
-            p, q = r.numerator, r.denominator
-            if b.kind == "c":
-                return Scalar(a.ring, "c", _cyc_scale(b.payload, p, q))
-            num, den = b.payload
-            num = {e: _cyc_scale(c, p, q) for e, c in num.items()}
-            return Scalar(a.ring, "f", (num, den))._demote()
-        if a.kind == "c" and b.kind == "c":
-            return Scalar(a.ring, "c",
-                          a.ring.cyc_mul(a.payload, b.payload))._demote()
         ring = a.ring
+        if a.kind == "c" and b.kind == "c":
+            return Scalar(ring, "c", ring.cyc_mul(a.payload, b.payload))
+        if a.kind == "c" or b.kind == "c":
+            # constant times fraction: a nonzero constant is a unit, so the
+            # scaled numerator stays coprime to the (monic) denominator
+            if b.kind == "c":
+                a, b = b, a
+            if a.is_zero():
+                return ring.zero()
+            num, den = b.payload
+            return Scalar(ring, "f", (_poly_scale(ring, num, a.payload), den))
         (na, da), (nb, db) = a._as_frac(), b._as_frac()
         return _make_frac(ring, _poly_mul(ring, na, nb), _poly_mul(ring, da, db))
 
@@ -712,11 +641,8 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("scalar inverse of zero")
-        if self.kind == "q":
-            return Scalar(self.ring, "q", 1 / self.payload)
         if self.kind == "c":
-            return Scalar(self.ring, "c",
-                          self.ring.cyc_inv(self.payload))._demote()
+            return Scalar(self.ring, "c", self.ring.cyc_inv(self.payload))
         num, den = self.payload
         return _make_frac(self.ring, den, num)
 
@@ -753,25 +679,19 @@ class Scalar:
             return NotImplemented
         if self.ring is not other.ring and self.ring != other.ring:
             return False
-        a, b = self, other
-        if a.kind == b.kind:
-            if a.kind != "f":
-                return a.payload == b.payload
-            return a.payload[0] == b.payload[0] and a.payload[1] == b.payload[1]
-        if a.kind != "f" and b.kind != "f":
-            return a._as_cyc() == b._as_cyc()
-        return (a - b).is_zero()
+        # canonical forms: an "f" value is never a constant
+        return self.kind == other.kind and self.payload == other.payload
 
     def __hash__(self):
         if self._hash is None:
-            if self.kind == "f":
-                num, den = self.payload
-                key = ("f", _freeze_poly(num), _freeze_poly(den))
+            if self.is_rational():  # equal to an int or _Q, so hash as one
+                h = hash(self.as_rational())
             elif self.kind == "c":
-                key = ("c", self.payload)
+                h = hash((self.ring, self.payload))
             else:
-                key = ("q", self.payload)
-            object.__setattr__(self, "_hash", hash((self.ring, key)))
+                num, den = self.payload
+                h = hash((self.ring, _freeze_poly(num), _freeze_poly(den)))
+            object.__setattr__(self, "_hash", h)
         return self._hash
 
     # -- queries ------------------------------------------------------------
@@ -829,7 +749,9 @@ def _make_frac(ring, num, den):
         inv = ring.cyc_inv(lc)
         num = _poly_scale(ring, num, inv)
         den = _poly_scale(ring, den, inv)
-    return Scalar(ring, "f", (num, den))._demote()
+    if set(num) == set(den) == {const}:  # den is monic, so 1
+        return Scalar(ring, "c", num[const])
+    return Scalar(ring, "f", (num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -983,10 +905,6 @@ def _parse_atom(toks, ring):
                      toks.pos)
 
 
-def _print_q(r):
-    return str(r)
-
-
 def _print_cyc(cyc, as_factor=False):
     nums, den = cyc
     parts = []
@@ -995,7 +913,7 @@ def _print_cyc(cyc, as_factor=False):
             continue
         c = _Q(n, den)  # each coefficient in lowest terms on its own
         if i == 0:
-            parts.append(_print_q(c))
+            parts.append(str(c))
         else:
             var = "z" if i == 1 else f"z^{i}"
             if c == 1:
@@ -1003,7 +921,7 @@ def _print_cyc(cyc, as_factor=False):
             elif c == -1:
                 parts.append(f"-{var}")
             else:
-                parts.append(f"{_print_q(c)}*{var}")
+                parts.append(f"{c}*{var}")
     if not parts:
         return "0"
     body = parts[0]
@@ -1042,8 +960,6 @@ def _print_poly(ring, p):
 
 
 def print_scalar(s: Scalar) -> str:
-    if s.kind == "q":
-        return _print_q(s.payload)
     if s.kind == "c":
         return _print_cyc(s.payload)
     num, den = s.payload

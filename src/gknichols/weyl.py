@@ -318,10 +318,6 @@ class TableEntry:
     params: tuple = ()
 
 
-def _is_ghost_one(g: Scalar) -> bool:
-    return g.is_one()
-
-
 def _label_kind(q: Scalar):
     if q.is_one():
         return "1"

@@ -2,8 +2,8 @@
 
 import pytest
 
-from gknichols import (BraidedSpaceSpec, FiniteGK, InfiniteGK,
-                       PaleBlockPointSpec, ScalarRing, Unknown,
+from gknichols import (BraidedSpaceSpec, FiniteGK, FlourishedGraph,
+                       InfiniteGK, PaleBlockPointSpec, ScalarRing, Unknown,
                        build_flourished, classify, classify_pale,
                        is_admissible)
 from gknichols.flourished import EpsilonOutOfRange, NotAdmissible, is_domain
@@ -189,3 +189,20 @@ def test_pale_symbolic_is_unknown():
     ring = ScalarRing(1, params=("q",))
     v = classify_pale(PaleBlockPointSpec(ring, "-1", "q", "1", "1"))
     assert isinstance(v, Unknown)
+
+
+def test_point_components_and_diagrams():
+    # two blocks, points 3..7; components ordered by their least point
+    g = FlourishedGraph(["+", "-"], [R3.from_int(-1), R3.zeta(1),
+                                     R3.from_int(-1), R3.zeta(2), R3.one()])
+    g.add_point_point(6, 3, R3.zeta(2))
+    g.add_point_point(4, 7, R3.from_int(-1))
+    g.add_point_point(3, 5, R3.one())  # qtilde = 1: no edge
+    assert g.point_components() == [(3, 6), (4, 7), (5,)]
+    d = g.component_diagram((4, 7))
+    assert d.labels == [R3.zeta(1), R3.one()]
+    assert d.edges == {(0, 1): R3.from_int(-1)}
+    d = g.component_diagram((3, 6))
+    assert d.labels == [R3.from_int(-1), R3.zeta(2)]
+    assert d.edges == {(0, 1): R3.zeta(2)}
+    assert g.component_diagram((5,)).edges == {}

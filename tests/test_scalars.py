@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gknichols import ScalarRing, parse_scalar, print_scalar
-from gknichols.scalars import (DivisionByZero, ParseError, qbinom, qfactorial,
-                               qnum)
+from gknichols.braidings import ghost_is_discrete
+from gknichols.scalars import (_Q, DivisionByZero, ParseError, ScalarError,
+                               qbinom, qfactorial, qnum)
 
 RING = ScalarRing(12, params=("q",))
 
@@ -264,3 +265,33 @@ def test_equal_scalars_hash_equal():
                  (a * 3 / 3, a), (parse_scalar(print_scalar(a), ring), a)]
         for x, y in pairs:
             assert x == y and hash(x) == hash(y)
+    # a rational scalar equals an int, so it must hash as one
+    for r in (ScalarRing(1), ScalarRing(12), ScalarRing(1, ("r",))):
+        x = r.from_int(3)
+        assert x == 3 and hash(x) == hash(3)
+        assert 3 in {x} and x in {3}
+    assert ring.zeta(6) == -1 and hash(ring.zeta(6)) == hash(-1)
+
+
+def test_rational_queries_through_cyclotomic_arithmetic():
+    # constants that become rational only after reduction modulo Phi_12
+    ring = ScalarRing(12)
+    z = ring.zeta(1)
+    cases = [(ring.zeta(6), Fraction(-1), "-1"),
+             ((z + 1) - z, Fraction(1), "1"),
+             (z ** 5 * z ** 7, Fraction(1), "1"),
+             (z ** 2 + z ** 10, Fraction(1), "1"),
+             ((z ** 2 + z ** 10) / 3, Fraction(1, 3), "1/3"),
+             ((z ** 3 - z ** 9) * (z ** 3 - z ** 9) * 2, Fraction(-8), "-8")]
+    for x, value, text in cases:
+        assert x.is_rational()
+        r = x.as_rational()
+        assert isinstance(r, _Q) and r == value
+        assert x.is_integer() == (value.denominator == 1)
+        assert ghost_is_discrete(x) == (x.is_integer() and value >= 0)
+        assert print_scalar(x) == text
+    for x in (z, z + z ** 6 + 1, ring.zeta(2) / 2):
+        assert not x.is_rational() and not x.is_integer()
+        assert not ghost_is_discrete(x)
+        with pytest.raises(ScalarError):
+            x.as_rational()
