@@ -370,16 +370,6 @@ def diagonalize(spec) -> DiagonalBraiding:
     return DiagonalBraiding(ring, matrix)
 
 
-def principal_realization(spec) -> dict:
-    """Action table (group index, letter name) -> [(letter name, coeff)]."""
-    table = {}
-    for g in range(1, spec.ngroups + 1):
-        for lt in spec.letters:
-            table[(g, lt.name)] = [(spec.letters[i].name, c)
-                                   for i, c in spec.act_letter(g, lt)]
-    return table
-
-
 # ---------------------------------------------------------------------------
 # JSON
 
@@ -423,10 +413,16 @@ def spec_from_json(obj) -> BraidedSpaceSpec:
                             avals)
 
 
-def spec_to_json(spec: BraidedSpaceSpec) -> dict:
+def spec_to_json(spec) -> dict:
+    """JSON form of a spec; a pale spec gives its four scalars under "pale"."""
+    ring = {"cyclotomic_order": spec.ring.cyclotomic_order,
+            "params": list(spec.ring.params)}
+    if isinstance(spec, PaleBlockPointSpec):
+        return {"ring": ring,
+                "pale": {key: print_scalar(getattr(spec, key))
+                         for key in ("epsilon", "q12", "q21", "q22")}}
     out = {
-        "ring": {"cyclotomic_order": spec.ring.cyclotomic_order,
-                 "params": list(spec.ring.params)},
+        "ring": ring,
         "blocks": [{"epsilon": print_scalar(eps), "length": length}
                    for eps, length in spec.blocks],
         "points": [{"q": print_scalar(q)} for q in spec.points],

@@ -3,11 +3,17 @@
 Every entry carries a spec builder (producing concrete scalars in a suitable
 cyclotomic ring), the defining relations as parseable strings with a macro
 table, PBW generators with degrees and heights, the GK dimension and a domain
-flag.  Entries over a single block can be composed into several-component
-braided vector spaces; the composition adds the cross q-commutation family.
+flag.  An entry over one block is a list of components: point labels, q-data,
+attachment data and a ``build`` that returns the component's relations,
+macros and PBW generators as ``(label, height)`` pairs.  One assembler,
+``_assemble``, turns a block sign and its components into the spec and the
+presentation: the Jordan and super Jordan planes have no component, the
+single-component entries have one, and a composition has several, for which
+it adds the cross q-commutation family.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from math import lcm
 
 from .scalars import ScalarRing, parse_scalar
@@ -66,7 +72,8 @@ def _q(s):
 # A component fixes the point labels, the q-tilde edges, the attachment data
 # (ghost / mild) and, given the instantiated spec plus the global names of its
 # point letters, produces relations, macros and the PBW generators of the
-# coinvariant factor K.
+# coinvariant factor K as (label, height) pairs; ``_assemble`` resolves their
+# degrees.
 
 
 @dataclass
@@ -85,50 +92,66 @@ class _Component:
     mild: bool = False
 
 
-def _component_spec(comp, extra=()):
-    """BraidedSpaceSpec for a single block plus one component."""
-    ring = ScalarRing(comp.ring_order, params=comp.ring_params)
-    npts = len(comp.labels)
-    theta = 1 + npts
-    qm = [[None] * theta for _ in range(theta)]
-    qm[0][0] = str(comp.eps)
-    for j in range(npts):
-        qb, pb = comp.qmat_bp[j]
-        qm[0][1 + j] = qb
-        qm[1 + j][0] = pb
-        qm[1 + j][1 + j] = comp.labels[j]
-    for i in range(npts):
-        for j in range(npts):
-            if i == j:
+def _assemble(name, eps, comps, params):
+    """(spec, Presentation) of one block of sign ``eps`` and its components.
+
+    The components' points follow the block in order.  Components reuse
+    macro names (z0, z1, ...), so with more than one each component's are
+    qualified ``c{i}_``.
+    """
+    ring = ScalarRing(lcm(*(c.ring_order for c in comps)),
+                      params=tuple(sorted({p for c in comps
+                                           for p in c.ring_params})))
+    offsets, labels, qbp, avals_list = [], [], [], []
+    for c in comps:
+        offsets.append(len(labels))
+        labels += c.labels
+        qbp += c.qmat_bp
+        avals_list += c.avals
+    theta = 1 + len(labels)
+    qm = [["1"] * theta for _ in range(theta)]
+    qm[0][0] = str(eps)
+    for j, (qb, pb) in enumerate(qbp, start=1):
+        qm[0][j], qm[j][0], qm[j][j] = qb, pb, labels[j - 1]
+    for off, c in zip(offsets, comps):
+        for (i, j), val in c.qmat_pp.items():
+            qm[off + i][off + j] = val
+    avals = {(2 + j, 1): a for j, a in enumerate(avals_list) if a is not None}
+    spec = BraidedSpaceSpec(ring, [(eps, 2)], labels, qm, avals)
+
+    rels = _block_relations(eps == 1)
+    pbw, macros = _block_pbw(eps == 1)
+    for ci, (off, c) in enumerate(zip(offsets, comps)):
+        pts = [f"x{2 + off + j}" for j in range(len(c.labels))]
+        crels, cmacros, kpbw = c.build(spec, pts)
+        ren = {key: f"c{ci}_{key}" for key in cmacros} if len(comps) > 1 \
+            else {}
+        rels += [_rename(r, ren) for r in crels]
+        for key, val in cmacros.items():
+            macros[ren.get(key, key)] = _rename(val, ren)
+        pbw += _pbw_degrees(
+            spec, macros, [(_rename(lbl, ren), h) for lbl, h in kpbw])
+
+    # cross q-commutations: z_{i,m} x_j = q_{1j}^m q_{ij} x_j z_{i,m}
+    for ci, (oi, a) in enumerate(zip(offsets, comps)):
+        for cj, (oj, b) in enumerate(zip(offsets, comps)):
+            if ci == cj:
                 continue
-            qm[1 + i][1 + j] = comp.qmat_pp.get((i + 1, j + 1), "1")
-    avals = {}
-    for j, a in enumerate(comp.avals):
-        if a is not None:
-            avals[(2 + j, 1)] = a
-    spec = BraidedSpaceSpec(ring, [(comp.eps, 2)], comp.labels, qm, avals)
-    return spec
-
-
-def _finish_single(name, comp, params):
-    spec = _component_spec(comp)
-    pts = [f"x{2 + j}" for j in range(len(comp.labels))]
-    rels, macros, kpbw = comp.build(spec, pts)
-    bpbw, bmac = _block_pbw(comp.eps == 1)
-    macros = {**bmac, **macros}
-    if getattr(comp, "pbw_precomputed", False):
-        pbw = list(bpbw) + list(kpbw)
-    else:
-        pbw = list(bpbw) + _pbw_degrees(spec, macros, kpbw)
+            for li, gi in enumerate(a.ghost_bounds):
+                for lj, gj in enumerate(b.ghost_bounds):
+                    if (gi, ci) > (gj, cj):
+                        continue
+                    i, j = 2 + oi + li, 2 + oj + lj
+                    expr = f"x{i}"
+                    for m in range(gi + 1):
+                        coeff = spec.q(1, j) ** m * spec.q(i, j)
+                        rels.append(
+                            f"({expr}) x{j} - {_q(coeff)} x{j} ({expr})")
+                        expr = f"[x1h, {expr}]"
     pres = Presentation(
-        name=name,
-        relations=_block_relations(comp.eps == 1) + rels,
-        pbw=pbw,
-        gk=2 + comp.gk_k,
-        macros=macros,
-        is_domain=(comp.eps == 1 and comp.domain_k),
-        params=dict(params),
-    )
+        name, rels, pbw, 2 + sum(c.gk_k for c in comps), macros,
+        is_domain=(eps == 1 and all(c.domain_k for c in comps)),
+        params=dict(params))
     return spec, pres
 
 
@@ -596,15 +619,12 @@ def _a_chain_component(theta):
             for k in range(2, npts):
                 adj[k].add(k + 1)
                 adj[k + 1].add(k)
-        kpbw = []
-        for root in _simply_laced_positive_roots(adj, len(verts)):
-            deg = 2 * root[0] + sum(root[1:])
-            label = "*".join(f"{verts[i]}^{c}" if c > 1 else verts[i]
-                             for i, c in enumerate(root) if c)
-            kpbw.append((label, deg, 2))
+        kpbw = [("*".join(f"{verts[i]}^{c}" if c > 1 else verts[i]
+                          for i, c in enumerate(root) if c), 2)
+                for root in _simply_laced_positive_roots(adj, len(verts))]
         return rels, macros, kpbw
 
-    comp = _Component(
+    return _Component(
         eps=1, ring_order=1, ring_params=(),
         labels=["-1"] * npts,
         qmat_pp={(i, i + 1): "-1" for i in range(1, npts)}
@@ -613,8 +633,6 @@ def _a_chain_component(theta):
         avals=["-1/2"] + [None] * (npts - 1),
         ghost_bounds=[1] + [0] * (npts - 1),
         build=build, gk_k=0)
-    comp.pbw_precomputed = True
-    return comp
 
 
 def _point_component(label, ring_order=1):
@@ -651,25 +669,7 @@ def _point_component(label, ring_order=1):
 
 
 # ---------------------------------------------------------------------------
-# block-only, Poseidon, and Endymion entries
-
-
-def _jordan(params):
-    ring = ScalarRing(1)
-    spec = BraidedSpaceSpec(ring, [(1, 2)], [], [["1"]])
-    pbw, macros = _block_pbw(True)
-    pres = Presentation("jordan", _block_relations(True), pbw, 2,
-                        macros, is_domain=True)
-    return spec, pres
-
-
-def _super_jordan(params):
-    ring = ScalarRing(1)
-    spec = BraidedSpaceSpec(ring, [(-1, 2)], [], [["-1"]])
-    pbw, macros = _block_pbw(False)
-    pres = Presentation("super_jordan", _block_relations(False), pbw, 2,
-                        macros)
-    return spec, pres
+# Poseidon and Endymion entries
 
 
 def _poseidon(params):
@@ -855,7 +855,8 @@ class CatalogEntry:
 
 def _single(name, signature, comp_fn):
     def builder(params):
-        return _finish_single(name, comp_fn(params), params)
+        comp = comp_fn(params)
+        return _assemble(name, comp.eps, [comp], params)
     return CatalogEntry(name, signature, builder, comp_fn)
 
 
@@ -866,8 +867,10 @@ def _register(entry):
     _REGISTRY[entry.name] = entry
 
 
-_register(CatalogEntry("jordan", "no parameters", _jordan))
-_register(CatalogEntry("super_jordan", "no parameters", _super_jordan))
+_register(CatalogEntry("jordan", "no parameters",
+                       partial(_assemble, "jordan", 1, [])))
+_register(CatalogEntry("super_jordan", "no parameters",
+                       partial(_assemble, "super_jordan", -1, [])))
 
 
 def _mk_lstr(name, eps, point):
@@ -946,13 +949,12 @@ def compose(items):
 
     ``items`` is a list of (name, params) pairs.  All components must share
     the same block sign and must not be mild (the cross commutation family
-    below needs weak interactions).  Returns (spec, Presentation).
+    that ``_assemble`` adds needs weak interactions).  Returns (spec, Presentation).
     """
     if not items:
         raise IncompatibleComponents("nothing to compose")
     if len(items) == 1:
-        name, params = items[0]
-        return instantiate(name, params)
+        return instantiate(*items[0])
     comps = []
     names = []
     for name, params in items:
@@ -961,7 +963,7 @@ def compose(items):
             raise IncompatibleComponents(
                 f"{name!r} is not a single-block component entry")
         comp = entry.component(dict(params or {}))
-        if comp.mild and len(items) > 1:
+        if comp.mild:
             raise IncompatibleComponents(
                 f"{name!r} has mild interaction; it cannot be composed")
         comps.append(comp)
@@ -969,91 +971,8 @@ def compose(items):
     eps = comps[0].eps
     if any(c.eps != eps for c in comps):
         raise IncompatibleComponents("component block signs differ")
-    order = lcm(*(c.ring_order for c in comps))
-    params_needed = tuple(sorted({p for c in comps for p in c.ring_params}))
-    ring = ScalarRing(order, params=params_needed)
-
-    labels = []
-    qbp = []
-    avals_list = []
-    bounds = []
-    offsets = []
-    for c in comps:
-        offsets.append(len(labels))
-        labels += c.labels
-        qbp += c.qmat_bp
-        avals_list += c.avals
-        bounds += c.ghost_bounds
-    npts = len(labels)
-    theta = 1 + npts
-    qm = [[None] * theta for _ in range(theta)]
-    qm[0][0] = str(eps)
-    for j in range(npts):
-        qm[0][1 + j] = qbp[j][0]
-        qm[1 + j][0] = qbp[j][1]
-        qm[1 + j][1 + j] = labels[j]
-    for i in range(npts):
-        for j in range(npts):
-            if i != j and qm[1 + i][1 + j] is None:
-                qm[1 + i][1 + j] = "1"
-    for ci, c in enumerate(comps):
-        off = offsets[ci]
-        for (i, j), val in c.qmat_pp.items():
-            qm[off + i][off + j] = val
-    avals = {}
-    for j, a in enumerate(avals_list):
-        if a is not None:
-            avals[(2 + j, 1)] = a
-    spec = BraidedSpaceSpec(ring, [(eps, 2)], labels, qm, avals)
-
-    rels = list(_block_relations(eps == 1))
-    bpbw, macros = _block_pbw(eps == 1)
-    pbw = [(lbl, deg, h) for lbl, deg, h in bpbw]
-    gk = 2
-    domain = eps == 1
-    for ci, c in enumerate(comps):
-        pts = [f"x{2 + offsets[ci] + j}" for j in range(len(c.labels))]
-        crels, cmacros, kpbw = c.build(spec, pts)
-        # macro names are shared between components (z0, z1, ...); qualify
-        ren = {}
-        for key, val in cmacros.items():
-            ren[key] = f"c{ci}_{key}"
-        crels = [_rename(r, ren) for r in crels]
-        for key, val in cmacros.items():
-            macros[ren[key]] = _rename(val, ren)
-        rels += crels
-        if getattr(c, "pbw_precomputed", False):
-            pbw += [(_rename(lbl, ren), deg, h) for lbl, deg, h in kpbw]
-        else:
-            pbw += _pbw_degrees(
-                spec, macros, [(_rename(lbl, ren), h) for lbl, h in kpbw])
-        gk += c.gk_k
-        domain = domain and c.domain_k
-
-    # cross q-commutations: z_{i,m} x_j = q_{1j}^m q_{ij} x_j z_{i,m}
-    for ci in range(len(comps)):
-        for cj in range(len(comps)):
-            if ci == cj:
-                continue
-            for li in range(len(comps[ci].labels)):
-                gi = comps[ci].ghost_bounds[li]
-                for lj in range(len(comps[cj].labels)):
-                    gj = comps[cj].ghost_bounds[lj]
-                    if (gi, ci) > (gj, cj):
-                        continue
-                    i = 2 + offsets[ci] + li
-                    j = 2 + offsets[cj] + lj
-                    expr = f"x{i}"
-                    for m in range(gi + 1):
-                        coeff = spec.q(1, j) ** m * spec.q(i, j)
-                        rels.append(
-                            f"({expr}) x{j} - {_q(coeff)} x{j} ({expr})")
-                        expr = f"[x1h, {expr}]"
-    pres = Presentation(
-        "compose(" + ", ".join(names) + ")", rels, pbw, gk, macros,
-        is_domain=domain,
-        params={"entries": names})
-    return spec, pres
+    return _assemble("compose(" + ", ".join(names) + ")", eps, comps,
+                     {"entries": names})
 
 
 def _rename(text, ren):
@@ -1118,8 +1037,7 @@ def lookup(g):
                 "label": 1 if label.is_one() else -1}))
             continue
         k0, j0, data = att[0]
-        diagram = g.component_diagram(comp)
-        entry = match_table_pattern(diagram, {
+        entry = match_table_pattern(g.component_diagram(comp), {
             "sign": g.signs[k0 - 1],
             "ghost": data["ghost"],
             "mild": data["mild"],
@@ -1128,32 +1046,5 @@ def lookup(g):
         if entry is None:
             raise NotAdmissible(
                 f"component {comp} matches no catalog pattern")
-        out.append(_entry_from_pattern(entry, diagram))
+        out.append(entry.catalog)
     return out
-
-
-def _entry_from_pattern(entry, diagram):
-    name = entry.name
-    if name.startswith("lstr(1,"):
-        return ("lstr(1,G)", {"G": entry.params[0]})
-    if name.startswith("lstr(-1,"):
-        return ("lstr(-1,G)", {"G": entry.params[0]})
-    if name.startswith("lstr_-(1,"):
-        return ("lstr_-(1,G)", {"G": entry.params[0]})
-    if name.startswith("lstr_-(-1,"):
-        return ("lstr_-(-1,G)", {"G": entry.params[0]})
-    if name in ("lstr(omega,1)", "cyc1", "cyc2", "lstr(A2,2)",
-                "lstr(A(1|0)2;omega)", "lstr(A(1|0)3;omega)",
-                "lstr(A(2|0)1;omega)", "lstr(D(2|1);omega)"):
-        return (name, {})
-    if name == "lstr(A(1|0)1;omega)":
-        return ("lstr(A(1|0)1;r)", {"r": 3})
-    if name == "lstr(A(1|0)1;r)":
-        orders = [q.mult_order().order for q in diagram.labels]
-        orders = [o for o in orders if o not in (1, 2)]
-        if orders and orders[0] is not None:
-            return ("lstr(A(1|0)1;r)", {"r": orders[0]})
-        return ("lstr(A(1|0)1;r)", {"r": "generic"})
-    if name.startswith("lstr(A") and name[6:-1].isdigit():
-        return ("lstr(A_theta-1)", {"theta": int(name[6:-1]) + 1})
-    raise CatalogError(f"no catalog entry for pattern {name!r}")

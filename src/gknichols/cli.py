@@ -177,11 +177,9 @@ def _graph_json(g):
 
 def _graded_truncation(spec, max_degree, budget):
     """Extend degree by degree so progress can be streamed."""
-    trunc = compute_truncation(spec, min(1, max_degree), budget)
-    _progress(f"degree 0: dim 1")
-    if max_degree >= 1:
-        _progress(f"degree 1: dim {trunc.dims[1]}")
-    for n in range(2, max_degree + 1):
+    trunc = compute_truncation(spec, 0, budget)
+    _progress("degree 0: dim 1")
+    for n in range(1, max_degree + 1):
         trunc.extend(n)
         _progress(f"degree {n}: dim {trunc.dims[n]}")
     return trunc

@@ -114,20 +114,13 @@ class NicholsTruncation:
         self.spec = spec
         self.budget = budget
         self.max_degree = 0
-        L = spec.nletters
-        one = spec.ring.one()
-        self.basis = {0: [()], 1: [(l,) for l in range(L)]}
-        self.nf = {
-            0: {(): {(): one}},
-            1: {(l,): {(l,): one} for l in range(L)},
-        }
-        self.dims = [1, L]
-        self.ideal_dims = [0, 0]
+        self.basis = {0: [()]}
+        self.nf = {0: {(): {(): spec.ring.one()}}}
+        self.dims = [1]
+        self.ideal_dims = [0]
         # NF coordinates of the skew derivations of each word of basis[n]
         # in basis[n-1], for the current top degree n
-        self._dcoords = {(l,): [({(): one} if d == l else {})
-                                for d in range(L)]
-                         for l in range(L)}
+        self._dcoords = {(): [{}] * spec.nletters}
         self.extend(max_degree)
 
     def extend(self, max_degree: int):
@@ -138,9 +131,6 @@ class NicholsTruncation:
         spec = self.spec
         L = spec.nletters
         n = self.max_degree + 1
-        if n == 1:
-            self.max_degree = 1
-            return
         prefixes = self.basis[n - 1]
         count = len(prefixes) * L
         if count > self.budget:

@@ -768,27 +768,6 @@ def qnum(n: int, q: Scalar) -> Scalar:
     return total
 
 
-def qfactorial(n: int, q: Scalar) -> Scalar:
-    out = q.ring.one()
-    for j in range(1, n + 1):
-        out = out * qnum(j, q)
-    return out
-
-
-def qbinom(n: int, i: int, q: Scalar) -> Scalar:
-    """Gaussian binomial via the Pascal recursion (never divides)."""
-    if not 0 <= i <= n:
-        raise ScalarError(f"binom({n},{i}) out of range")
-    row = [q.ring.one()]
-    for m in range(1, n + 1):
-        new = [q.ring.one()]
-        for k in range(1, m):
-            new.append(row[k - 1] + (q ** k) * row[k])
-        new.append(q.ring.one())
-        row = new
-    return row[i]
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 
@@ -972,6 +951,6 @@ def print_scalar(s: Scalar) -> str:
     den_str = _print_poly(ring, den)
     if len(num) > 1:
         num_str = f"({num_str})"
-    if len(den) > 1:
+    if len(den) > 1 or "*" in den_str:  # a sum, or a product a*b
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"

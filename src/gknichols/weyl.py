@@ -311,11 +311,22 @@ def classify_cartan(data: CartanData):
 
 @dataclass(frozen=True)
 class TableEntry:
-    """A recognized block-attached component with its GK contribution."""
+    """A recognized block-attached component with its GK contribution.
+
+    ``name`` is the display name of the pattern (``lstr(1,2)``, ``lstr(A3)``)
+    and ``catalog`` the ``(entry name, params)`` pair that ``catalog``
+    instantiates for it (``("lstr(1,G)", {"G": 2})``,
+    ``("lstr(A_theta-1)", {"theta": 4})``).
+    """
 
     name: str
     gk: int
-    params: tuple = ()
+    catalog: tuple = field(hash=False)  # params is a dict
+
+
+def _entry(name, gk, catalog_name=None, **params):
+    """TableEntry whose catalog entry is ``catalog_name`` (default: name)."""
+    return TableEntry(name, gk, (catalog_name or name, params))
 
 
 def _label_kind(q: Scalar):
@@ -363,25 +374,25 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
         if sign != "-" or gn != 1 or vk != "-1":
             return None
         if k == 1:
-            return TableEntry("cyc1", 0)
+            return _entry("cyc1", 0)
         if k == 2:
             other = 1 - vertex
             qt = component.edge(vertex, other)
             if kinds[other] == "-1" and qt is not None \
                     and (-qt.ring.one()) == qt:
-                return TableEntry("cyc2", 1)
+                return _entry("cyc2", 1)
         return None
 
     if k == 1:
+        minus = "" if sign == "+" else "_-"
         if vk == "1":
-            return TableEntry(f"lstr(1,{gn})" if sign == "+"
-                              else f"lstr_-(1,{gn})", gn + 1, (gn,))
+            return _entry(f"lstr{minus}(1,{gn})", gn + 1,
+                          f"lstr{minus}(1,G)", G=gn)
         if vk == "-1":
-            if sign == "+":
-                return TableEntry(f"lstr(-1,{gn})", 0, (gn,))
-            return TableEntry(f"lstr_-(-1,{gn})", gn, (gn,))
+            return _entry(f"lstr{minus}(-1,{gn})", 0 if sign == "+" else gn,
+                          f"lstr{minus}(-1,G)", G=gn)
         if vk == "omega" and sign == "+" and gn == 1:
-            return TableEntry("lstr(omega,1)", 0)
+            return _entry("lstr(omega,1)", 0)
         return None
 
     if sign != "+":
@@ -396,26 +407,28 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
         ok = kinds[other]
         if vk == "-1" and ok == "-1":
             if qt == -one and gn == 1:
-                return TableEntry("lstr(A2)", 0)  # two-point A chain
+                # two-point A chain
+                return _entry("lstr(A2)", 0, "lstr(A_theta-1)", theta=3)
             if qt == -one and gn == 2:
-                return TableEntry("lstr(A2,2)", 0)
+                return _entry("lstr(A2,2)", 0)
             if qt.mult_order().order == 3 and gn == 1:
-                return TableEntry("lstr(A(1|0)2;omega)", 0)
+                return _entry("lstr(A(1|0)2;omega)", 0)
             return None
         if vk == "-1" and gn == 1:
             # attached -1 point, far point label r, edge must be r^{-1}
             r = component.labels[other]
             if (qt * r).is_one() and ok not in ("1", "-1"):
                 if ok == "omega":
-                    return TableEntry("lstr(A(1|0)1;omega)", 0)
+                    return _entry("lstr(A(1|0)1;omega)", 0,
+                                  "lstr(A(1|0)1;r)", r=3)
                 if ok == "generic":
-                    return TableEntry("lstr(A(1|0)1;r)", 2)
-                return TableEntry("lstr(A(1|0)1;r)", 0)
+                    return _entry("lstr(A(1|0)1;r)", 2, r="generic")
+                return _entry("lstr(A(1|0)1;r)", 0, r=r.mult_order().order)
             return None
         if vk == "omega" and ok == "-1" and gn == 1:
             if qt.mult_order().order == 3 and \
                     (qt * component.labels[vertex]).is_one():
-                return TableEntry("lstr(A(1|0)3;omega)", 0)
+                return _entry("lstr(A(1|0)3;omega)", 0)
             return None
         return None
 
@@ -429,19 +442,19 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
     edges = [component.edge(order[m], order[m + 1]) for m in range(k - 1)]
     one = component.labels[0].ring.one()
     if all(x == "-1" for x in ck) and all(e == -one for e in edges):
-        return TableEntry(f"lstr(A{k})", 0)
+        return _entry(f"lstr(A{k})", 0, "lstr(A_theta-1)", theta=k + 1)
     if k == 3:
         o3 = [e.mult_order().order == 3 for e in edges]
         if ck == ["-1", "omega", "omega"] and o3 == [True, True] \
                 and edges[0] == edges[1] \
                 and (edges[0] * component.labels[order[1]]).is_one() \
                 and (edges[1] * component.labels[order[2]]).is_one():
-            return TableEntry("lstr(A(2|0)1;omega)", 0)
+            return _entry("lstr(A(2|0)1;omega)", 0)
         if ck == ["-1", "omega", "omega"] and o3 == [True, True] \
                 and (edges[0] * component.labels[order[1]]).is_one() \
                 and (edges[1] * component.labels[order[2]]).is_one() \
                 and edges[0] != edges[1]:
-            return TableEntry("lstr(D(2|1);omega)", 0)
+            return _entry("lstr(D(2|1);omega)", 0)
     return None
 
 

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gknichols import (BraidedSpaceSpec, DiagonalBraiding, PaleBlockPointSpec,
                        ScalarRing, braid_letters, diagonalize, ghost,
                        interaction, spec_from_json, spec_to_json)
-from gknichols.braidings import (Interaction, SpecError, ghost_is_discrete,
-                                 principal_realization)
+from gknichols.braidings import Interaction, SpecError, ghost_is_discrete
 
 RING = ScalarRing(12)
 
@@ -121,13 +120,6 @@ def test_diagonalize_forgets_jordan_tail():
     assert diag.q(1, 1) == one and diag.q(2, 2) == one
     assert diag.q(3, 3) == -one
     assert diag.qtilde(1, 2) == one
-
-
-def test_principal_realization_table():
-    spec = jordan_point_spec()
-    table = principal_realization(spec)
-    assert table[(1, "x1h")] == [("x1h", RING.one()), ("x1", RING.one())]
-    assert table[(2, "x2")] == [("x2", -RING.one())]
 
 
 def test_letter_names_and_lookup():

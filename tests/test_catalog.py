@@ -1,11 +1,15 @@
 """Catalog entries: verification, GK agreement, lookup and composition."""
 
+import json
+
 import pytest
 
 from gknichols import (BraidedSpaceSpec, FiniteGK, PaleBlockPointSpec,
                        classify, classify_pale)
 from gknichols import catalog
 from tests.conftest import entry_instance, entry_report
+from tests.data.capture_catalog_golden import (FIXTURE, summarise_composition,
+                                               summarise_entry)
 
 # (entry, params, verification degree at desk scale)
 ENTRY_CASES = [
@@ -117,3 +121,18 @@ def test_compose_single_item_passthrough():
 def test_compose_rejects_mild_components():
     with pytest.raises(catalog.CatalogError):
         catalog.compose([("cyc1", {}), ("lstr(1,G)", {"G": 1})])
+
+
+_GOLDEN = json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize(
+    "record", _GOLDEN["entries"] + _GOLDEN["compositions"],
+    ids=lambda r: r["name"] + json.dumps(r["params"]) if "name" in r
+    else "compose" + json.dumps(r["items"]))
+def test_catalog_matches_golden(record):
+    """Presentation and spec digests and the lookup of every catalog build."""
+    if "name" in record:
+        assert summarise_entry(record["name"], record["params"]) == record
+    else:
+        assert summarise_composition(record["items"]) == record

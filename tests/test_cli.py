@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from gknichols import spec_to_json
+from gknichols import catalog, spec_to_json
+from gknichols.cli import run
 from tests.conftest import entry_instance
 
 
@@ -38,6 +39,14 @@ def test_catalog_show():
     assert out["relations"] and out["pbw"] and "spec" in out
     # infinite heights are serialized as 0
     assert all(e["height"] >= 0 for e in out["pbw"])
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog.list_entries() if n != "compose"])
+def test_catalog_show_every_entry(name, capsys):
+    assert run(["catalog", "show", name]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "spec" in out
 
 
 def test_dims_streams_progress(jordan_spec_file):

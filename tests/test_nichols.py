@@ -65,6 +65,15 @@ def test_budget_counts_candidate_words():
     assert str(exc) == "degree 11 needs 22 candidate words (budget 20)"
 
 
+def test_budget_below_letters_stops_at_degree_1():
+    # degree 1 has L candidates, the letters after the empty word
+    spec, _ = entry_instance("jordan")
+    assert compute_truncation(spec, 0, budget=1).dims == [1]
+    with pytest.raises(BudgetExceeded) as info:
+        compute_truncation(spec, 1, budget=1)
+    assert str(info.value) == "degree 1 needs 2 candidate words (budget 1)"
+
+
 _GOLDEN = json.loads(FIXTURE.read_text())
 
 

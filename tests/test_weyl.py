@@ -114,14 +114,17 @@ def test_match_single_point_patterns():
                                 {"sign": "+", "ghost": g1, "mild": False,
                                  "vertex": 0})
     assert entry.name == "lstr(1,1)" and entry.gk == 2
+    assert entry.catalog == ("lstr(1,G)", {"G": 1})
     entry = match_table_pattern(_one_point(ring, -one),
                                 {"sign": "-", "ghost": g2, "mild": False,
                                  "vertex": 0})
     assert entry.name == "lstr_-(-1,2)" and entry.gk == 2
+    assert entry.catalog == ("lstr_-(-1,G)", {"G": 2})
     entry = match_table_pattern(_one_point(ring, ring.zeta(1)),
                                 {"sign": "+", "ghost": g1, "mild": False,
                                  "vertex": 0})
     assert entry.name == "lstr(omega,1)" and entry.gk == 0
+    assert entry.catalog == ("lstr(omega,1)", {})
 
 
 def test_match_rejects_bad_patterns():
@@ -164,6 +167,7 @@ def test_match_generic_rank2():
     entry = match_table_pattern(
         pair, {"sign": "+", "ghost": one, "mild": False, "vertex": 0})
     assert entry.name == "lstr(A(1|0)1;r)" and entry.gk == 2
+    assert entry.catalog == ("lstr(A(1|0)1;r)", {"r": "generic"})
 
 
 def test_subdiagram_relabels():
