@@ -850,14 +850,23 @@ class CatalogEntry:
     name: str
     signature: str
     builder: object
+    keys: tuple = ()           # the parameter keys the builder reads
     component: object = None   # fn(params) -> _Component, when composable
 
+    def check_keys(self, params):
+        unknown = [k for k in params if k not in self.keys]
+        if unknown:
+            known = ", ".join(self.keys) or "none"
+            raise BadParams(
+                f"unknown parameter {', '.join(map(repr, unknown))} for "
+                f"{self.name} (known: {known})")
 
-def _single(name, signature, comp_fn):
+
+def _single(name, signature, keys, comp_fn):
     def builder(params):
         comp = comp_fn(params)
         return _assemble(name, comp.eps, [comp], params)
-    return CatalogEntry(name, signature, builder, comp_fn)
+    return CatalogEntry(name, signature, builder, keys, comp_fn)
 
 
 _REGISTRY = {}
@@ -878,44 +887,47 @@ def _mk_lstr(name, eps, point):
         G = int(params.get("G", 1))
         q12 = params.get("q12", 1)
         return _lstr_component(eps, point, G, q12)
-    _register(_single(name, "G in N; optional q12", comp))
+    _register(_single(name, "G in N; optional q12", ("G", "q12"), comp))
 
 
 _mk_lstr("lstr(1,G)", 1, 1)
 _mk_lstr("lstr(-1,G)", 1, -1)
 _mk_lstr("lstr_-(1,G)", -1, 1)
 _mk_lstr("lstr_-(-1,G)", -1, -1)
-_register(_single("lstr(omega,1)", "optional q12",
+_register(_single("lstr(omega,1)", "optional q12", ("q12",),
                   lambda params: _lstr_component(
                       1, "omega", 1, params.get("q12", 1))))
-_register(_single("cyc1", "optional q12",
+_register(_single("cyc1", "optional q12", ("q12",),
                   lambda params: _cyc1_component(params.get("q12", 1))))
-_register(_single("cyc2", "no parameters",
+_register(_single("cyc2", "no parameters", (),
                   lambda params: _cyc2_component()))
 _register(_single("lstr(A(1|0)1;r)", "r: root order N >= 3 or 'generic'",
+                  ("r",),
                   lambda params: _a10_1_component(params.get("r", 4))))
-_register(_single("lstr(A(1|0)2;omega)", "no parameters",
+_register(_single("lstr(A(1|0)2;omega)", "no parameters", (),
                   lambda params: _a10_2_component()))
-_register(_single("lstr(A(1|0)3;omega)", "no parameters",
+_register(_single("lstr(A(1|0)3;omega)", "no parameters", (),
                   lambda params: _a10_3_component()))
-_register(_single("lstr(A(2|0)1;omega)", "no parameters",
+_register(_single("lstr(A(2|0)1;omega)", "no parameters", (),
                   lambda params: _a20_1_component()))
-_register(_single("lstr(D(2|1);omega)", "no parameters",
+_register(_single("lstr(D(2|1);omega)", "no parameters", (),
                   lambda params: _d21_component()))
-_register(_single("lstr(A2,2)", "no parameters",
+_register(_single("lstr(A2,2)", "no parameters", (),
                   lambda params: _a2_2_component()))
-_register(_single("lstr(A_theta-1)", "theta in 3..6",
+_register(_single("lstr(A_theta-1)", "theta in 3..6", ("theta",),
                   lambda params: _a_chain_component(
                       int(params.get("theta", 3)))))
 _register(_single("point", "label: scalar (ghost-0 disconnected point)",
+                  ("label", "order"),
                   lambda params: _point_component(
                       params.get("label", 1), params.get("order", 1))))
 _register(CatalogEntry("poseidon",
-                       "t, signs, ghosts, label, optional q", _poseidon))
+                       "t, signs, ghosts, label, optional q", _poseidon,
+                       ("t", "signs", "ghosts", "label", "q")))
 for _kind in ("eny_plus", "eny_minus", "eny_star"):
     _register(CatalogEntry(
         _kind, "q: nonzero scalar (default transcendental)",
-        (lambda k: lambda params: _eny(k, params))(_kind)))
+        (lambda k: lambda params: _eny(k, params))(_kind), ("q",)))
 
 
 def list_entries():
@@ -934,8 +946,10 @@ def instantiate(name, params=None):
     params = dict(params or {})
     if name == "compose":
         raise BadParams("use catalog.compose for compositions")
+    entry = get_entry(name)
+    entry.check_keys(params)
     try:
-        return get_entry(name).builder(params)
+        return entry.builder(params)
     except (ValueError, KeyError) as exc:
         raise BadParams(str(exc)) from exc
 
@@ -962,7 +976,9 @@ def compose(items):
         if entry.component is None:
             raise IncompatibleComponents(
                 f"{name!r} is not a single-block component entry")
-        comp = entry.component(dict(params or {}))
+        params = dict(params or {})
+        entry.check_keys(params)
+        comp = entry.component(params)
         if comp.mild:
             raise IncompatibleComponents(
                 f"{name!r} has mild interaction; it cannot be composed")

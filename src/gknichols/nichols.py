@@ -9,17 +9,22 @@ element whose leading (largest) monomial is that word.  The coordinates of
 all skew derivations of each complement word in the previous complement are
 kept, so that degree n only needs degree n-1 data.
 
-The complement is prefix-closed, so the candidates of degree n are only the
-words u.x with u in the degree n-1 complement and x a letter: dims[n-1] * L
-words instead of L^n.  This is exact because I(n-1).V lies in I(n) and the
-(length, lex) order is compatible with concatenation: if the prefix p of p.x
-is congruent modulo I(n-1) to a combination of smaller words, p.x is
-congruent modulo I(n) to the same combination followed by x, again of
-smaller words, so p.x is never a complement word and the skipped words add
-nothing to the span the elimination sees.  The complement and the normal
-forms of the candidates are those of the full enumeration.  The normal form
-of any other word is built on demand and memoised, from
-nf(p.x) = sum_u c_u nf(u.x) where nf(p) = sum_u c_u u.
+The complement is factor-closed, so the candidates of degree n are only the
+words u.x with u in the degree n-1 complement, x a letter and the suffix of
+u.x of length n-1 in the complement too: close to dims[n] words instead of
+L^n.  This is exact because I is a two-sided ideal, so I(n-1).V and
+V.I(n-1) lie in I(n), and the (length, lex) order is compatible with
+concatenation on both sides: if a factor of a word is congruent modulo
+I(n-1) to a combination of smaller words, the word is congruent modulo I(n)
+to the combination of the smaller words obtained by substituting it, so it
+is never a complement word and skipping it adds nothing to the span the
+elimination sees.  The complement and the normal forms of the candidates are
+those of the full enumeration.  The normal form of any other word is built
+on demand and memoised, by the suffix rule when its prefix is in the
+complement and by the prefix rule otherwise:
+nf(a.s) = sum_v c_v nf(a.v) where nf(s) = sum_v c_v v (a a letter),
+nf(p.x) = sum_u c_u nf(u.x) where nf(p) = sum_u c_u u (x a letter).
+Both rewrite a word through strictly smaller words of its length.
 
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
@@ -132,11 +137,11 @@ class NicholsTruncation:
         L = spec.nletters
         n = self.max_degree + 1
         prefixes = self.basis[n - 1]
-        count = len(prefixes) * L
+        count = len(prefixes) * L  # an upper bound on the candidates
         if count > self.budget:
             raise BudgetExceeded(n, count, self.budget)
         prev_d = self._dcoords
-        nf_prev = self.nf[n - 1]
+        word_nf = self._word_nf
         act = spec._act
         group_of = spec.group_of
         one = spec.ring.one()
@@ -149,6 +154,8 @@ class NicholsTruncation:
             pd = prev_d[prefix]
             for last in range(L):
                 w = prefix + (last,)
+                if w[1:] not in prev_d:
+                    continue  # the suffix is not a complement word
                 dvecs = []
                 img = {}
                 for d in range(L):
@@ -157,7 +164,7 @@ class NicholsTruncation:
                     expansion = act[g - 1][last]
                     for u, alpha in pd[d].items():
                         for tgt, beta in expansion:
-                            vec = nf_prev[u + (tgt,)]
+                            vec = word_nf(u + (tgt,))
                             if vec:
                                 add_into(acc, vec, alpha * beta)
                     if d == last:
@@ -183,14 +190,26 @@ class NicholsTruncation:
     # ------------------------------------------------------------------
 
     def _word_nf(self, w):
-        """Normal form of the word w, memoised in ``nf[len(w)]``."""
+        """Normal form of the word w, memoised in ``nf[len(w)]``.
+
+        A word missing from the table either has a prefix outside the
+        complement (prefix rule) or a complement prefix and a suffix outside
+        it (suffix rule); both rewrite w through strictly smaller words.
+        """
         nf_n = self.nf[len(w)]
         vec = nf_n.get(w)
         if vec is None:
             vec = {}
-            last = w[-1:]
-            for u, c in self._word_nf(w[:-1]).items():
-                add_into(vec, nf_n[u + last], c)
+            prefix = w[:-1]
+            prefix_nf = self._word_nf(prefix)
+            if prefix in prefix_nf:
+                first = w[:1]
+                for v, c in self._word_nf(w[1:]).items():
+                    add_into(vec, self._word_nf(first + v), c)
+            else:
+                last = w[-1:]
+                for u, c in prefix_nf.items():
+                    add_into(vec, self._word_nf(u + last), c)
             nf_n[w] = vec
         return vec
 

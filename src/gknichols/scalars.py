@@ -28,8 +28,15 @@ from math import gcd as _igcd, lcm as _lcm
 
 try:
     from gmpy2 import mpq as _Q
+    _BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - gmpy2 is the optional ``fast`` extra
     from fractions import Fraction as _Q
+    _BACKEND = "fractions"
+
+
+def backend() -> str:
+    """The rational backend in use: ``"gmpy2"`` or ``"fractions"``."""
+    return _BACKEND
 
 
 class ScalarError(Exception):
@@ -926,8 +933,6 @@ def _print_poly(ring, p):
         if factors:
             if coeff == "1":
                 terms.append("*".join(factors))
-            elif coeff == "-1":
-                terms.append("-" + "*".join(factors))
             else:
                 terms.append(coeff + "*" + "*".join(factors))
         else:

@@ -88,6 +88,20 @@ def test_unknown_entry_raises():
         catalog.instantiate("lstr(A_theta-1)", {"theta": 7})
 
 
+@pytest.mark.parametrize("name,key", [
+    ("lstr(1,G)", "g"), ("cyc2", "G"), ("point", "lable"), ("poseidon", "T"),
+    ("eny_plus", "r")])
+def test_unknown_parameter_key_raises(name, key):
+    with pytest.raises(catalog.BadParams, match=f"unknown parameter '{key}'"):
+        catalog.instantiate(name, {key: 1})
+
+
+def test_compose_rejects_unknown_parameter_key():
+    with pytest.raises(catalog.BadParams,
+                       match=r"'H' for lstr\(-1,G\) \(known: G, q12\)"):
+        catalog.compose([("lstr(1,G)", {"G": 1}), ("lstr(-1,G)", {"H": 1})])
+
+
 def test_lookup_roundtrip():
     for name, params in [("lstr(1,G)", {"G": 1}), ("cyc1", {}),
                          ("lstr(A(1|0)2;omega)", {})]:

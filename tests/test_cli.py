@@ -41,6 +41,16 @@ def test_catalog_show():
     assert all(e["height"] >= 0 for e in out["pbw"])
 
 
+def test_catalog_unknown_parameter_key_is_one_line_error():
+    r = run_cli("catalog", "show", "lstr(1,G)", "--params", "g=3")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("gknichols: error: unknown parameter 'g' for "
+                        "lstr(1,G) (known: G, q12)\n")
+    r = run_cli("catalog", "show", "lstr(A(1|0)1;r)", "--params", "r=generic")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["params"] == {"r": "generic"}
+
+
 @pytest.mark.parametrize(
     "name", [n for n in catalog.list_entries() if n != "compose"])
 def test_catalog_show_every_entry(name, capsys):

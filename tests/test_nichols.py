@@ -1,6 +1,7 @@
 """Truncation engine, symmetrizer oracle, mu/z machinery, verification."""
 
 import json
+from itertools import permutations, product
 
 import pytest
 
@@ -8,8 +9,10 @@ from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
                        TensorElement, compute_truncation, infinite_probe,
                        is_zero_in_nichols, mu_sequence, parse_element,
                        pbw_hilbert_coeffs, quantum_symmetrizer_kernel,
-                       verify_presentation, z_element)
-from gknichols.nichols import BudgetExceeded, NotWeak, mu_rank2
+                       spec_from_json, verify_presentation, z_element)
+from gknichols.freealgebra import add_into
+from gknichols.nichols import (BudgetExceeded, NotWeak, mu_rank2,
+                               quantum_symmetrizer)
 from tests.conftest import entry_instance
 from tests.data.capture_truncation_golden import (ENTRIES, FIXTURE,
                                                   ZETA12_FIXTURE, summarise,
@@ -106,6 +109,62 @@ def test_symmetrizer_kernel_equals_ideal():
                     else TensorElement(spec, vec)
                 zero, _ = is_zero_in_nichols(e, trunc)
                 assert zero
+
+
+# (entry, degree): 3-5 letters, the symmetrizer oracle to its degree cap
+ORACLE_CASES = [("cyc2", 4), ("lstr(A2,2)", 4), ("lstr(1,G)", 4),
+                ("poseidon", 3)]
+
+
+@pytest.mark.parametrize("name,degree", ORACLE_CASES)
+def test_every_normal_form_matches_symmetrizer(name, degree):
+    """S_n(w) = sum c_u S_n(u) where nf(w) = sum c_u u, for every word w.
+
+    The complement is factor-closed.  Words with a complement prefix and a
+    suffix outside the complement are never eliminated; their normal forms
+    come from the suffix rule, so each entry must have some.
+    """
+    spec, _ = entry_instance(name)
+    trunc = compute_truncation(spec, degree)
+    one = spec.ring.one()
+    suffix_rule = 0
+    for n in range(2, degree + 1):
+        prev = set(trunc.basis[n - 1])
+        assert all(w[:-1] in prev and w[1:] in prev for w in trunc.basis[n])
+        suffix_rule += sum(1 for u in trunc.basis[n - 1]
+                           for x in range(spec.nletters)
+                           if (u + (x,))[1:] not in prev)
+        table = quantum_symmetrizer(spec, n)
+        for w in product(range(spec.nletters), repeat=n):
+            acc = dict(table[w])
+            nf = trunc.normal_form_vector(TensorElement(spec, {w: one}), n)
+            for u, c in nf.items():
+                add_into(acc, table[u], -c)
+            assert not acc, w
+    assert suffix_rule
+
+
+# a Cartan-type q-matrix over Q(zeta_12): A3 at zeta_3 on points 1-3 with
+# q_ij != q_ji, point 4 of label -1 attached to point 3
+_CARTAN_Q = [["z^4", "z", "1", "1"],
+             ["z^7", "z^4", "z^3", "1"],
+             ["1", "z^5", "z^4", "z^2"],
+             ["1", "1", "-1", "-1"]]
+
+
+def test_dims_invariant_under_relabelling():
+    """Candidates are filtered through the lex order of the letters, which a
+    permutation of the points changes; the Hilbert series must not."""
+    def relabelled(perm):
+        return spec_from_json({
+            "ring": {"cyclotomic_order": 12},
+            "points": [{"q": _CARTAN_Q[p][p]} for p in perm],
+            "q": [[_CARTAN_Q[i][j] for j in perm] for i in perm]})
+
+    dims = compute_truncation(relabelled((0, 1, 2, 3)), 5).dims
+    assert dims == [1, 4, 12, 27, 54, 96]
+    for perm in permutations(range(4)):
+        assert compute_truncation(relabelled(perm), 5).dims == dims, perm
 
 
 def test_pbw_hilbert_coeffs():

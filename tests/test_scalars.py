@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gknichols import ScalarRing, parse_scalar, print_scalar
 from gknichols.braidings import ghost_is_discrete
 from gknichols.scalars import (_Q, DivisionByZero, ParseError, ScalarError,
-                               qnum)
+                               backend, qnum)
 
 RING = ScalarRing(12, params=("q",))
 
@@ -301,3 +301,8 @@ def test_rational_queries_through_cyclotomic_arithmetic():
         assert not ghost_is_discrete(x)
         with pytest.raises(ScalarError):
             x.as_rational()
+
+
+def test_backend_names_the_rational_type():
+    assert backend() in ("gmpy2", "fractions")
+    assert (backend() == "fractions") == (_Q is Fraction)
