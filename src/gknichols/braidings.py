@@ -386,7 +386,13 @@ def ring_from_json(obj) -> ScalarRing:
     return ScalarRing(order, params)
 
 
-def spec_from_json(obj) -> BraidedSpaceSpec:
+_PALE_KEYS = ("epsilon", "q12", "q21", "q22")
+
+
+def spec_from_json(obj) -> BraidedSpaceSpec | PaleBlockPointSpec:
+    """Spec from its JSON form (see :func:`spec_to_json`): blocks, points,
+    a q-matrix and ``a`` or ``ghost`` data, or a pale block plus point given
+    by its four scalars under "pale"."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -394,6 +400,14 @@ def spec_from_json(obj) -> BraidedSpaceSpec:
             raise SpecError(f"bad spec JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
+    if "pale" in obj:
+        pale = _mapping(obj["pale"], "pale")
+        if set(pale) != set(_PALE_KEYS):
+            raise SpecError(f"pale needs exactly the keys "
+                            f"{', '.join(_PALE_KEYS)}, not "
+                            f"{sorted(map(str, pale))}")
+        return PaleBlockPointSpec(ring_from_json(obj.get("ring", {})),
+                                  *(pale[key] for key in _PALE_KEYS))
     if "q" not in obj:
         raise SpecError("spec has no 'q' matrix")
     ring = ring_from_json(obj.get("ring", {}))
@@ -420,7 +434,7 @@ def spec_to_json(spec) -> dict:
     if isinstance(spec, PaleBlockPointSpec):
         return {"ring": ring,
                 "pale": {key: print_scalar(getattr(spec, key))
-                         for key in ("epsilon", "q12", "q21", "q22")}}
+                         for key in _PALE_KEYS}}
     out = {
         "ring": ring,
         "blocks": [{"epsilon": print_scalar(eps), "length": length}

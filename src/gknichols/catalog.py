@@ -17,7 +17,8 @@ from functools import partial
 from math import lcm
 
 from .scalars import ScalarRing, parse_scalar
-from .braidings import BraidedSpaceSpec, PaleBlockPointSpec
+from .braidings import (BraidedSpaceSpec, PaleBlockPointSpec, SpecError,
+                        _index_pair)
 from .freealgebra import expression_degree
 from .nichols import Presentation
 
@@ -679,7 +680,6 @@ def _poseidon(params):
     signs = list(params.get("signs", [1] * t))
     ghosts = list(params.get("ghosts", [1] * t))
     label = params.get("label", 1)
-    qoff = params.get("q", {})  # optional {(i,j): value} off-diagonal data
     if len(signs) != t or len(ghosts) != t:
         raise BadParams("signs and ghosts must have length t")
     if any(s not in (1, -1) for s in signs):
@@ -689,6 +689,7 @@ def _poseidon(params):
     if any(int(g) < 1 for g in ghosts):
         raise BadParams("ghosts must be positive integers")
     theta = t + 1
+    qoff = _offdiagonal(params.get("q", {}), theta)
     ring = ScalarRing(1)
     one = ring.one()
 
@@ -790,7 +791,30 @@ def _poseidon(params):
         "poseidon", rels, pbw, gk, macros,
         is_domain=(all(s == 1 for s in signs) and label == 1),
         params={"t": t, "signs": signs, "ghosts": ghosts, "label": label})
+    if qoff:
+        pres.params["q"] = {f"{i},{j}": str(v) for (i, j), v in qoff.items()}
     return spec, pres
+
+
+def _offdiagonal(q, theta):
+    """Off-diagonal q entries given as {"i,j": value}, keyed (i, j)."""
+    if not isinstance(q, dict):
+        raise BadParams("poseidon q must map 'i,j' keys to scalars")
+    out = {}
+    for key, value in q.items():
+        try:
+            i, j = _index_pair(key)
+        except SpecError:
+            raise BadParams(f"poseidon q: bad key {key!r}: expected 'i,j'") \
+                from None
+        if i == j:
+            raise BadParams(f"poseidon q: {key!r} is a diagonal entry "
+                            f"(set by signs and label)")
+        if not (1 <= i <= theta and 1 <= j <= theta):
+            raise BadParams(f"poseidon q: {key!r} is out of range "
+                            f"(indices 1..{theta})")
+        out[(i, j)] = value
+    return out
 
 
 def _boxes(bounds):

@@ -149,6 +149,8 @@ def build_flourished(spec: BraidedSpaceSpec) -> FlourishedGraph:
     Vertices i, j are adjacent iff c_ij c_ji is not the identity; for a
     block-point pair that means qtilde != 1 or a != 0.
     """
+    if not isinstance(spec, BraidedSpaceSpec):
+        raise UnsupportedSpec("build_flourished expects a BraidedSpaceSpec")
     ring = spec.ring
     one = ring.one()
     signs = []

@@ -26,6 +26,16 @@ nf(a.s) = sum_v c_v nf(a.v) where nf(s) = sum_v c_v v (a a letter),
 nf(p.x) = sum_u c_u nf(u.x) where nf(p) = sum_u c_u u (x a letter).
 Both rewrite a word through strictly smaller words of its length.
 
+B(V) is Z^theta-graded by the letter counts per group (block or point), and
+skew derivations and the braiding never raise that degree.  So the words of
+Z^theta-degree at most alpha (componentwise) span a self-contained piece of
+the computation: the elimination keys (d, cw) of different Z^theta-degrees
+never meet, and every word a normal form of such a word is built from has
+Z^theta-degree at most alpha too.  A truncation with ``bound=alpha`` keeps
+only those words; its complement words and normal forms are exactly those of
+the full truncation restricted to the down-set.  Membership above
+``max_degree`` reduces each component through such a truncation.
+
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
 
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import factorial, prod
 
 from .braidings import Interaction, interaction
 from .freealgebra import (TensorElement, ad_letter, add_into, add_term,
@@ -113,11 +124,19 @@ class _Echelon:
 
 
 class NicholsTruncation:
-    """Bases of I(n) and monomial complements of B^n for 0 <= n <= max_degree."""
+    """Bases of I(n) and monomial complements of B^n for 0 <= n <= max_degree.
 
-    def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET):
+    With ``bound`` (one maximum per group), only the words whose letter
+    counts per group are at most ``bound`` are kept: ``dims[n]`` counts the
+    complement words of that down-set and ``ideal_dims[n]`` the rest of its
+    words of length n.  ``None`` keeps every word.
+    """
+
+    def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET,
+                 *, bound=None):
         self.spec = spec
         self.budget = budget
+        self.bound = None if bound is None else tuple(bound)
         self.max_degree = 0
         self.basis = {0: [()]}
         self.nf = {0: {(): {(): spec.ring.one()}}}
@@ -144,6 +163,7 @@ class NicholsTruncation:
         word_nf = self._word_nf
         act = spec._act
         group_of = spec.group_of
+        bound = self.bound
         one = spec.ring.one()
 
         echelon = _Echelon()
@@ -156,6 +176,8 @@ class NicholsTruncation:
                 w = prefix + (last,)
                 if w[1:] not in prev_d:
                     continue  # the suffix is not a complement word
+                if bound is not None and _exceeds(spec, w, bound):
+                    continue  # w leaves the down-set of bound
                 dvecs = []
                 img = {}
                 for d in range(L):
@@ -183,7 +205,8 @@ class NicholsTruncation:
         self.basis[n] = basis_n
         self.nf[n] = nf_n
         self.dims.append(len(basis_n))
-        self.ideal_dims.append(L ** n - len(basis_n))
+        words = L ** n if bound is None else _downset_words(spec, bound, n)
+        self.ideal_dims.append(words - len(basis_n))
         self._dcoords = new_d
         self.max_degree = n
 
@@ -218,8 +241,40 @@ class NicholsTruncation:
         acc = {}
         for w, c in e.terms.items():
             if len(w) == n:
+                if self.bound is not None and \
+                        _exceeds(self.spec, w, self.bound):
+                    raise NicholsError(
+                        f"word {w} lies outside the bound {self.bound}")
                 add_into(acc, self._word_nf(w), c)
         return acc
+
+
+def _group_counts(spec, word):
+    """Letter counts per group of ``word``: its Z^theta-degree."""
+    counts = [0] * spec.ngroups
+    for x in word:
+        counts[spec.group_of(x) - 1] += 1
+    return counts
+
+
+def _exceeds(spec, word, bound):
+    """True when some group count of ``word`` is above ``bound``."""
+    return any(c > b for c, b in zip(_group_counts(spec, word), bound))
+
+
+def _downset_words(spec, bound, n):
+    """Number of words of length n whose group counts are at most ``bound``:
+    the sum over beta <= bound with |beta| = n of the multinomial
+    n! / prod(beta_g!) times prod(letters of group g ** beta_g)."""
+    sizes = _group_counts(spec, range(spec.nletters))
+    total = 0
+    for beta in product(*(range(b + 1) for b in bound)):
+        if sum(beta) == n:
+            ways = factorial(n)
+            for b in beta:
+                ways //= factorial(b)
+            total += ways * prod(s ** b for s, b in zip(sizes, beta))
+    return total
 
 
 def compute_truncation(spec, max_degree: int,
@@ -230,9 +285,14 @@ def compute_truncation(spec, max_degree: int,
 def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
     """(is_zero, witness): witness is a nonzero reduced form when not zero.
 
-    Components of degree <= max_degree reduce through the stored tables; one
-    degree above only needs all skew derivations to land in the ideal, and the
-    recursion extends this to any finite overshoot.
+    Each homogeneous component is reduced to its normal form; the witness is
+    the normal form of the first nonzero component.  A component of degree
+    at most ``trunc.max_degree`` reduces through the stored tables.  One of
+    higher degree reduces through a new truncation to its degree bounded by
+    its Z^theta-degree (the componentwise maximum of the group counts of its
+    words), built with ``trunc.budget`` and dropped afterwards; its normal
+    form, and so the witness, is the one a full truncation gives, and
+    :class:`BudgetExceeded` can be raised there.
     """
     for n in e.degrees():
         comp = e.homogeneous_component(n)
@@ -245,21 +305,16 @@ def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
 def _component_zero(comp, n, trunc):
     if n == 0:
         return comp.is_zero(), (None if comp.is_zero() else comp)
-    if n <= trunc.max_degree:
-        vec = trunc.normal_form_vector(comp, n)
-        if vec:
-            out = TensorElement(trunc.spec)
-            out.terms = vec
-            return False, out
-        return True, None
     spec = trunc.spec
-    for lt in spec.letters:
-        de = skew_derivation(spec, lt, comp)
-        if de.is_zero():
-            continue
-        ok, witness = _component_zero(de, n - 1, trunc)
-        if not ok:
-            return False, witness
+    if n > trunc.max_degree:
+        alpha = [max(col) for col in zip(*(_group_counts(spec, w)
+                                           for w in comp.terms))]
+        trunc = NicholsTruncation(spec, n, trunc.budget, bound=alpha)
+    vec = trunc.normal_form_vector(comp, n)
+    if vec:
+        out = TensorElement(spec)
+        out.terms = vec
+        return False, out
     return True, None
 
 

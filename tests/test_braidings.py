@@ -181,6 +181,15 @@ def test_pale_spec_letters():
     assert p.act_letter(2, "x2") == ((1, ring.one()), (0, ring.one()))
 
 
+def test_pale_spec_json_roundtrip():
+    ring = ScalarRing(3, params=("q",))
+    p = PaleBlockPointSpec(ring, "-1", "q", "z/q", "-1")
+    obj = spec_to_json(p)
+    again = spec_from_json(json.loads(json.dumps(obj)))
+    assert isinstance(again, PaleBlockPointSpec)
+    assert spec_to_json(again) == obj
+
+
 def _jordan_point_json(**changes):
     obj = {"ring": {"cyclotomic_order": 1, "params": []},
            "blocks": [{"epsilon": "1", "length": 2}],
@@ -202,8 +211,15 @@ def _jordan_point_json(**changes):
     _jordan_point_json(points=[{"label": "-1"}]),
     _jordan_point_json(ring={"cyclotomic_order": "4"}),
     {"blocks": [], "points": []},
+    {"pale": ["-1", "1", "1", "1"]},
+    {"pale": {"epsilon": "-1", "q12": "1", "q21": "1"}},
+    {"pale": {"epsilon": "-1", "q12": "1", "q21": "1", "q22": "1", "q": 1}},
+    {"pale": {"epsilon": "-1", "q12": "0", "q21": "1", "q22": "1"}},
+    {"pale": {"epsilon": "-1", "q12": [1], "q21": "1", "q22": "1"}},
 ], ids=["list", "small-q", "ragged-q", "ghost-block", "a-vertex", "a-key",
-        "no-epsilon", "str-length", "no-point-q", "str-order", "no-q"])
+        "no-epsilon", "str-length", "no-point-q", "str-order", "no-q",
+        "pale-list", "pale-missing", "pale-extra", "pale-zero",
+        "pale-list-scalar"])
 def test_malformed_spec_json_raises_spec_error(obj):
     with pytest.raises(SpecError):
         spec_from_json(obj)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gknichols import catalog, spec_to_json
+from gknichols import catalog, compute_truncation, spec_to_json
 from gknichols.cli import run
 from tests.conftest import entry_instance
 
@@ -49,6 +49,43 @@ def test_catalog_unknown_parameter_key_is_one_line_error():
     r = run_cli("catalog", "show", "lstr(A(1|0)1;r)", "--params", "r=generic")
     assert r.returncode == 0
     assert json.loads(r.stdout)["params"] == {"r": "generic"}
+
+
+def test_catalog_poseidon_off_diagonal_q():
+    r = run_cli("catalog", "show", "poseidon", "--params",
+                '{"q": {"1,2": "-1"}}')
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["params"]["q"] == {"1,2": "-1"}
+    assert out["spec"]["q"][0][1] == out["spec"]["q"][1][0] == "-1"
+    assert "x1 x2 - {-1} x2 x1" in out["relations"]
+    for key, why in (("x", "bad key 'x': expected 'i,j'"),
+                     ("2,2", "'2,2' is a diagonal entry"),
+                     ("1,4", "'1,4' is out of range (indices 1..3)")):
+        r = run_cli("catalog", "show", "poseidon", "--params",
+                    json.dumps({"q": {key: "-1"}}))
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("gknichols: error: poseidon q: " + why)
+        assert r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["eny_plus", "eny_minus", "eny_star"])
+def test_pale_spec_from_catalog_show_runs_dims(name, tmp_path):
+    r = run_cli("catalog", "show", name)
+    assert r.returncode == 0
+    path = tmp_path / "pale.json"
+    path.write_text(json.dumps(json.loads(r.stdout)["spec"]))
+    r = run_cli("dims", str(path), "--max-degree", "5")
+    assert r.returncode == 0
+    spec, _ = entry_instance(name)
+    assert json.loads(r.stdout) == compute_truncation(spec, 5).dims
+    # the graph commands need blocks plus points: a one-line error
+    for command, function in (("classify", "classify"),
+                              ("flourish", "build_flourished")):
+        r = run_cli(command, str(path))
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == (f"gknichols: error: {function} expects a "
+                            "BraidedSpaceSpec\n")
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,23 @@
 """Truncation engine, symmetrizer oracle, mu/z machinery, verification."""
 
 import json
+import random
 from itertools import permutations, product
 
 import pytest
 
 from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
-                       TensorElement, compute_truncation, infinite_probe,
+                       TensorElement, catalog, compute_truncation,
+                       expression_degree, infinite_probe,
                        is_zero_in_nichols, mu_sequence, parse_element,
                        pbw_hilbert_coeffs, quantum_symmetrizer_kernel,
                        spec_from_json, verify_presentation, z_element)
 from gknichols.freealgebra import add_into
-from gknichols.nichols import (BudgetExceeded, NotWeak, mu_rank2,
-                               quantum_symmetrizer)
+from gknichols.nichols import (BudgetExceeded, NicholsError,
+                               NicholsTruncation, NotWeak,
+                               mu_rank2, quantum_symmetrizer)
 from tests.conftest import entry_instance
+from tests.test_acceptance import _random_spec
 from tests.data.capture_truncation_golden import (ENTRIES, FIXTURE,
                                                   ZETA12_FIXTURE, summarise,
                                                   summarise_spec,
@@ -165,6 +169,113 @@ def test_dims_invariant_under_relabelling():
     assert dims == [1, 4, 12, 27, 54, 96]
     for perm in permutations(range(4)):
         assert compute_truncation(relabelled(perm), 5).dims == dims, perm
+
+
+def _zdegree(spec, w):
+    """Letter counts per group of the word w."""
+    return tuple(sum(1 for x in w if spec.group_of(x) == g)
+                 for g in range(1, spec.ngroups + 1))
+
+
+@pytest.mark.parametrize("name", ["cyc2", "lstr(A2,2)", "poseidon",
+                                  "eny_plus"])
+def test_bounded_truncation_is_the_filtered_full_one(name):
+    """For every alpha with |alpha| = 5, the truncation bounded by alpha has
+    the full complement words of Z^theta-degree <= alpha, in the same order,
+    and the full normal form of every word it memoises."""
+    spec, _ = entry_instance(name)
+    degree = 5
+    full = compute_truncation(spec, degree)
+    words = {n: [_zdegree(spec, w)
+                 for w in product(range(spec.nletters), repeat=n)]
+             for n in range(degree + 1)}
+    alphas = [a for a in product(range(degree + 1), repeat=spec.ngroups)
+              if sum(a) == degree]
+    for alpha in alphas:
+        def inside(w):
+            return all(c <= a for c, a in zip(_zdegree(spec, w), alpha))
+        bounded = NicholsTruncation(spec, degree, bound=alpha)
+        for n in range(degree + 1):
+            assert bounded.basis[n] == [w for w in full.basis[n]
+                                        if inside(w)], (alpha, n)
+            for w, vec in bounded.nf[n].items():
+                assert inside(w) and vec == full._word_nf(w), (alpha, w)
+            downset = sum(1 for d in words[n]
+                          if all(c <= a for c, a in zip(d, alpha)))
+            assert bounded.dims[n] + bounded.ideal_dims[n] == downset
+
+
+def _assert_same_membership(e):
+    """A degree-1 truncation gives the verdict and witness of a full one."""
+    spec = e.spec
+    low = compute_truncation(spec, 1)
+    full = compute_truncation(spec, max(e.degrees()))
+    zero, witness = is_zero_in_nichols(e, low)
+    full_zero, full_witness = is_zero_in_nichols(e, full)
+    assert zero == full_zero
+    if full_witness is None:
+        assert witness is None
+    else:
+        assert witness.terms == full_witness.terms
+    return zero
+
+
+def test_membership_above_max_degree_matches_full_truncation():
+    ring = ScalarRing(12)
+    rng = random.Random(20261018)
+    zero = nonzero = 0
+    for _ in range(4):
+        spec = _random_spec(ring, rng)
+        L = spec.nletters
+        one = ring.one()
+        for n in (3, 4):
+            kernel = quantum_symmetrizer_kernel(spec, n)
+            for vec in kernel[:6]:
+                assert _assert_same_membership(vec)
+                zero += 1
+            for _ in range(4):
+                w = tuple(rng.randrange(L) for _ in range(n))
+                word = TensorElement(spec, {w: one})
+                nonzero += not _assert_same_membership(word)
+                if kernel:
+                    # a zero component of degree n below a word of degree n+1
+                    nonzero += not _assert_same_membership(
+                        kernel[0] + TensorElement(spec, {w + w[:1]: one}))
+        # products of sums of letters: several Z^theta-degrees per component
+        a = TensorElement(spec, {(0,): one, (L - 1,): ring.zeta(1)})
+        b = TensorElement(spec, {(1,): one, (0,): -one})
+        for e in (a * a * b, a * b * b * a, b * a * a * a * b):
+            nonzero += not _assert_same_membership(e)
+    assert zero and nonzero
+
+
+def test_catalog_relations_vanish_above_max_degree():
+    """Every relation of degree <= 10 of every blocks-plus-points entry is
+    zero by a degree-1 truncation, that is by Z^theta-bounded ones."""
+    checked = 0
+    for name in catalog.list_entries():
+        if name == "compose":
+            continue
+        spec, pres = entry_instance(name)
+        if not isinstance(spec, BraidedSpaceSpec):
+            continue
+        trunc = compute_truncation(spec, 1)
+        for rel in pres.relations:
+            if expression_degree(rel, spec, pres.macros) > 10:
+                continue
+            e = parse_element(rel, spec, pres.macros)
+            assert is_zero_in_nichols(e, trunc) == (True, None), (name, rel)
+            checked += 1
+    assert checked == 170
+
+
+def test_bounded_truncation_rejects_words_outside_its_bound():
+    spec, _ = entry_instance("cyc2")
+    trunc = NicholsTruncation(spec, 3, bound=(1, 1, 1))
+    assert trunc.dims[1] == 4 and trunc.basis[1] == [(0,), (1,), (2,), (3,)]
+    outside = TensorElement(spec, {(0, 0): spec.ring.one()})
+    with pytest.raises(NicholsError):
+        trunc.normal_form_vector(outside, 2)
 
 
 def test_pbw_hilbert_coeffs():
