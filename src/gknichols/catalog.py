@@ -1043,48 +1043,14 @@ def lookup(g):
     """Decompose an admissible flourished graph into catalog entries.
 
     Returns a list of (entry name, params) pairs: one per block and one per
-    connected component of the point subgraph.  Raises NotAdmissible when
-    the graph fails the admissibility criteria.
+    connected component of the point subgraph, the catalog pair of the
+    component's decision (:func:`flourished.decide_component`).  Raises
+    NotAdmissible when the graph fails the admissibility criteria.
     """
-    from .flourished import is_admissible, NotAdmissible
-    from .weyl import match_table_pattern
-    viols = is_admissible(g)
+    from .flourished import NotAdmissible, decide, served_entries
+    viols, decisions = decide(g)
     if viols:
         raise NotAdmissible("; ".join(v.code for v in viols))
-    out = []
-    for sign in g.signs:
-        out.append(("jordan" if sign == "+" else "super_jordan", {}))
-    for comp in g.point_components():
-        att = g.attachments(comp)
-        label = g.label(comp[0])
-        if not att:
-            if len(comp) > 1:
-                raise NotAdmissible(
-                    f"unattached multi-point component {comp}")
-            order = label.mult_order().order
-            out.append(("point", {"label": str(label),
-                                  "order": order if order else 1}))
-            continue
-        blocks = sorted({k for k, _, _ in att})
-        if len(blocks) > 1:
-            # one +-1 point shared by several blocks: a Poseidon structure
-            out.append(("poseidon", {
-                "t": len(blocks),
-                "signs": [1 if g.signs[k - 1] == "+" else -1
-                          for k in blocks],
-                "ghosts": [int(data["ghost"].as_rational())
-                           for _, _, data in att],
-                "label": 1 if label.is_one() else -1}))
-            continue
-        k0, j0, data = att[0]
-        entry = match_table_pattern(g.component_diagram(comp), {
-            "sign": g.signs[k0 - 1],
-            "ghost": data["ghost"],
-            "mild": data["mild"],
-            "vertex": comp.index(j0),
-        })
-        if entry is None:
-            raise NotAdmissible(
-                f"component {comp} matches no catalog pattern")
-        out.append(entry.catalog)
-    return out
+    return [("jordan" if sign == "+" else "super_jordan", {})
+            for sign in g.signs] + [
+        entry.catalog for _, entry in served_entries(g, decisions)]

@@ -8,17 +8,28 @@ Nichols algebra is equivalent to the graph satisfying a short list of local
 conditions; this module builds the graph, checks the conditions, computes the
 GK value and domain flag of the admissible ones, and classifies the pale
 block + point family separately.
+
+Each connected component of the point subgraph is decided once, by
+:func:`decide_component`: it is served by a ``weyl.TableEntry`` (display
+name, GK contribution, catalog pair), ruled out by a :class:`Violation`, or
+unattached.  :func:`decide` adds the graph-wide violations (no block,
+adjacent blocks, strong edges); :func:`is_admissible`,
+:func:`gk_of_admissible`, :func:`is_domain`, :func:`classify` and
+``catalog.lookup`` all read its result.  An unattached point is served by
+the ``point`` entry, whose GK (1 unless the label is a nontrivial root of
+unity) is computed only once the graph is admissible.  A diagonal braiding
+(no blocks) takes the same path and skips only the ``"t"`` violation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import product
 
-from .braidings import (BraidedSpaceSpec, DiagonalBraiding, Interaction,
-                        PaleBlockPointSpec, ghost, ghost_is_discrete,
-                        interaction)
+from .braidings import (BraidedSpaceSpec, Interaction, PaleBlockPointSpec,
+                        ghost, ghost_is_discrete, interaction)
 from .scalars import Scalar
-from .weyl import DynkinDiagram, match_table_pattern
+from .weyl import DynkinDiagram, TableEntry, match_table_pattern
 
 
 class FlourishedError(Exception):
@@ -192,8 +203,99 @@ def _sign_eps(sign):
     return 1 if sign == "+" else -1
 
 
-def is_admissible(g: FlourishedGraph):
-    """Empty list when admissible, else the list of violations."""
+UNATTACHED = "unattached"
+
+
+def decide_component(g: FlourishedGraph, comp):
+    """The one decision on a point component of ``g``.
+
+    Returns the :class:`weyl.TableEntry` that serves the component (display
+    name, GK contribution, catalog pair), the :class:`Violation` that rules
+    it out, or :data:`UNATTACHED` when no block reaches it.  Strong edges are
+    graph-wide violations (see :func:`decide`) and are skipped here.
+    """
+    att = [a for a in g.attachments(comp) if not a[2]["strong"]]
+    if not att:
+        return UNATTACHED
+    attached_points = sorted({j for _, j, _ in att})
+    attached_blocks = sorted({k for k, _, _ in att})
+    if len(attached_points) > 1:
+        return Violation(
+            "c", f"component {comp} attached at points {attached_points}",
+            True)
+    j0 = attached_points[0]
+    label = g.label(j0)
+    if len(comp) > 1 and len(attached_blocks) > 1:
+        return Violation(
+            "d", f"component {comp} attached to blocks {attached_blocks}",
+            True)
+    if len(comp) == 1 and len(attached_blocks) > 1 \
+            and label.mult_order().order == 3:
+        return Violation(
+            "e", f"G'3 point {j0} attached to blocks {attached_blocks}", True)
+    milds = [(k, j) for k, j, d in att if d["mild"]]
+    if milds:
+        k0 = milds[0][0]
+        other_block_edges = [kj for kj in g.block_point
+                             if kj[0] == k0 and kj[1] != milds[0][1]]
+        other_point_edges = [kj for kj in g.block_point
+                             if kj[1] == milds[0][1] and kj[0] != k0]
+        if len(milds) > 1 or other_block_edges or other_point_edges:
+            return Violation(
+                "f", f"mild edge at block {k0} is not isolated", True)
+    # non-discrete ghosts are ruled out unconditionally
+    if any(not ghost_is_discrete(d["ghost"]) for _, _, d in att):
+        return Violation("b", f"non-discrete ghost at component {comp}",
+                         False)
+    one = label.ring.one()
+    plus_minus_one = len(comp) == 1 and not milds \
+        and (label == one or label == -one)
+    if plus_minus_one and len(attached_blocks) > 1:
+        return _poseidon_point(g, att, label)
+    if len(attached_blocks) > 1:
+        return Violation(
+            "b", f"component {comp} attached to several blocks", True)
+    k0, j0, data = att[0]
+    entry = match_table_pattern(
+        g.component_diagram(comp),
+        {"sign": g.signs[k0 - 1], "ghost": data["ghost"],
+         "mild": data["mild"], "vertex": comp.index(j0)})
+    if entry is None:
+        return Violation(
+            "b", f"component {comp} matches no admissible pattern", True)
+    # a +-1 point on one block keeps its point name; its table GK is the
+    # count of _poseidon_point for a single block
+    return replace(entry, name=f"point({label})") if plus_minus_one else entry
+
+
+def _poseidon_point(g, att, label):
+    """A +-1 point on several blocks with discrete ghosts: its GK counts the
+    exponents 0 <= m_k <= bound_k with label * prod_k eps_k^m_k = 1."""
+    ghosts = [int(d["ghost"].as_rational()) for _, _, d in att]
+    signs = [g.signs[k - 1] for k, _, _ in att]
+    bounds = [gh if s == "+" else 2 * gh for gh, s in zip(ghosts, signs)]
+    want_odd = not label.is_one()
+    count = 0
+    for ms in product(*(range(b + 1) for b in bounds)):
+        odd = sum(m for m, s in zip(ms, signs) if s == "-") % 2 == 1
+        count += odd == want_odd
+    return TableEntry(f"point({label})", count, ("poseidon", {
+        "t": len(att), "signs": [_sign_eps(s) for s in signs],
+        "ghosts": ghosts, "label": -1 if want_odd else 1}))
+
+
+def _point_entry(label: Scalar) -> TableEntry:
+    """An unattached point: GK 1 unless its label is a nontrivial root of
+    unity; the catalog reads the label back in its own ring."""
+    order = label.mult_order().order
+    return TableEntry(
+        "point", 1 if order in (None, 1) else 0,
+        ("point", {"label": str(label), "order": label.ring.cyclotomic_order}))
+
+
+def decide(g: FlourishedGraph):
+    """(violations, [(component, decision)]): the graph-wide violations, then
+    those of the components, each component decided once."""
     out = []
     if g.t == 0:
         out.append(Violation("t", "no blocks present", False))
@@ -205,141 +307,46 @@ def is_admissible(g: FlourishedGraph):
             out.append(Violation(
                 "b", f"strong interaction between block {k} and point {j}",
                 False))
-    for comp in g.point_components():
-        att = g.attachments(comp)
-        att = [a for a in att if not a[2]["strong"]]
-        if not att:
-            continue
-        attached_points = sorted({j for _, j, _ in att})
-        attached_blocks = sorted({k for k, _, _ in att})
-        if len(attached_points) > 1:
-            out.append(Violation(
-                "c", f"component {comp} attached at points {attached_points}",
-                True))
-            continue
-        j0 = attached_points[0]
-        label = g.label(j0)
-        if len(comp) > 1 and len(attached_blocks) > 1:
-            out.append(Violation(
-                "d", f"component {comp} attached to blocks {attached_blocks}",
-                True))
-            continue
-        if len(comp) == 1 and label.mult_order().order == 3 \
-                and len(attached_blocks) > 1:
-            out.append(Violation(
-                "e", f"G'3 point {j0} attached to blocks {attached_blocks}",
-                True))
-            continue
-        milds = [(k, j) for k, j, d in att if d["mild"]]
-        if milds:
-            k0 = milds[0][0]
-            other_block_edges = [kj for kj in g.block_point
-                                 if kj[0] == k0 and kj[1] != milds[0][1]]
-            other_point_edges = [kj for kj in g.block_point
-                                 if kj[1] == milds[0][1] and kj[0] != k0]
-            if len(milds) > 1 or other_block_edges or other_point_edges:
-                out.append(Violation(
-                    "f", f"mild edge at block {k0} is not isolated", True))
-                continue
-        # non-discrete ghosts are ruled out unconditionally
-        bad = [k for k, _, d in att if not ghost_is_discrete(d["ghost"])]
-        if bad:
-            out.append(Violation(
-                "b", f"non-discrete ghost at component {comp}", False))
-            continue
-        one = label.ring.one()
-        if len(comp) == 1 and not milds and len(attached_blocks) >= 1 \
-                and (label == one or label == -one):
-            continue  # plus/minus-one point, any discrete multi-block ghosts
-        if len(attached_blocks) == 1:
-            k0, j0, data = att[0]
-            entry = match_table_pattern(
-                g.component_diagram(comp),
-                {"sign": g.signs[k0 - 1], "ghost": data["ghost"],
-                 "mild": data["mild"], "vertex": comp.index(j0)})
-            if entry is None:
-                out.append(Violation(
-                    "b", f"component {comp} matches no admissible pattern",
-                    True))
-        else:
-            out.append(Violation(
-                "b", f"component {comp} attached to several blocks",
-                True))
-    return out
+    decisions = [(comp, decide_component(g, comp))
+                 for comp in g.point_components()]
+    out += [d for _, d in decisions if isinstance(d, Violation)]
+    return out, decisions
 
 
-def _unattached_gk(label: Scalar):
-    """GK of a single diagonal point: 1 unless the label is a nontrivial
-    root of unity."""
-    order = label.mult_order().order
-    if order is None or order == 1:
-        return 1
-    return 0
-
-
-def gk_of_admissible(g: FlourishedGraph):
-    viols = is_admissible(g)
-    if viols:
-        raise NotAdmissible(f"{len(viols)} violations, first: {viols[0]}")
-    return _gk_of_admissible(g)
-
-
-def _gk_of_admissible(g: FlourishedGraph):
-    """:func:`gk_of_admissible` for a graph known to be admissible."""
-    total = 2 * g.t
-    decomposition = []
-    for comp in g.point_components():
-        att = g.attachments(comp)
-        if not att:
+def served_entries(g: FlourishedGraph, decisions):
+    """[(component, TableEntry)] for the decisions of an admissible graph,
+    each unattached point served by the ``point`` entry."""
+    out = []
+    for comp, d in decisions:
+        if d is UNATTACHED:
             if len(comp) > 1:
                 raise NotAdmissible(
                     f"unattached multi-point component {comp}")
-            gk = _unattached_gk(g.label(comp[0]))
-            decomposition.append(
-                {"component": comp, "entry": "point", "gk": gk})
-            total += gk
-            continue
-        j0 = att[0][1]
-        label = g.label(j0)
-        one = label.ring.one()
-        milds = [d for _, _, d in att if d["mild"]]
-        if len(comp) == 1 and not milds and (label == one or label == -one):
-            sgn = one if label == one else -one
-            ms = []
-            for k, _, d in att:
-                gh = int(d["ghost"].as_rational())
-                ms.append((gh if g.signs[k - 1] == "+" else 2 * gh,
-                           _sign_eps(g.signs[k - 1])))
-            count = 0
-            stack = [(0, 1)]
-            while stack:
-                pos, par = stack.pop()
-                if pos == len(ms):
-                    if (label if par == 1 else -label) == one:
-                        count += 1
-                    continue
-                m_max, eps = ms[pos]
-                for m in range(m_max + 1):
-                    stack.append((pos + 1, par * (eps ** m)))
-            name = "point(1)" if label == one else "point(-1)"
-            decomposition.append(
-                {"component": comp, "entry": name, "gk": count})
-            total += count
-            continue
-        k0, j0, data = att[0]
-        entry = match_table_pattern(
-            g.component_diagram(comp),
-            {"sign": g.signs[k0 - 1], "ghost": data["ghost"],
-             "mild": data["mild"], "vertex": comp.index(j0)})
-        decomposition.append(
-            {"component": comp, "entry": entry.name, "gk": entry.gk})
-        total += entry.gk
-    return total, tuple(
-        (tuple(d["component"]), d["entry"], d["gk"]) for d in decomposition)
+            d = _point_entry(g.label(comp[0]))
+        out.append((comp, d))
+    return out
+
+
+def is_admissible(g: FlourishedGraph):
+    """Empty list when admissible, else the list of violations."""
+    return decide(g)[0]
+
+
+def gk_of_admissible(g: FlourishedGraph):
+    viols, decisions = decide(g)
+    if viols:
+        raise NotAdmissible(f"{len(viols)} violations, first: {viols[0]}")
+    return _gk_of_admissible(g, served_entries(g, decisions))
+
+
+def _gk_of_admissible(g: FlourishedGraph, entries):
+    """(GK, decomposition) of an admissible graph from its served entries."""
+    return (2 * g.t + sum(e.gk for _, e in entries),
+            tuple((comp, e.name, e.gk) for comp, e in entries))
 
 
 def is_domain(g: FlourishedGraph) -> bool:
-    viols = is_admissible(g)
+    viols, _ = decide(g)
     if viols:
         raise NotAdmissible(str(viols[0]))
     return _is_domain(g)
@@ -358,8 +365,10 @@ def _is_domain(g: FlourishedGraph) -> bool:
     return True
 
 
-def classify(spec: BraidedSpaceSpec):
-    """Full verdict for a blocks-plus-points spec."""
+def classify(spec):
+    """Full verdict for a blocks-plus-points or a pale block + point spec."""
+    if isinstance(spec, PaleBlockPointSpec):
+        return classify_pale(spec)
     if not isinstance(spec, BraidedSpaceSpec):
         raise UnsupportedSpec("classify expects a BraidedSpaceSpec")
     ring = spec.ring
@@ -377,9 +386,6 @@ def classify(spec: BraidedSpaceSpec):
     if reasons:
         return InfiniteGK(tuple(reasons), False)
 
-    if spec.t == 0:
-        return _classify_diagonal(spec)
-
     # undecidable symbolic decorations give no verdict
     for k in range(1, spec.t + 1):
         for j in range(spec.t + 1, spec.theta + 1):
@@ -394,41 +400,26 @@ def classify(spec: BraidedSpaceSpec):
                     f"free parameter")
 
     g = build_flourished(spec)
-    viols = is_admissible(g)
+    viols, decisions = decide(g)
+    # a diagonal braiding (t = 0) needs no block
+    viols = [v for v in viols if v.code != "t"]
     if viols:
         return InfiniteGK(tuple(viols),
                           all(v.conjecture_dependent for v in viols))
-    for comp in g.point_components():
-        if not g.attachments(comp) and len(comp) > 1:
+    for comp, d in decisions:
+        if d is UNATTACHED and len(comp) > 1:
             return Unknown(
                 f"diagonal component {comp} not attached to any block")
-    gk, decomposition = _gk_of_admissible(g)
+    gk, decomposition = _gk_of_admissible(g, served_entries(g, decisions))
     return FiniteGK(gk, decomposition, _is_domain(g))
 
 
-def _classify_diagonal(spec: BraidedSpaceSpec):
-    from .weyl import dynkin
-    from .braidings import diagonalize
-    diag = diagonalize(spec)
-    dd = dynkin(diag)
-    total = 0
-    decomposition = []
-    for comp in dd.components():
-        if len(comp) > 1:
-            return Unknown(
-                f"diagonal component {comp} outside the supported families")
-        label = dd.labels[comp[0]]
-        if _is_symbolic(label):
-            return Unknown("point label depends on a free parameter")
-        gk = _unattached_gk(label)
-        decomposition.append((comp, "point", gk))
-        total += gk
-    domain = all(dd.labels[c[0]].is_one() for c in dd.components())
-    return FiniteGK(total, tuple(decomposition), domain)
-
-
 def classify_pale(p: PaleBlockPointSpec):
-    """Verdict for a 2-dimensional pale block plus one point."""
+    """Verdict for a 2-dimensional pale block plus one point.
+
+    A finite verdict decomposes as ``((2,), entry, gk)``: the point (letter
+    group 2) is served by the named ``eny_*`` entry.
+    """
     ring = p.ring
     one = ring.one()
     eps = p.epsilon
@@ -450,14 +441,14 @@ def classify_pale(p: PaleBlockPointSpec):
     # epsilon = -1
     if qt.is_one():
         if q22 == one:
-            return FiniteGK(1, (("eny_plus",),), False)
+            return FiniteGK(1, (((2,), "eny_plus", 1),), False)
         if q22 == -one:
-            return FiniteGK(1, (("eny_minus",),), False)
+            return FiniteGK(1, (((2,), "eny_minus", 1),), False)
         return InfiniteGK(
             (Violation("pale", f"qtilde 1 with point label {q22}", True),),
             True)
     if q22 == -one and qt == -one:
-        return FiniteGK(2, (("eny_star",),), False)
+        return FiniteGK(2, (((2,), "eny_star", 2),), False)
     if q22 == -one and qt.mult_order().order == 3:
         # the coinvariant algebra contains a block with epsilon in G'3
         return InfiniteGK(

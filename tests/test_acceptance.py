@@ -207,11 +207,11 @@ def test_10_pale_block_grid():
     v = classify_pale(pale("z", "1", "1", "1"))
     assert isinstance(v, InfiniteGK) and v.conjecture_dependent
     assert classify_pale(pale("-1", "1", "1", "1")) == FiniteGK(
-        1, (("eny_plus",),), False)
+        1, (((2,), "eny_plus", 1),), False)
     assert classify_pale(pale("-1", "1", "1", "-1")) == FiniteGK(
-        1, (("eny_minus",),), False)
+        1, (((2,), "eny_minus", 1),), False)
     assert classify_pale(pale("-1", "1", "-1", "-1")) == FiniteGK(
-        2, (("eny_star",),), False)
+        2, (((2,), "eny_star", 2),), False)
     assert isinstance(classify_pale(pale("-1", "1", "1", "z")), InfiniteGK)
 
     # GK 1 entries: dims eventually constant per degree

@@ -1,13 +1,16 @@
 """Catalog entries: verification, GK agreement, lookup and composition."""
 
 import json
+import random
 
 import pytest
 
 from gknichols import (BraidedSpaceSpec, FiniteGK, PaleBlockPointSpec,
-                       classify, classify_pale)
+                       ScalarRing, build_flourished, classify, classify_pale,
+                       print_scalar)
 from gknichols import catalog
 from tests.conftest import entry_instance, entry_report
+from tests.test_acceptance import _random_spec
 from tests.data.capture_catalog_golden import (FIXTURE, summarise_composition,
                                                summarise_entry)
 
@@ -109,6 +112,63 @@ def test_lookup_roundtrip():
         from gknichols.flourished import build_flourished
         found = catalog.lookup(build_flourished(spec))
         assert any(n == name for n, _ in found), (name, found)
+
+
+def _agreement_specs():
+    """The blocks-plus-points catalog entries, random specs over Q(zeta_12),
+    +-1 points on one and on several blocks, and unattached points of
+    orders 6, 4 and 3."""
+    for name, params, _ in ENTRY_CASES:
+        spec, _ = entry_instance(name, params)
+        if isinstance(spec, BraidedSpaceSpec):
+            yield spec
+    ring = ScalarRing(12)
+    for seed in range(1, 7):
+        rng = random.Random(seed)
+        for _ in range(40):
+            yield _random_spec(ring, rng)
+    for signs, label, avals in [
+            (["1"], "1", ["-1"]), (["1"], "-1", ["-1/2"]),
+            (["-1"], "1", ["2"]), (["-1"], "-1", ["1"]),
+            (["1", "1"], "1", ["-1/2", "-1/2"]),
+            (["1", "-1"], "-1", ["-1/2", "1"]),
+            (["-1", "-1"], "1", ["1", "2"]),
+            (["-1", "1", "-1"], "-1", ["1", "-1", "1"])]:
+        t = len(signs)
+        diag = signs + [label]
+        q = [[diag[i] if i == j else "1" for j in range(t + 1)]
+             for i in range(t + 1)]
+        yield BraidedSpaceSpec(ring, [(s, 2) for s in signs], [label], q,
+                               {(t + 1, k + 1): a for k, a in enumerate(avals)})
+    for power in (2, 3, 4):
+        label = print_scalar(ring.zeta(power))
+        yield BraidedSpaceSpec(ring, [("1", 2)], [label],
+                               [["1", "1"], ["1", label]])
+
+
+def test_lookup_agrees_with_classify():
+    """Each looked-up entry, instantiated, has the component's GK (less 2 per
+    block it carries) and the component's point labels."""
+    checked = set()
+    for spec in _agreement_specs():
+        verdict = classify(spec)
+        if not isinstance(verdict, FiniteGK) or spec.t == 0:
+            continue
+        found = catalog.lookup(build_flourished(spec))
+        assert len(found) == spec.t + len(verdict.decomposition)
+        for (comp, _, gk), (name, params) in zip(verdict.decomposition,
+                                                 found[spec.t:]):
+            entry_spec, pres = catalog.instantiate(name, params)
+            assert pres.gk - 2 * entry_spec.t == gk, (name, params)
+            labels = [print_scalar(entry_spec.point_label(j))
+                      for j in range(entry_spec.t + 1, entry_spec.theta + 1)]
+            assert labels == [print_scalar(spec.point_label(j))
+                              for j in comp], (name, params)
+            checked.add(name)
+    # every one-block component entry, the poseidon entry and the point
+    assert checked == {name for name, _, _ in ENTRY_CASES} - {
+        "jordan", "super_jordan", "eny_plus", "eny_minus", "eny_star"} | {
+        "point"}
 
 
 def test_compose_two_components():

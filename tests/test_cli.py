@@ -77,15 +77,19 @@ def test_pale_spec_from_catalog_show_runs_dims(name, tmp_path):
     path.write_text(json.dumps(json.loads(r.stdout)["spec"]))
     r = run_cli("dims", str(path), "--max-degree", "5")
     assert r.returncode == 0
-    spec, _ = entry_instance(name)
+    spec, pres = entry_instance(name)
     assert json.loads(r.stdout) == compute_truncation(spec, 5).dims
-    # the graph commands need blocks plus points: a one-line error
-    for command, function in (("classify", "classify"),
-                              ("flourish", "build_flourished")):
-        r = run_cli(command, str(path))
-        assert r.returncode == 1 and r.stdout == ""
-        assert r.stderr == (f"gknichols: error: {function} expects a "
-                            "BraidedSpaceSpec\n")
+    r = run_cli("classify", str(path))
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["verdict"] == "finite" and out["gk"] == pres.gk
+    assert out["decomposition"] == [
+        {"component": [2], "entry": name, "gk": pres.gk}]
+    # the decorated graph needs blocks plus points: a one-line error
+    r = run_cli("flourish", str(path))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("gknichols: error: build_flourished expects a "
+                        "BraidedSpaceSpec\n")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ from gknichols import (BraidedSpaceSpec, FiniteGK, FlourishedGraph,
                        InfiniteGK, PaleBlockPointSpec, ScalarRing, Unknown,
                        build_flourished, classify, classify_pale,
                        is_admissible)
-from gknichols.flourished import EpsilonOutOfRange, NotAdmissible, is_domain
+from gknichols.flourished import (EpsilonOutOfRange, NotAdmissible,
+                                  decide_component, is_domain)
 
 R1 = ScalarRing(1)
 R3 = ScalarRing(3)
@@ -65,20 +66,32 @@ def test_classify_attached_plus_one_point():
     assert v.is_domain
 
 
-def test_classify_checks_admissibility_once(monkeypatch):
+def test_classify_and_lookup_decide_each_component_once(monkeypatch):
     import gknichols.flourished as fl
+    from gknichols import catalog
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return is_admissible(g)
+    def counted(g, comp):
+        calls.append(comp)
+        return decide_component(g, comp)
 
-    monkeypatch.setattr(fl, "is_admissible", counted)
-    spec = _spec(R1, [("1", 2)], ["1"], [["1", "1"], ["1", "1"]],
-                 {(2, 1): "-1/2"})
+    monkeypatch.setattr(fl, "decide_component", counted)
+    # one block; an attached 1 point, an unattached -1 point and an
+    # attached pair of -1 points (the two-point A chain)
+    spec = _spec(R1, [("1", 2)], ["1", "-1", "-1", "-1"],
+                 [["1", "1", "1", "1", "1"], ["1", "1", "1", "1", "1"],
+                  ["1", "1", "-1", "1", "1"], ["1", "1", "1", "-1", "-1"],
+                  ["1", "1", "1", "1", "-1"]],
+                 {(2, 1): "-1/2", (4, 1): "-1/2"})
     v = classify(spec)
-    assert isinstance(v, FiniteGK) and v.gk == 4 and v.is_domain
-    assert len(calls) == 1
+    assert v == FiniteGK(4, (((2,), "point(1)", 2), ((3,), "point", 0),
+                             ((4, 5), "lstr(A2)", 0)), False)
+    assert calls == [(2,), (3,), (4, 5)]
+    calls.clear()
+    found = catalog.lookup(build_flourished(spec))
+    assert [n for n, _ in found] == ["jordan", "lstr(1,G)", "point",
+                                     "lstr(A_theta-1)"]
+    assert calls == [(2,), (3,), (4, 5)]
 
 
 def test_classify_unattached_points():
