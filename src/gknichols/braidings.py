@@ -85,6 +85,8 @@ def _norm_scalar(ring, value):
         return value
     if isinstance(value, str):
         return parse_scalar(value, ring)
+    if isinstance(value, bool):  # a JSON true/false is not the scalar 1/0
+        raise SpecError(f"bad scalar {value!r}")
     try:
         return ring.from_rational(value)
     except (TypeError, ValueError, OverflowError):

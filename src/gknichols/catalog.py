@@ -176,7 +176,8 @@ def _lstr_component(eps, point, G, q12):
     label = "z" if point == "omega" else str(point)
 
     def build(spec, pts):
-        q = spec.q(1, 2)
+        j = spec.letter(pts[0]).group
+        q = spec.q(1, j)
         qi = q.inverse()
         rels = [f"[{pts[0]}, x1]", f"z{bound + 1}"]
         macros = _z_macros(bound + 1, pts[0])
@@ -190,7 +191,7 @@ def _lstr_component(eps, point, G, q12):
                 rels.append(f"z{t}^2")
             kpbw = [(f"z{t}", 2) for t in range(bound, -1, -1)]
         elif eps == 1 and point == "omega":
-            macros["z10"] = f"z1 z0 - {_q(q * spec.point_label(2))} z0 z1"
+            macros["z10"] = f"z1 z0 - {_q(q * spec.point_label(j))} z0 z1"
             rels += ["z0^3", "z1^3", "z10^3"]
             kpbw = [("z1", 3), ("z10", 3), ("z0", 3)]
         elif eps == -1 and point == 1:
@@ -375,7 +376,7 @@ def _a10_2_component():
 def _a10_3_component():
     def build(spec, pts):
         p2, p3 = pts
-        q12 = spec.q(1, 2)
+        j = spec.letter(p2).group
         macros = _z_macros(2, p2)
         macros.update({
             "x1h2": f"[x1h, {p2}]",
@@ -385,7 +386,7 @@ def _a10_3_component():
             "ztt12": "x1h23",
             "ztt123": "[x1h2, x23]",
             "ztt13": f"[x1h2, {p2}]",
-            "z10": f"z1 z0 - {_q(q12 * spec.point_label(2))} z0 z1",
+            "z10": f"z1 z0 - {_q(spec.q(1, j) * spec.point_label(j))} z0 z1",
         })
         rels = [f"[{p2}, x1]", "z2", f"{p2}^3",
                 "z1^3", "z10^3",

@@ -18,7 +18,8 @@ adjacent blocks, strong edges); :func:`is_admissible`,
 ``catalog.lookup`` all read its result.  An unattached point is served by
 the ``point`` entry, whose GK (1 unless the label is a nontrivial root of
 unity) is computed only once the graph is admissible.  A diagonal braiding
-(no blocks) takes the same path and skips only the ``"t"`` violation.
+(no blocks) takes the same path: only :func:`is_admissible` reports its
+``"t"`` violation.
 """
 
 from __future__ import annotations
@@ -295,10 +296,10 @@ def _point_entry(label: Scalar) -> TableEntry:
 
 def decide(g: FlourishedGraph):
     """(violations, [(component, decision)]): the graph-wide violations, then
-    those of the components, each component decided once."""
+    those of the components, each component decided once.  A diagonal
+    braiding (no blocks) needs no block: only :func:`is_admissible` reports
+    the ``"t"`` violation of the flourished-graph definition."""
     out = []
-    if g.t == 0:
-        out.append(Violation("t", "no blocks present", False))
     for (k, kk) in g.block_block_pairs:
         out.append(Violation(
             "a", f"blocks {k} and {kk} are adjacent", False))
@@ -329,7 +330,10 @@ def served_entries(g: FlourishedGraph, decisions):
 
 def is_admissible(g: FlourishedGraph):
     """Empty list when admissible, else the list of violations."""
-    return decide(g)[0]
+    viols = decide(g)[0]
+    if g.t == 0:
+        viols.insert(0, Violation("t", "no blocks present", False))
+    return viols
 
 
 def gk_of_admissible(g: FlourishedGraph):
@@ -401,8 +405,6 @@ def classify(spec):
 
     g = build_flourished(spec)
     viols, decisions = decide(g)
-    # a diagonal braiding (t = 0) needs no block
-    viols = [v for v in viols if v.code != "t"]
     if viols:
         return InfiniteGK(tuple(viols),
                           all(v.conjecture_dependent for v in viols))

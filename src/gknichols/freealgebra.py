@@ -67,10 +67,6 @@ class TensorElement:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, spec):
-        return cls(spec)
-
-    @classmethod
     def unit(cls, spec):
         return cls(spec, {(): spec.ring.one()})
 

@@ -489,13 +489,12 @@ def mu_rank2(q11: Scalar, qt: Scalar, k: int) -> Scalar:
     return out
 
 
-def z_element(spec, k: int, j: int, n: int, check: bool = True,
-              budget: int = DEFAULT_BUDGET):
+def z_element(spec, k: int, j: int, n: int, budget: int = DEFAULT_BUDGET):
     """(ad_c x_{k+1/2})^n x_j, with the derivation/mu cross-check.
 
     The cross-check verifies, in B(V), that the point derivation of the
     result equals mu_n times x_k^{n mod 2} x_{(k+1/2)k}^{floor(n/2)}.
-    Returns (element, check_ok); check_ok is None when check is disabled.
+    Returns (element, check_ok).
     """
     if interaction(spec, k, j) is not Interaction.WEAK:
         raise NotWeak(f"interaction between block {k} and point {j} not weak")
@@ -503,8 +502,8 @@ def z_element(spec, k: int, j: int, n: int, check: bool = True,
     e = TensorElement.letter(spec, f"x{j}")
     for _ in range(n):
         e = ad_letter(spec, half, e)
-    if not check or n == 0:
-        return e, (None if not check else True)
+    if n == 0:
+        return e, True
     eps = spec.epsilon(k)
     a = spec.a(j, k)
     mus = mu_sequence(eps, a, n)

@@ -18,6 +18,13 @@ A ``Scalar`` has one of two kinds:
 Cyclotomic arithmetic is integer arithmetic: products are integer
 convolutions reduced by the monic integer polynomial Phi_N, sums share one
 denominator, and inverses come from the Galois norm.
+
+An ``"f"`` value is reduced by the monic gcd of its numerator and
+denominator.  In at most one active parameter that gcd is Euclid's algorithm
+over Q(zeta_N), on the remainders of ``_poly_divmod``; in several it is the
+primitive pseudo-remainder sequence in the last active parameter over the
+polynomials in the others, whose contents are gcds one parameter down
+(Brown, J. ACM 18, 1971).
 """
 
 from __future__ import annotations
@@ -352,7 +359,8 @@ def _poly_lt(a):
 
 
 def _poly_divmod(ring, a, b):
-    """Multivariate division of a by the single divisor b (grlex)."""
+    """Division of a by the single divisor b (grlex): the remainder dict is
+    reduced in place until its leading term is not a multiple of b's."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     quo = {}
@@ -365,8 +373,11 @@ def _poly_divmod(ring, a, b):
         if any(d < 0 for d in diff):
             break
         c = ring.cyc_mul(rem[er], cb_inv)
-        quo = _poly_add(ring, quo, {diff: c})
-        rem = _poly_add(ring, rem, _poly_neg(_poly_mul(ring, {diff: c}, b)))
+        quo[diff] = c
+        c = _cyc_neg(c)
+        for e, v in b.items():
+            _poly_add_term(rem, tuple(x + y for x, y in zip(diff, e)),
+                           ring.cyc_mul(c, v))
     return quo, rem
 
 
@@ -405,100 +416,40 @@ def _univar_to_poly(u, var):
 
 def _poly_gcd(ring, a, b):
     """Monic gcd under grlex; gcd(0, b) = monic(b)."""
-    if not a:
-        return _poly_monic(ring, b)
-    if not b:
-        return _poly_monic(ring, a)
     vs = _active_vars(a, b)
-    if not vs:
-        return {(0,) * len(ring.params): ring._one_cyc}
+    if len(vs) <= 1:
+        while b:
+            a, b = b, _poly_divmod(ring, a, b)[1]
+        return _poly_monic(ring, a)
+    # primitive PRS in K[rest][x_var]; a and b map degree -> coefficient
     var = max(vs)
-    ua, ub = _poly_to_univar(a, var), _poly_to_univar(b, var)
-    rest_a = _active_vars(*ua.values())
-    rest_b = _active_vars(*ub.values())
-    if not rest_a and not rest_b:
-        g = _univar_field_gcd(ring, ua, ub)
-        return _poly_monic(ring, _univar_to_poly(g, var))
-    # primitive PRS in K[rest][x_var]
-    ca = _content(ring, ua)
-    cb = _content(ring, ub)
-    cg = _poly_gcd(ring, ca, cb)
-    pa = {d: _poly_divexact(ring, p, ca) for d, p in ua.items()}
-    pb = {d: _poly_divexact(ring, p, cb) for d, p in ub.items()}
-    g = _univar_prs(ring, pa, pb)
-    g = {d: p for d, p in g.items() if p}
-    cgg = _content(ring, g)
-    g = {d: _poly_divexact(ring, p, cgg) for d, p in g.items()}
-    result = _poly_mul(ring, _univar_to_poly(g, var), cg)
-    return _poly_monic(ring, result)
-
-
-def _content(ring, u):
-    g = {}
-    for p in u.values():
-        g = _poly_gcd(ring, g, p)
-    return g
-
-
-def _univar_deg(u):
-    return max(u) if u else -1
-
-
-def _univar_field_gcd(ring, a, b):
-    """Euclid for univariate polys with cyclotomic-constant coefficients."""
-    const = (0,) * len(ring.params)
-    a = {d: p[const] for d, p in a.items()}
-    b = {d: p[const] for d, p in b.items()}
+    ca, a = _primitive(ring, _poly_to_univar(a, var))
+    cb, b = _primitive(ring, _poly_to_univar(b, var))
     while b:
-        da, db = _univar_deg(a), _univar_deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lb_inv = ring.cyc_inv(b[db])
-        while a and _univar_deg(a) >= db:
-            da = _univar_deg(a)
-            f = _cyc_neg(ring.cyc_mul(a[da], lb_inv))
-            for d, c in b.items():
-                _poly_add_term(a, d + da - db, ring.cyc_mul(f, c))
-        a, b = b, a
-    return {d: {const: c} for d, c in a.items()}
-
-
-def _univar_prs(ring, a, b):
-    """Primitive pseudo-remainder sequence; coefficients are polynomials."""
-    while b:
-        da, db = _univar_deg(a), _univar_deg(b)
-        if da < db:
-            a, b = b, a
-            continue
+        db = max(b)
         lb = b[db]
-        # pseudo-divide: multiply a by lb^(da-db+1) then divide
-        r = dict(a)
-        for _ in range(da - db + 1):
-            dr = _univar_deg(r)
-            if dr < db or not r:
-                break
-            lr = r[dr]
-            new = {}
-            for d, c in r.items():
-                new[d] = _poly_mul(ring, c, lb)
-            for d, c in b.items():
-                k = d + dr - db
-                term = _poly_mul(ring, c, lr)
-                cur = new.get(k, {})
-                val = _poly_add(ring, cur, _poly_neg(term))
-                if val:
-                    new[k] = val
-                else:
-                    new.pop(k, None)
-            r = new
-        # make remainder primitive to control growth
-        r = {d: p for d, p in r.items() if p}
-        if r:
-            c = _content(ring, r)
-            r = {d: _poly_divexact(ring, p, c) for d, p in r.items()}
-        a, b = b, r
-    return a
+        while a and max(a) >= db:  # a <- lb * a - la * x^(da - db) * b
+            da = max(a)
+            neg_la = _poly_neg(a.pop(da))
+            a = {d: _poly_mul(ring, p, lb) for d, p in a.items()}
+            for d, p in b.items():
+                if d != db:
+                    k = d + da - db
+                    a[k] = _poly_add(ring, a.get(k, {}),
+                                     _poly_mul(ring, neg_la, p))
+            a = {d: p for d, p in a.items() if p}
+        a, b = b, _primitive(ring, a)[1]
+    g = _poly_mul(ring, _univar_to_poly(a, var), _poly_gcd(ring, ca, cb))
+    return _poly_monic(ring, g)
+
+
+def _primitive(ring, u):
+    """(content, primitive part) of u in K[rest][x], as dict degree -> poly;
+    the content is the monic gcd of the coefficients."""
+    c = {}
+    for p in u.values():
+        c = _poly_gcd(ring, c, p)
+    return c, {d: _poly_divexact(ring, p, c) for d, p in u.items()}
 
 
 def _poly_monic(ring, a):
@@ -954,7 +905,7 @@ def print_scalar(s: Scalar) -> str:
     if den_is_one:
         return num_str
     den_str = _print_poly(ring, den)
-    if len(num) > 1:
+    if len(num) > 1 or const in num and " " in num_str:  # a sum
         num_str = f"({num_str})"
     if len(den) > 1 or "*" in den_str:  # a sum, or a product a*b
         den_str = f"({den_str})"

@@ -216,10 +216,17 @@ def _jordan_point_json(**changes):
     {"pale": {"epsilon": "-1", "q12": "1", "q21": "1", "q22": "1", "q": 1}},
     {"pale": {"epsilon": "-1", "q12": "0", "q21": "1", "q22": "1"}},
     {"pale": {"epsilon": "-1", "q12": [1], "q21": "1", "q22": "1"}},
+    _jordan_point_json(points=[{"q": True}], q=[["1", "1"], ["1", "1"]]),
+    _jordan_point_json(q=[["1", True], ["1", "-1"]]),
+    _jordan_point_json(blocks=[{"epsilon": True, "length": 2}]),
+    _jordan_point_json(a={"2,1": False}),
+    _jordan_point_json(ghost={"2,1": True}),
+    {"pale": {"epsilon": "-1", "q12": True, "q21": "1", "q22": "1"}},
 ], ids=["list", "small-q", "ragged-q", "ghost-block", "a-vertex", "a-key",
         "no-epsilon", "str-length", "no-point-q", "str-order", "no-q",
         "pale-list", "pale-missing", "pale-extra", "pale-zero",
-        "pale-list-scalar"])
+        "pale-list-scalar", "bool-point", "bool-q",
+        "bool-epsilon", "bool-a", "bool-ghost", "bool-pale"])
 def test_malformed_spec_json_raises_spec_error(obj):
     with pytest.raises(SpecError):
         spec_from_json(obj)

@@ -7,7 +7,8 @@ import pytest
 
 from gknichols import (BraidedSpaceSpec, FiniteGK, PaleBlockPointSpec,
                        ScalarRing, build_flourished, classify, classify_pale,
-                       print_scalar)
+                       compute_truncation, expression_degree,
+                       is_zero_in_nichols, parse_element, print_scalar)
 from gknichols import catalog
 from tests.conftest import entry_instance, entry_report
 from tests.test_acceptance import _random_spec
@@ -116,8 +117,8 @@ def test_lookup_roundtrip():
 
 def _agreement_specs():
     """The blocks-plus-points catalog entries, random specs over Q(zeta_12),
-    +-1 points on one and on several blocks, and unattached points of
-    orders 6, 4 and 3."""
+    +-1 points on one and on several blocks, unattached points of orders 6,
+    4 and 3, and a diagonal braiding."""
     for name, params, _ in ENTRY_CASES:
         spec, _ = entry_instance(name, params)
         if isinstance(spec, BraidedSpaceSpec):
@@ -144,6 +145,9 @@ def _agreement_specs():
         label = print_scalar(ring.zeta(power))
         yield BraidedSpaceSpec(ring, [("1", 2)], [label],
                                [["1", "1"], ["1", label]])
+    # a diagonal braiding: no block, two unattached points
+    yield BraidedSpaceSpec(ScalarRing(3), [], ["z", "1"],
+                           [["z", "1"], ["1", "1"]])
 
 
 def test_lookup_agrees_with_classify():
@@ -152,7 +156,7 @@ def test_lookup_agrees_with_classify():
     checked = set()
     for spec in _agreement_specs():
         verdict = classify(spec)
-        if not isinstance(verdict, FiniteGK) or spec.t == 0:
+        if not isinstance(verdict, FiniteGK):
             continue
         found = catalog.lookup(build_flourished(spec))
         assert len(found) == spec.t + len(verdict.decomposition)
@@ -171,18 +175,34 @@ def test_lookup_agrees_with_classify():
         "point"}
 
 
-def test_compose_two_components():
-    spec, pres = catalog.compose([("lstr(1,G)", {"G": 1}),
-                                  ("lstr(-1,G)", {"G": 1})])
+@pytest.mark.parametrize("items, theta, gk", [
+    ([("lstr(1,G)", {"G": 1}), ("lstr(-1,G)", {"G": 1})], 3, 4),
+    ([("lstr(1,G)", {"G": 1}), ("lstr(1,G)", {"G": 1, "q12": 2})], 3, 6),
+    ([("lstr(1,G)", {"G": 1}), ("lstr(omega,1)", {})], 3, 4),
+    ([("lstr(1,G)", {"G": 1}), ("lstr(A(1|0)3;omega)", {})], 4, 4),
+], ids=["plus-minus", "second-q12", "second-omega", "second-a10-3"])
+def test_compose_two_components(items, theta, gk):
+    """Each component reads the q-data of its own first point."""
+    spec, pres = catalog.compose(items)
     assert isinstance(spec, BraidedSpaceSpec)
-    # one shared block, one point per component
-    assert spec.t == 1 and spec.theta == 3
+    # one shared block, the components' points after it
+    assert spec.t == 1 and spec.theta == theta
     verdict = classify(spec)
     assert isinstance(verdict, FiniteGK)
-    assert verdict.gk == pres.gk == 4
+    assert verdict.gk == pres.gk == gk
     from gknichols import verify_presentation
     report = verify_presentation(pres, spec, 4)
     assert report["pass"], report
+    # above degree 1 membership is decided on Z^theta-bounded truncations;
+    # the degree-24 ztt123^6 of lstr(A(1|0)3;omega) reads no q-data and
+    # takes over a minute there, so relations above degree 9 are left out
+    trunc = compute_truncation(spec, 1)
+    for rel in pres.relations:
+        if expression_degree(rel, spec, pres.macros) > 9:
+            continue
+        zero, _ = is_zero_in_nichols(parse_element(rel, spec, pres.macros),
+                                     trunc)
+        assert zero, rel
 
 
 def test_compose_single_item_passthrough():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gknichols import ScalarRing, parse_scalar, print_scalar
 from gknichols.braidings import ghost_is_discrete
 from gknichols.scalars import (_Q, DivisionByZero, ParseError, ScalarError,
-                               backend, qnum)
+                               _print_poly, backend, qnum)
 
 RING = ScalarRing(12, params=("q",))
 
@@ -306,3 +306,59 @@ def test_rational_queries_through_cyclotomic_arithmetic():
 def test_backend_names_the_rational_type():
     assert backend() in ("gmpy2", "fractions")
     assert (backend() == "fractions") == (_Q is Fraction)
+
+
+# ---------------------------------------------------------------------------
+# rational functions in the parameters against sympy
+
+FRACTION_RINGS = [(1, ("q", "r")), (1, ("q", "r", "s")), (4, ("q",))]
+FRACTION_DRAWS = 15
+
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _draw_fraction(sp, rng, ring, depth):
+    """(Scalar, sympy expression): parameters, z = i and small integers
+    combined by + - * /."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if roll < 0.15 and ring.cyclotomic_order == 4:
+            return ring.zeta(), sp.I
+        if roll < 0.2:
+            k = rng.randint(-3, 3)
+            return ring.from_int(k), sp.Integer(k)
+        name = rng.choice(ring.params)
+        return ring.param(name), sp.Symbol(name)
+    (a, ea), (b, eb) = (_draw_fraction(sp, rng, ring, depth - 1)
+                        for _ in range(2))
+    op = rng.choice("+-*/")
+    if op == "/" and b.is_zero():
+        op = "*"
+    return _OPS[op](a, b), _OPS[op](ea, eb)
+
+
+@pytest.mark.parametrize("order, params", FRACTION_RINGS)
+def test_rational_functions_match_sympy(sp, order, params):
+    """Each + - * / is the sympy value, in lowest terms, with a denominator
+    of grlex leading coefficient 1."""
+    ring = ScalarRing(order, params)
+    gens = [sp.Symbol(name) for name in params]
+    names = dict(zip(params, gens), z=sp.I)
+
+    def read(text):
+        return sp.sympify(text.replace("^", "**"), locals=names)
+
+    rng = random.Random(1000 * order + len(params))
+    for _ in range(FRACTION_DRAWS):
+        (a, ea), (b, eb) = (_draw_fraction(sp, rng, ring, 2)
+                            for _ in range(2))
+        for op, fn in _OPS.items():
+            if op == "/" and b.is_zero():
+                continue
+            c = fn(a, b)
+            assert sp.cancel(read(print_scalar(c)) - fn(ea, eb)) == 0, op
+            if c.kind == "f":
+                num, den = (read(_print_poly(ring, p)) for p in c.payload)
+                assert sp.gcd(num, den) == 1
+                assert sp.Poly(den, *gens).LC(order="grlex") == 1
