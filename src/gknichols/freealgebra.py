@@ -9,7 +9,7 @@ downstream.
 from __future__ import annotations
 
 from .braidings import Letter, SpecError
-from .scalars import ParseError, Scalar, parse_scalar
+from .scalars import SCALAR_OPS, ParseError, Scalar, parse_scalar
 
 
 class ElementError(Exception):
@@ -28,27 +28,30 @@ def word_key(word):
     return (len(word), word)
 
 
-def add_term(acc, key, value):
-    """acc[key] += value in a sparse dict of Scalars, dropping a zero sum."""
+def add_term(acc, key, value, ops=SCALAR_OPS):
+    """acc[key] += value in a sparse dict, dropping a zero sum; the values
+    are Scalars, or a ring's raw values with ``ops`` its ``RingOps``."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = value
     else:
-        s = cur + value
-        if s.is_zero():
+        s = ops.add(cur, value)
+        if ops.is_zero(s):
             del acc[key]
         else:
             acc[key] = s
 
 
-def add_into(acc, vec, coeff=None):
-    """acc += coeff * vec for sparse dicts of Scalars (coeff None means 1)."""
+def add_into(acc, vec, coeff=None, ops=SCALAR_OPS):
+    """acc += coeff * vec for sparse dicts (coeff None means 1), values as
+    in :func:`add_term`."""
     if coeff is None:
         for k, v in vec.items():
-            add_term(acc, k, v)
+            add_term(acc, k, v, ops)
     else:
+        mul = ops.mul
         for k, v in vec.items():
-            add_term(acc, k, v * coeff)
+            add_term(acc, k, mul(v, coeff), ops)
 
 
 class TensorElement:

@@ -36,6 +36,14 @@ only those words; its complement words and normal forms are exactly those of
 the full truncation restricted to the down-set.  Membership above
 ``max_degree`` reduces each component through such a truncation.
 
+The tables (the normal forms ``nf``, the skew-derivation coordinates and
+the echelon rows) and the braiding expansion, unwrapped once per truncation,
+hold the ring's raw values (``ScalarRing.ops``): on a ring without
+parameters the canonical ``(nums, den)`` pairs of its constants, so the hot
+loop builds no ``Scalar``.  ``Scalar`` values appear only at
+``normal_form_vector``, which wraps the coordinates it returns, so
+membership, verification and the probe see ``Scalar``s as before.
+
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
 
@@ -49,7 +57,7 @@ from .braidings import Interaction, interaction
 from .freealgebra import (TensorElement, ad_letter, add_into, add_term,
                           braided_commutator, expression_degree,
                           parse_element, print_element, skew_derivation)
-from .scalars import Scalar
+from .scalars import SCALAR_OPS, RingMismatch, Scalar
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -78,14 +86,16 @@ class NotWeak(NicholsError):
 class _Echelon:
     """Incremental sparse echelon form with expression tracking.
 
-    Vectors are dicts key -> nonzero Scalar, pivoting on the largest key.
+    Vectors are dicts key -> nonzero value, pivoting on the largest key; the
+    values are Scalars, or a ring's raw values with ``ops`` its ``RingOps``.
     Each pivot row is normalized to a leading 1 (the leading entry itself
     is not stored) and carries, negated, the combination of inserted labels
     whose image it is, so reducing a vector needs one negation per pivot
     step rather than one per term.
     """
 
-    def __init__(self):
+    def __init__(self, ops=SCALAR_OPS):
+        self.ops = ops
         # lead key -> (row without its lead, negated label combination)
         self.pivots = {}
 
@@ -95,7 +105,7 @@ class _Echelon:
         Returns ``expr`` with ``img_before == img_after + image(expr)``,
         where image(label) is the vector inserted under that label.
         """
-        pivots = self.pivots
+        pivots, ops = self.pivots, self.ops
         expr = {}
         while img:
             key = max(img)
@@ -103,9 +113,9 @@ class _Echelon:
             if hit is None:
                 break
             row, neg_ex = hit
-            neg = -img.pop(key)
-            add_into(img, row, neg)
-            add_into(expr, neg_ex, neg)
+            neg = ops.neg(img.pop(key))
+            add_into(img, row, neg, ops)
+            add_into(expr, neg_ex, neg, ops)
         return expr
 
     def insert(self, img, expr, label):
@@ -115,12 +125,14 @@ class _Echelon:
         vector inserted under ``label``, so ``img`` is the image of
         ``label - expr``.
         """
+        ops = self.ops
+        mul = ops.mul
         lead = max(img)
-        inv = img.pop(lead).inverse()
-        neg_ex = {label: -inv}
+        inv = ops.inv(img.pop(lead))
+        neg_ex = {label: ops.neg(inv)}
         for k, v in expr.items():
-            neg_ex[k] = v * inv
-        self.pivots[lead] = ({k: v * inv for k, v in img.items()}, neg_ex)
+            neg_ex[k] = mul(v, inv)
+        self.pivots[lead] = ({k: mul(v, inv) for k, v in img.items()}, neg_ex)
 
 
 class NicholsTruncation:
@@ -137,9 +149,14 @@ class NicholsTruncation:
         self.spec = spec
         self.budget = budget
         self.bound = None if bound is None else tuple(bound)
+        self._ops = ops = spec.ring.ops
+        # the braiding expansions act[g-1][letter] on raw coefficients
+        self._act = [[tuple((t, ops.unwrap(c)) for t, c in expansion)
+                      for expansion in group] for group in spec._act]
         self.max_degree = 0
         self.basis = {0: [()]}
-        self.nf = {0: {(): {(): spec.ring.one()}}}
+        # normal forms and _dcoords hold the ring's raw values (see ops)
+        self.nf = {0: {(): {(): ops.one}}}
         self.dims = [1]
         self.ideal_dims = [0]
         # NF coordinates of the skew derivations of each word of basis[n]
@@ -161,12 +178,13 @@ class NicholsTruncation:
             raise BudgetExceeded(n, count, self.budget)
         prev_d = self._dcoords
         word_nf = self._word_nf
-        act = spec._act
+        act = self._act
         group_of = spec.group_of
         bound = self.bound
-        one = spec.ring.one()
+        ops = self._ops
+        one, mul = ops.one, ops.mul
 
-        echelon = _Echelon()
+        echelon = _Echelon(ops)
         basis_n = []
         nf_n = {}
         new_d = {}
@@ -188,9 +206,9 @@ class NicholsTruncation:
                         for tgt, beta in expansion:
                             vec = word_nf(u + (tgt,))
                             if vec:
-                                add_into(acc, vec, alpha * beta)
+                                add_into(acc, vec, mul(alpha, beta), ops)
                     if d == last:
-                        add_term(acc, prefix, one)
+                        add_term(acc, prefix, one, ops)
                     dvecs.append(acc)
                     for cw, cc in acc.items():
                         img[(d, cw)] = cc
@@ -223,21 +241,27 @@ class NicholsTruncation:
         vec = nf_n.get(w)
         if vec is None:
             vec = {}
+            ops = self._ops
             prefix = w[:-1]
             prefix_nf = self._word_nf(prefix)
             if prefix in prefix_nf:
                 first = w[:1]
                 for v, c in self._word_nf(w[1:]).items():
-                    add_into(vec, self._word_nf(first + v), c)
+                    add_into(vec, self._word_nf(first + v), c, ops)
             else:
                 last = w[-1:]
                 for u, c in prefix_nf.items():
-                    add_into(vec, self._word_nf(u + last), c)
+                    add_into(vec, self._word_nf(u + last), c, ops)
             nf_n[w] = vec
         return vec
 
     def normal_form_vector(self, e: TensorElement, n: int) -> dict:
-        """Coordinates of the degree-n component of e in the complement basis."""
+        """Coordinates (Scalars) of the degree-n component of e in the
+        complement basis."""
+        ring = self.spec.ring
+        if e.spec.ring is not ring and e.spec.ring != ring:
+            raise RingMismatch(f"{e.spec.ring} vs {ring}")
+        ops = self._ops
         acc = {}
         for w, c in e.terms.items():
             if len(w) == n:
@@ -245,8 +269,8 @@ class NicholsTruncation:
                         _exceeds(self.spec, w, self.bound):
                     raise NicholsError(
                         f"word {w} lies outside the bound {self.bound}")
-                add_into(acc, self._word_nf(w), c)
-        return acc
+                add_into(acc, self._word_nf(w), ops.unwrap(c), ops)
+        return {w: ops.wrap(c) for w, c in acc.items()}
 
 
 def _group_counts(spec, word):

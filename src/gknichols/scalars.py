@@ -17,7 +17,19 @@ A ``Scalar`` has one of two kinds:
 
 Cyclotomic arithmetic is integer arithmetic: products are integer
 convolutions reduced by the monic integer polynomial Phi_N, sums share one
-denominator, and inverses come from the Galois norm.
+denominator, and inverses come from the Galois norm.  A ring picks its
+constant operations once, when it is built: when phi(N) = 1 (N = 1, 2) they
+are integer-pair closures on ``((n,), d)`` with no convolution.
+
+``ScalarRing.ops`` is a :class:`RingOps` record of raw operations (``one``,
+``mul``, ``add``, ``neg``, ``inv``, ``is_zero``, ``wrap``, ``unwrap``) for
+loops that should not build a ``Scalar`` per operation.  On a ring without
+parameters a raw value is the canonical ``(nums, den)`` pair of a constant
+and the operations are the ring's constant operations, the ones ``Scalar``
+arithmetic calls; on a ring with parameters a raw value is the ``Scalar``
+itself, ``wrap`` and ``unwrap`` are the identity, and the operations are
+those of :data:`SCALAR_OPS`.  The cyclotomic order is capped at
+``MAX_CYCLOTOMIC_ORDER``: the table of powers of z costs O(N * phi(N)).
 
 An ``"f"`` value is reduced by the monic gcd of its numerator and
 denominator.  In at most one active parameter that gcd is Euclid's algorithm
@@ -30,8 +42,11 @@ polynomials in the others, whose contents are gcds one parameter down
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd as _igcd, lcm as _lcm
+from operator import add as _add, attrgetter, methodcaller, mul as _mul, \
+    neg as _neg
+from typing import Any, Callable, NamedTuple
 
 try:
     from gmpy2 import mpq as _Q
@@ -39,6 +54,9 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is the optional ``fast`` extra
     from fractions import Fraction as _Q
     _BACKEND = "fractions"
+
+
+MAX_CYCLOTOMIC_ORDER = 1024
 
 
 def backend() -> str:
@@ -171,12 +189,71 @@ def _cyc_is_zero(a):
     return not any(a[0])
 
 
+# the same operations when phi = 1: a constant is ((n,), d), a rational
+
+
+def _rat_add(a, b):
+    (x,), d = a
+    (y,), e = b
+    if d == e:
+        n = x + y
+        if d == 1:
+            return (n,), 1
+    else:
+        n, d = x * e + y * d, d * e
+    g = _igcd(n, d)
+    return ((n // g,), d // g) if g != 1 else ((n,), d)
+
+
+def _rat_mul(a, b):
+    (x,), d = a
+    (y,), e = b
+    n, d = x * y, d * e
+    if d == 1:
+        return (n,), 1
+    g = _igcd(n, d)
+    return ((n // g,), d // g) if g != 1 else ((n,), d)
+
+
+def _rat_neg(a):
+    return (-a[0][0],), a[1]
+
+
+def _rat_is_zero(a):
+    return not a[0][0]
+
+
+def _rat_inv(a):
+    (x,), d = a
+    if x > 0:
+        return (d,), x
+    if x < 0:
+        return (-d,), -x
+    raise DivisionByZero("cyclotomic inverse of zero")
+
+
+class RingOps(NamedTuple):
+    """A ring's raw operations; see the module docstring."""
+
+    one: Any
+    mul: Callable
+    add: Callable
+    neg: Callable
+    inv: Callable
+    is_zero: Callable
+    wrap: Callable
+    unwrap: Callable
+
+
 class ScalarRing:
     """Q(zeta_N) with an ordered list of transcendental parameters."""
 
     def __init__(self, cyclotomic_order: int = 1, params=()):
         if cyclotomic_order < 1:
             raise ScalarError("cyclotomic order must be >= 1")
+        if cyclotomic_order > MAX_CYCLOTOMIC_ORDER:
+            raise ScalarError(f"cyclotomic order {cyclotomic_order} is above "
+                              f"the maximum {MAX_CYCLOTOMIC_ORDER}")
         params = tuple(params)
         if len(set(params)) != len(params):
             raise ScalarError("parameter names must be distinct")
@@ -192,6 +269,23 @@ class ScalarRing:
         self._tower = _galois_tower(n)
         self._zero_cyc = ((0,) * phi, 1)
         self._one_cyc = (self._zpow[0], 1)
+        # the constant operations, chosen once: Scalar arithmetic, the
+        # products of polynomial coefficients and the raw ops call these
+        if phi == 1:
+            self.cyc_add, self.cyc_mul = _rat_add, _rat_mul
+            self.cyc_neg, self.cyc_inv = _rat_neg, _rat_inv
+            cyc_is_zero = _rat_is_zero
+        else:
+            self.cyc_add, self.cyc_mul = _cyc_add, self._conv_mul
+            self.cyc_neg, self.cyc_inv = _cyc_neg, self._norm_inv
+            cyc_is_zero = _cyc_is_zero
+        if params:
+            self.ops = SCALAR_OPS._replace(one=self.one())
+        else:
+            self.ops = RingOps(self._one_cyc, self.cyc_mul, self.cyc_add,
+                               self.cyc_neg, self.cyc_inv, cyc_is_zero,
+                               partial(Scalar, self, "c"),
+                               attrgetter("payload"))
 
     # -- constructors -------------------------------------------------------
 
@@ -233,8 +327,6 @@ class ScalarRing:
     def _int_mul(self, a, b):
         """Product of two integer vectors, reduced modulo Phi_N."""
         phi = self.phi
-        if phi == 1:
-            return (a[0] * b[0],)
         conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
@@ -248,7 +340,7 @@ class ScalarRing:
                     out[j] += c * r
         return tuple(out)
 
-    def cyc_mul(self, a, b):
+    def _conv_mul(self, a, b):
         return _cyc_reduce(self._int_mul(a[0], b[0]), a[1] * b[1])
 
     def _galois(self, v, k):
@@ -274,7 +366,7 @@ class ScalarRing:
                 t += 1
         return self._galois(c, k)
 
-    def cyc_inv(self, a):
+    def _norm_inv(self, a):
         """1/a = prod_{k != 1} sigma_k(a) / N(a), sigma_k: z -> z^k.
 
         The Galois group is walked along ``_tower``: if b is the product of
@@ -503,6 +595,9 @@ class Scalar:
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):  # pickle and copy through __init__
+        return Scalar, (self.ring, self.kind, self.payload)
+
     def _as_frac(self):
         ring = self.ring
         if self.kind == "f":
@@ -548,7 +643,7 @@ class Scalar:
         a, b = self, other
         ring = a.ring
         if a.kind == "c" and b.kind == "c":
-            return Scalar(ring, "c", _cyc_add(a.payload, b.payload))
+            return Scalar(ring, "c", ring.cyc_add(a.payload, b.payload))
         (na, da), (nb, db) = a._as_frac(), b._as_frac()
         num = _poly_add(ring, _poly_mul(ring, na, db), _poly_mul(ring, nb, da))
         den = _poly_mul(ring, da, db)
@@ -558,7 +653,7 @@ class Scalar:
 
     def __neg__(self):
         if self.kind == "c":
-            return Scalar(self.ring, "c", _cyc_neg(self.payload))
+            return Scalar(self.ring, "c", self.ring.cyc_neg(self.payload))
         num, den = self.payload
         return Scalar(self.ring, "f", (_poly_neg(num), den))
 
@@ -674,6 +769,16 @@ class Scalar:
 
     def __str__(self):
         return print_scalar(self)
+
+
+def _identity(value):
+    return value
+
+
+# the operations on Scalar values, the same in every ring (so ``one`` is
+# left None); a ring with parameters uses them with its own ``one``
+SCALAR_OPS = RingOps(None, _mul, _add, _neg, methodcaller("inverse"),
+                     methodcaller("is_zero"), _identity, _identity)
 
 
 def _freeze_poly(p):

@@ -227,7 +227,9 @@ def test_usage_errors_exit_1(jordan_spec_file):
      "q": [["1", "1"], ["1", "-1"]], "ghost": {"2,5": "1"}},
     {"blocks": [{"epsilon": "1"}], "points": [{"q": "-1"}],
      "q": [["1", "1"], ["1", "-1"]], "a": {"7,1": "1"}},
-], ids=["list", "small-q", "ghost-block", "a-vertex"])
+    {"ring": {"cyclotomic_order": 3000000}, "points": [{"q": "1"}],
+     "q": [["1"]]},
+], ids=["list", "small-q", "ghost-block", "a-vertex", "huge-order"])
 def test_malformed_spec_is_one_line_error(obj, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))

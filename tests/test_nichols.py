@@ -16,6 +16,7 @@ from gknichols.freealgebra import add_into
 from gknichols.nichols import (BudgetExceeded, NicholsError,
                                NicholsTruncation, NotWeak,
                                mu_rank2, quantum_symmetrizer)
+from gknichols.scalars import RingMismatch, Scalar
 from tests.conftest import entry_instance
 from tests.test_acceptance import _random_spec
 from tests.data.capture_truncation_golden import (ENTRIES, FIXTURE,
@@ -169,6 +170,45 @@ def test_dims_invariant_under_relabelling():
     assert dims == [1, 4, 12, 27, 54, 96]
     for perm in permutations(range(4)):
         assert compute_truncation(relabelled(perm), 5).dims == dims, perm
+
+
+def _cartan_spec():
+    return spec_from_json({"ring": {"cyclotomic_order": 12},
+                           "points": [{"q": row[i]}
+                                      for i, row in enumerate(_CARTAN_Q)],
+                           "q": _CARTAN_Q})
+
+
+@pytest.mark.parametrize("spec", [entry_instance("poseidon")[0],
+                                  _cartan_spec()],
+                         ids=["poseidon", "cartan-zeta12"])
+def test_truncation_builds_no_scalars(spec, monkeypatch):
+    """On a ring without parameters the truncation runs on raw values: the
+    number of Scalars it builds is a small constant, not growing with the
+    degree."""
+    built = [0]
+    init = Scalar.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    counts = []
+    for degree in (3, 5):
+        built[0] = 0
+        trunc = compute_truncation(spec, degree)
+        counts.append(built[0])
+    assert trunc.dims[5] > 90
+    assert counts[0] == counts[1] <= 2, counts
+
+
+def test_membership_rejects_another_ring():
+    trunc = compute_truncation(entry_instance("jordan")[0], 2)
+    other, _ = entry_instance("lstr(omega,1)")
+    with pytest.raises(RingMismatch):
+        is_zero_in_nichols(TensorElement(other, {(0, 1): other.ring.one()}),
+                           trunc)
 
 
 def _zdegree(spec, w):

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field axioms, orders, q-numbers, parse/print,
 and a differential oracle against sympy over Q(zeta_N)."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from gknichols import ScalarRing, parse_scalar, print_scalar
 from gknichols.braidings import ghost_is_discrete
-from gknichols.scalars import (_Q, DivisionByZero, ParseError, ScalarError,
-                               _print_poly, backend, qnum)
+from gknichols.scalars import (_Q, MAX_CYCLOTOMIC_ORDER, DivisionByZero,
+                               ParseError, ScalarError, _cyc_add, _cyc_is_zero,
+                               _cyc_neg, _print_poly, backend, qnum)
 
 RING = ScalarRing(12, params=("q",))
 
@@ -301,6 +303,84 @@ def test_rational_queries_through_cyclotomic_arithmetic():
         assert not ghost_is_discrete(x)
         with pytest.raises(ScalarError):
             x.as_rational()
+
+
+def _raw_operands(ring, seed):
+    """Seeded Scalars of ``ring``: zero, one, negatives, non-unit
+    denominators, and the parameter when the ring has one."""
+    rng = random.Random(seed)
+    out = [ring.zero(), ring.one(), -ring.one(), ring.from_rational(-3, 4),
+           ring.from_rational(6, 9)]
+    out += [_scalar(ring, _draw(rng, ring.phi)) for _ in range(12)]
+    for name in ring.params:
+        q = ring.param(name)
+        out += [q, -q / 2, (q - 1) / (q + 3), q * q + ring.zeta(1)]
+    return out
+
+
+def _assert_canonical(raw, phi):
+    nums, den = raw
+    assert len(nums) == phi and den > 0 and gcd(den, *nums) == 1
+    if not any(nums):
+        assert raw == ((0,) * phi, 1)
+
+
+@pytest.mark.parametrize("order, params", [(1, ()), (12, ()), (1, ("q",))])
+def test_raw_ops_match_scalar_arithmetic(order, params):
+    """wrap(op(unwrap(a), unwrap(b))) is a op b; raw constants stay in
+    canonical form."""
+    ring = ScalarRing(order, params)
+    ops = ring.ops
+    values = _raw_operands(ring, 100 + order)
+    assert ops.wrap(ops.one) == ring.one()
+    copied = pickle.loads(pickle.dumps((ring, values)))
+    assert copied[0] == ring and copied[1] == values
+    assert copied[0].ops.wrap(copied[0].ops.one) == ring.one()
+    for a in values:
+        ra = ops.unwrap(a)
+        assert ops.wrap(ra) == a
+        assert ops.is_zero(ra) == a.is_zero()
+        results = [(ops.neg(ra), -a)]
+        if not a.is_zero():
+            results.append((ops.inv(ra), a.inverse()))
+        for b in values:
+            rb = ops.unwrap(b)
+            results += [(ops.add(ra, rb), a + b), (ops.mul(ra, rb), a * b)]
+        for raw, expected in results:
+            assert ops.wrap(raw) == expected
+            if not params:
+                _assert_canonical(raw, ring.phi)
+        if a.is_zero():
+            with pytest.raises(DivisionByZero):
+                ops.inv(ra)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_integer_pair_ops_match_convolution(order):
+    """When phi = 1 the ring's integer-pair operations give the pairs of the
+    general convolution, norm-inverse and tuple operations."""
+    ring = ScalarRing(order)
+    assert ring.phi == 1
+    ops = ring.ops
+    raws = [ops.unwrap(v) for v in _raw_operands(ring, 200 + order)]
+    for a in raws:
+        assert ops.neg(a) == _cyc_neg(a)
+        assert ops.is_zero(a) == _cyc_is_zero(a)
+        if not _cyc_is_zero(a):
+            assert ops.inv(a) == ring._norm_inv(a)
+        for b in raws:
+            assert ops.add(a, b) == _cyc_add(a, b)
+            assert ops.mul(a, b) == ring._conv_mul(a, b)
+
+
+def test_cyclotomic_order_is_capped():
+    ScalarRing(1009)  # the largest order used in the inverse measurements
+    assert ScalarRing(MAX_CYCLOTOMIC_ORDER).cyclotomic_order \
+        == MAX_CYCLOTOMIC_ORDER
+    with pytest.raises(ScalarError, match="above the maximum"):
+        ScalarRing(MAX_CYCLOTOMIC_ORDER + 1)
+    with pytest.raises(ScalarError, match="above the maximum"):
+        ScalarRing(3000000)
 
 
 def test_backend_names_the_rational_type():
