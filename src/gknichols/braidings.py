@@ -342,9 +342,13 @@ def ghost(spec: BraidedSpaceSpec, j: int, k: int) -> Scalar:
     raise EpsilonNotPlusMinusOne(f"ghost undefined for epsilon {eps}")
 
 
-def ghost_is_discrete(g: Scalar) -> bool:
-    """True iff the ghost is a nonnegative rational integer."""
-    return g.is_integer() and g.as_rational() >= 0
+def natural_ghost(g: Scalar) -> int | None:
+    """The ghost as a Python int when it is a nonnegative rational integer
+    (a discrete ghost), else None."""
+    if not g.is_integer():
+        return None
+    n = int(g.as_rational())
+    return n if n >= 0 else None
 
 
 def diagonalize(spec) -> DiagonalBraiding:

@@ -649,7 +649,7 @@ def _point_component(label, ring_order=1):
             f"of order {ring_order}") from exc
     if lab.is_zero():
         raise BadParams("point label must be nonzero")
-    order = lab.mult_order().order
+    order = lab.mult_order()
 
     def build(spec, pts):
         p = pts[0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .braidings import (BraidedSpaceSpec, Interaction, PaleBlockPointSpec,
-                        ghost, ghost_is_discrete, interaction)
+                        ghost, interaction, natural_ghost)
 from .scalars import Scalar
 from .weyl import DynkinDiagram, TableEntry, match_table_pattern
 
@@ -231,7 +231,7 @@ def decide_component(g: FlourishedGraph, comp):
             "d", f"component {comp} attached to blocks {attached_blocks}",
             True)
     if len(comp) == 1 and len(attached_blocks) > 1 \
-            and label.mult_order().order == 3:
+            and label.mult_order() == 3:
         return Violation(
             "e", f"G'3 point {j0} attached to blocks {attached_blocks}", True)
     milds = [(k, j) for k, j, d in att if d["mild"]]
@@ -245,7 +245,7 @@ def decide_component(g: FlourishedGraph, comp):
             return Violation(
                 "f", f"mild edge at block {k0} is not isolated", True)
     # non-discrete ghosts are ruled out unconditionally
-    if any(not ghost_is_discrete(d["ghost"]) for _, _, d in att):
+    if any(natural_ghost(d["ghost"]) is None for _, _, d in att):
         return Violation("b", f"non-discrete ghost at component {comp}",
                          False)
     one = label.ring.one()
@@ -272,7 +272,7 @@ def decide_component(g: FlourishedGraph, comp):
 def _poseidon_point(g, att, label):
     """A +-1 point on several blocks with discrete ghosts: its GK counts the
     exponents 0 <= m_k <= bound_k with label * prod_k eps_k^m_k = 1."""
-    ghosts = [int(d["ghost"].as_rational()) for _, _, d in att]
+    ghosts = [natural_ghost(d["ghost"]) for _, _, d in att]
     signs = [g.signs[k - 1] for k, _, _ in att]
     bounds = [gh if s == "+" else 2 * gh for gh, s in zip(ghosts, signs)]
     want_odd = not label.is_one()
@@ -288,7 +288,7 @@ def _poseidon_point(g, att, label):
 def _point_entry(label: Scalar) -> TableEntry:
     """An unattached point: GK 1 unless its label is a nontrivial root of
     unity; the catalog reads the label back in its own ring."""
-    order = label.mult_order().order
+    order = label.mult_order()
     return TableEntry(
         "point", 1 if order in (None, 1) else 0,
         ("point", {"label": str(label), "order": label.ring.cyclotomic_order}))
@@ -436,7 +436,7 @@ def classify_pale(p: PaleBlockPointSpec):
     if eps == one:
         return InfiniteGK(
             (Violation("pale", "pale block with epsilon 1", False),), False)
-    if eps.mult_order().order == 3:
+    if eps.mult_order() == 3:
         return InfiniteGK(
             (Violation("pale", "pale block with epsilon in G'3", True),),
             True)
@@ -451,7 +451,7 @@ def classify_pale(p: PaleBlockPointSpec):
             True)
     if q22 == -one and qt == -one:
         return FiniteGK(2, (((2,), "eny_star", 2),), False)
-    if q22 == -one and qt.mult_order().order == 3:
+    if q22 == -one and qt.mult_order() == 3:
         # the coinvariant algebra contains a block with epsilon in G'3
         return InfiniteGK(
             (Violation("pale", "qtilde in G'3 with point label -1", False),),
@@ -459,7 +459,7 @@ def classify_pale(p: PaleBlockPointSpec):
     if (q22 * qt).is_one():
         return InfiniteGK(
             (Violation("pale", "point label inverse to qtilde", True),), True)
-    if qt.mult_order().order == 3 and q22 == -qt:
+    if qt.mult_order() == 3 and q22 == -qt:
         return InfiniteGK(
             (Violation("pale", "point label -qtilde with qtilde in G'3",
                        False),), False)

@@ -9,7 +9,8 @@ downstream.
 from __future__ import annotations
 
 from .braidings import Letter, SpecError
-from .scalars import SCALAR_OPS, ParseError, Scalar, parse_scalar
+from .scalars import SCALAR_OPS, ParseError, Scalar, check_exponent, \
+    parse_scalar
 
 
 class ElementError(Exception):
@@ -326,7 +327,8 @@ def _parse_tree(text: str, spec, macros) -> tuple:
             pos += 1
             if not peek().isdigit():
                 raise ParseError("positive integer exponent expected", pos)
-            node = ("pow", node, int(digits()))
+            start = pos
+            node = ("pow", node, check_exponent(digits(), start))
         return node
 
     def commutator(close):

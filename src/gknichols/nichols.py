@@ -327,8 +327,6 @@ def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
 
 
 def _component_zero(comp, n, trunc):
-    if n == 0:
-        return comp.is_zero(), (None if comp.is_zero() else comp)
     spec = trunc.spec
     if n > trunc.max_degree:
         alpha = [max(col) for col in zip(*(_group_counts(spec, w)

@@ -41,27 +41,16 @@ polynomials in the others, whose contents are gcds one parameter down
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction as _Q
 from functools import lru_cache, partial
 from math import gcd as _igcd, lcm as _lcm
 from operator import add as _add, attrgetter, methodcaller, mul as _mul, \
     neg as _neg
 from typing import Any, Callable, NamedTuple
 
-try:
-    from gmpy2 import mpq as _Q
-    _BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - gmpy2 is the optional ``fast`` extra
-    from fractions import Fraction as _Q
-    _BACKEND = "fractions"
-
 
 MAX_CYCLOTOMIC_ORDER = 1024
-
-
-def backend() -> str:
-    """The rational backend in use: ``"gmpy2"`` or ``"fractions"``."""
-    return _BACKEND
+MAX_EXPONENT = 1024  # |n| in a literal power x^n of either grammar
 
 
 class ScalarError(Exception):
@@ -88,6 +77,16 @@ class ParseError(ScalarError):
 
 class UnknownParameter(ParseError):
     pass
+
+
+def check_exponent(digits: str, position: int) -> int:
+    """The exponent ``digits`` as an int; ParseError at ``position`` when it
+    is above MAX_EXPONENT, decided from the digits before any arithmetic."""
+    n = digits.lstrip("0") or "0"
+    if len(n) > len(str(MAX_EXPONENT)) or int(n) > MAX_EXPONENT:
+        raise ParseError(f"exponent above the maximum {MAX_EXPONENT}",
+                         position)
+    return int(n)
 
 
 def euler_phi(n: int) -> int:
@@ -556,27 +555,6 @@ def _poly_monic(ring, a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultOrder:
-    """Finite(m) or NotRootOfUnity (order is None)."""
-
-    order: object  # int or None
-
-    @classmethod
-    def finite(cls, m: int) -> "MultOrder":
-        return cls(int(m))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.order is not None
-
-    def __repr__(self):
-        return f"Finite({self.order})" if self.is_finite else "NotRootOfUnity"
-
-
-NOT_ROOT_OF_UNITY = MultOrder(None)
-
-
 class Scalar:
     """An exact element of the ring, immutable.
 
@@ -749,17 +727,18 @@ class Scalar:
 
     # -- queries ------------------------------------------------------------
 
-    def mult_order(self) -> MultOrder:
+    def mult_order(self) -> int | None:
+        """The multiplicative order, or None when not a root of unity."""
         if self.is_zero():
             raise ZeroInput("multiplicative order of zero")
         if self.kind == "f":
-            return NOT_ROOT_OF_UNITY
+            return None
         n = _lcm(2, self.ring.cyclotomic_order)
         if (self ** n) != self.ring.one():
-            return NOT_ROOT_OF_UNITY
+            return None
         for d in sorted(_divisors(n)):
             if (self ** d) == self.ring.one():
-                return MultOrder.finite(d)
+                return d
         raise AssertionError("unreachable")
 
     # -- printing -----------------------------------------------------------
@@ -856,12 +835,12 @@ class _Tokens:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def take_int(self):
+    def take_digits(self):
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        return self.text[start:self.pos]
 
 
 def parse_scalar(text: str, ring: ScalarRing) -> Scalar:
@@ -919,7 +898,8 @@ def _parse_power(toks, ring):
             neg = True
         if not toks.peek().isdigit():
             raise ParseError("integer exponent expected", toks.pos)
-        exp = toks.take_int()
+        pos = toks.pos
+        exp = check_exponent(toks.take_digits(), pos)
         value = value ** (-exp if neg else exp)
     return value
 
@@ -934,7 +914,7 @@ def _parse_atom(toks, ring):
         toks.pos += 1
         return value
     if ch.isdigit():
-        return ring.from_int(toks.take_int())
+        return ring.from_int(int(toks.take_digits()))
     if ch.isalpha() or ch == "_":
         pos = toks.pos
         name = toks.take_name()

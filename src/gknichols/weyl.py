@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .braidings import natural_ghost
 from .scalars import Scalar, qnum
 
 _CARTAN_SEARCH_CAP = 48
@@ -101,15 +102,6 @@ class DynkinDiagram:
                 edges[(idx[a], idx[b])] = q
         return DynkinDiagram(labels, edges)
 
-    def to_dot(self, name="dynkin"):
-        lines = [f"graph {name} {{"]
-        for i, q in enumerate(self.labels):
-            lines.append(f'  v{i} [shape=circle, label="{q}"];')
-        for (a, b), q in sorted(self.edges.items()):
-            lines.append(f'  v{a} -- v{b} [label="{q}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def dynkin(d) -> DynkinDiagram:
     """Diagram of a diagonal braiding: edges exactly where q_ij q_ji != 1."""
@@ -139,7 +131,7 @@ def cartan_coeff(d, i, j):
     qii = d.q(i, i)
     qt = d.q(i, j) * d.q(j, i)
     ring = qii.ring
-    order = qii.mult_order().order
+    order = qii.mult_order()
     bound = order if order is not None else _CARTAN_SEARCH_CAP
     power = ring.one()
     for n in range(bound):
@@ -334,22 +326,12 @@ def _label_kind(q: Scalar):
         return "1"
     if (-q.ring.one()) == q:
         return "-1"
-    mo = q.mult_order().order
+    mo = q.mult_order()
     if mo == 3:
         return "omega"
     if mo is None:
         return "generic"
     return f"G{mo}"
-
-
-def _nat_ghost(g: Scalar):
-    """The ghost as a Python int when it is a nonnegative rational integer."""
-    if not g.is_rational():
-        return None
-    r = g.as_rational()
-    if r.denominator != 1 or r < 0:
-        return None
-    return int(r)
 
 
 def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | None:
@@ -362,10 +344,9 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
     sign = attachment["sign"]
     mild = attachment.get("mild", False)
     vertex = attachment["vertex"]
-    g = attachment["ghost"]
     k = component.nvertices
-    gn = _nat_ghost(g)
-    if gn is None or gn == 0:
+    gn = natural_ghost(attachment["ghost"])
+    if not gn:
         return None
     kinds = [_label_kind(q) for q in component.labels]
     vk = kinds[vertex]
@@ -411,7 +392,7 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
                 return _entry("lstr(A2)", 0, "lstr(A_theta-1)", theta=3)
             if qt == -one and gn == 2:
                 return _entry("lstr(A2,2)", 0)
-            if qt.mult_order().order == 3 and gn == 1:
+            if qt.mult_order() == 3 and gn == 1:
                 return _entry("lstr(A(1|0)2;omega)", 0)
             return None
         if vk == "-1" and gn == 1:
@@ -423,10 +404,10 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
                                   "lstr(A(1|0)1;r)", r=3)
                 if ok == "generic":
                     return _entry("lstr(A(1|0)1;r)", 2, r="generic")
-                return _entry("lstr(A(1|0)1;r)", 0, r=r.mult_order().order)
+                return _entry("lstr(A(1|0)1;r)", 0, r=r.mult_order())
             return None
         if vk == "omega" and ok == "-1" and gn == 1:
-            if qt.mult_order().order == 3 and \
+            if qt.mult_order() == 3 and \
                     (qt * component.labels[vertex]).is_one():
                 return _entry("lstr(A(1|0)3;omega)", 0)
             return None
@@ -444,7 +425,7 @@ def match_table_pattern(component: DynkinDiagram, attachment) -> TableEntry | No
     if all(x == "-1" for x in ck) and all(e == -one for e in edges):
         return _entry(f"lstr(A{k})", 0, "lstr(A_theta-1)", theta=k + 1)
     if k == 3:
-        o3 = [e.mult_order().order == 3 for e in edges]
+        o3 = [e.mult_order() == 3 for e in edges]
         if ck == ["-1", "omega", "omega"] and o3 == [True, True] \
                 and edges[0] == edges[1] \
                 and (edges[0] * component.labels[order[1]]).is_one() \

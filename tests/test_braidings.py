@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gknichols import (BraidedSpaceSpec, DiagonalBraiding, PaleBlockPointSpec,
                        ScalarRing, braid_letters, diagonalize, ghost,
                        interaction, spec_from_json, spec_to_json)
-from gknichols.braidings import Interaction, SpecError, ghost_is_discrete
+from gknichols.braidings import Interaction, SpecError, natural_ghost
 
 RING = ScalarRing(12)
 
@@ -107,8 +107,8 @@ def test_ghost_sign_convention():
     minus = _spec([("-1", 2)], ["-1"], [["-1", "1"], ["1", "-1"]],
                   {(2, 1): "3"})
     assert ghost(minus, 2, 1) == RING.from_int(3)
-    assert ghost_is_discrete(ghost(minus, 2, 1))
-    assert not ghost_is_discrete(RING.from_rational(1) / RING.from_int(-2))
+    assert natural_ghost(ghost(minus, 2, 1)) == 3
+    assert natural_ghost(RING.from_rational(1) / RING.from_int(-2)) is None
 
 
 def test_diagonalize_forgets_jordan_tail():

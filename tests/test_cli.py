@@ -154,6 +154,42 @@ def test_classify(jordan_spec_file):
     assert out["is_domain"] is True
 
 
+_BLOCK_POINT = {"blocks": [{"epsilon": "1", "length": 2}],
+                "points": [{"q": "1"}], "a": {"2,1": "1/3"}}
+
+
+@pytest.mark.parametrize("obj, stdout", [
+    (dict(_BLOCK_POINT, q=[["1", "1"], ["1", "1"]]), """{
+  "verdict": "infinite",
+  "gk": null,
+  "decomposition": [],
+  "is_domain": false,
+  "conjecture_dependent": false,
+  "violations": [
+    {
+      "code": "b",
+      "detail": "non-discrete ghost at component (2,)",
+      "conjecture_dependent": false
+    }
+  ]
+}
+"""),
+    (dict(_BLOCK_POINT, ring={"params": ["q"]}, q=[["1", "q"], ["1", "1"]]),
+     """{
+  "verdict": "unknown",
+  "reason": "interaction between block 1 and point 2 depends on a free \
+parameter"
+}
+"""),
+], ids=["infinite", "unknown"])
+def test_classify_json_without_finite_verdict(obj, stdout, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    r = run_cli("classify", str(path))
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == stdout
+
+
 def test_flourish_with_dot(tmp_path):
     spec, _ = entry_instance("lstr(1,G)", {"G": 1})
     spec_path = tmp_path / "spec.json"
@@ -229,7 +265,9 @@ def test_usage_errors_exit_1(jordan_spec_file):
      "q": [["1", "1"], ["1", "-1"]], "a": {"7,1": "1"}},
     {"ring": {"cyclotomic_order": 3000000}, "points": [{"q": "1"}],
      "q": [["1"]]},
-], ids=["list", "small-q", "ghost-block", "a-vertex", "huge-order"])
+    {"points": [{"q": "2^999999999"}], "q": [["2^999999999"]]},
+], ids=["list", "small-q", "ghost-block", "a-vertex", "huge-order",
+        "huge-exponent"])
 def test_malformed_spec_is_one_line_error(obj, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))

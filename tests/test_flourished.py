@@ -5,8 +5,8 @@ import pytest
 from gknichols import (BraidedSpaceSpec, FiniteGK, FlourishedGraph,
                        InfiniteGK, PaleBlockPointSpec, ScalarRing, Unknown,
                        build_flourished, classify, classify_pale,
-                       is_admissible)
-from gknichols.flourished import (EpsilonOutOfRange, NotAdmissible,
+                       diagonalize, is_admissible)
+from gknichols.flourished import (EpsilonOutOfRange, NotAdmissible, Violation,
                                   decide_component, is_domain)
 
 R1 = ScalarRing(1)
@@ -190,6 +190,26 @@ def test_pale_grid():
     # eps = -1, qtilde = 1, q22 of order 3: infinite
     v = classify_pale(_pale("-1", "1", "1", "z"))
     assert isinstance(v, InfiniteGK)
+
+
+@pytest.mark.parametrize("ring, q12, q21, q22, detail, conjectural", [
+    (R3, "z", "1", "-1", "qtilde in G'3 with point label -1", False),
+    (R3, "z", "1", "z^2", "point label inverse to qtilde", True),
+    (R3, "z", "1", "-z", "point label -qtilde with qtilde in G'3", False),
+    (R1, "2", "1", "3", "qtilde 2, point label 3", True),
+], ids=["G3-minus-one", "inverse", "minus-qtilde", "generic"])
+def test_pale_infinite_verdicts_at_eps_minus_one(ring, q12, q21, q22, detail,
+                                                 conjectural):
+    v = classify_pale(_pale("-1", q12, q21, q22, ring))
+    assert v == InfiniteGK((Violation("pale", detail, conjectural),),
+                           conjectural)
+
+
+def test_diagonalize_pale_spec():
+    # the pale block is two letters of group 1, the point one of group 2
+    d = diagonalize(_pale("-1", "z", "1", "-z"))
+    assert [[str(d.q(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)] \
+        == [["-1", "-1", "z"], ["-1", "-1", "z"], ["1", "1", "-z"]]
 
 
 def test_pale_rejects_higher_order_epsilon():

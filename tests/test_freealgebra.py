@@ -119,6 +119,7 @@ def test_expression_degree_matches_parse(text):
 def test_expression_degree_without_expansion():
     # degree screening must work for powers far too large to expand
     assert expression_degree("[x1, x2]^99", SPEC) == 198
+    assert expression_degree("x1^1024", SPEC) == 1024  # the largest exponent
 
 
 def test_macros_expand_recursively():
@@ -150,6 +151,8 @@ PARSE_ERRORS = [
     ("", "unexpected end", 0),
     ("-", "unexpected end", 1),
     ("x1h^2 + + x1", "unexpected '+'", 8),
+    ("x1^1025", "exponent above the maximum 1024", 3),
+    ("x2 x1^999999999", "exponent above the maximum 1024", 6),
 ]
 
 BAD_RATIONALS = [

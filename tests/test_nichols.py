@@ -46,6 +46,18 @@ def test_nonzero_element_has_witness():
     assert not zero and witness is not None
 
 
+def test_degree_zero_component_is_its_own_witness():
+    # degree 0 reduces through the truncation's nf[0] like any other degree
+    spec, _ = entry_instance("jordan")
+    trunc = compute_truncation(spec, 2)
+    one = spec.ring.one()
+    for text, constant in (("{1/2}", one / 2), ("1 + x1", one)):
+        zero, witness = is_zero_in_nichols(parse_element(text, spec), trunc)
+        assert not zero and witness.terms == {(): constant}, text
+    assert is_zero_in_nichols(parse_element("x1 - x1", spec), trunc) \
+        == (True, None)
+
+
 def test_extend_matches_fresh_computation():
     spec, _ = entry_instance("super_jordan")
     t1 = compute_truncation(spec, 3)

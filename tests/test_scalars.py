@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gknichols import ScalarRing, parse_scalar, print_scalar
-from gknichols.braidings import ghost_is_discrete
-from gknichols.scalars import (_Q, MAX_CYCLOTOMIC_ORDER, DivisionByZero,
-                               ParseError, ScalarError, _cyc_add, _cyc_is_zero,
-                               _cyc_neg, _print_poly, backend, qnum)
+from gknichols.braidings import natural_ghost
+from gknichols.scalars import (_Q, MAX_CYCLOTOMIC_ORDER, MAX_EXPONENT,
+                               DivisionByZero, ParseError, ScalarError,
+                               _cyc_add, _cyc_is_zero, _cyc_neg, _print_poly,
+                               qnum)
 
 RING = ScalarRing(12, params=("q",))
 
@@ -94,14 +95,28 @@ def test_parse_rejects_unknown_parameter():
         parse_scalar("q + r", RING)
 
 
+def test_parse_caps_exponents():
+    ring = ScalarRing(12)
+    z = ring.zeta(1)
+    assert parse_scalar(f"z^{MAX_EXPONENT}", ring) == z ** MAX_EXPONENT
+    assert parse_scalar(f"z^-{MAX_EXPONENT}", ring) == z ** -MAX_EXPONENT
+    assert parse_scalar("2^0010", ring) == 1024
+    for text, position in (("z^1025", 2), ("z^-1025", 3),
+                           ("1 + 2^999999999", 6), ("z^" + "9" * 5000, 2)):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text, ring)
+        assert str(info.value) == ("exponent above the maximum 1024 "
+                                   f"(at position {position})")
+
+
 def test_zeta_powers_and_orders():
     z = RING.zeta(1)
     assert (z ** 12).is_one()
     for k in range(1, 12):
         assert not (z ** k).is_one()
-        assert RING.zeta(k).mult_order().order == 12 // gcd(12, k)
-    assert RING.one().mult_order().order == 1
-    assert RING.from_int(2).mult_order().order is None
+        assert RING.zeta(k).mult_order() == 12 // gcd(12, k)
+    assert RING.one().mult_order() == 1
+    assert RING.from_int(2).mult_order() is None
 
 
 def test_cyclotomic_relation():
@@ -260,7 +275,7 @@ def test_mult_order_matches_sympy(sp, n):
         if a.is_zero():
             assert expected is None
             continue
-        assert a.mult_order().order == expected, terms
+        assert a.mult_order() == expected, terms
 
 
 def test_equal_scalars_hash_equal():
@@ -296,11 +311,14 @@ def test_rational_queries_through_cyclotomic_arithmetic():
         r = x.as_rational()
         assert isinstance(r, _Q) and r == value
         assert x.is_integer() == (value.denominator == 1)
-        assert ghost_is_discrete(x) == (x.is_integer() and value >= 0)
+        if x.is_integer() and value >= 0:
+            assert type(natural_ghost(x)) is int and natural_ghost(x) == value
+        else:
+            assert natural_ghost(x) is None
         assert print_scalar(x) == text
     for x in (z, z + z ** 6 + 1, ring.zeta(2) / 2):
         assert not x.is_rational() and not x.is_integer()
-        assert not ghost_is_discrete(x)
+        assert natural_ghost(x) is None
         with pytest.raises(ScalarError):
             x.as_rational()
 
@@ -381,11 +399,6 @@ def test_cyclotomic_order_is_capped():
         ScalarRing(MAX_CYCLOTOMIC_ORDER + 1)
     with pytest.raises(ScalarError, match="above the maximum"):
         ScalarRing(3000000)
-
-
-def test_backend_names_the_rational_type():
-    assert backend() in ("gmpy2", "fractions")
-    assert (backend() == "fractions") == (_Q is Fraction)
 
 
 # ---------------------------------------------------------------------------
