@@ -279,7 +279,7 @@ def _cmd_catalog(args):
 
 
 def _add_budget(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET,
                    help="cap on the candidate words of one degree, "
                         "dims[n-1] * letters (default 10^6)")
 

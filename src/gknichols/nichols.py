@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import factorial, prod
+from time import perf_counter
 
 from .braidings import Interaction, interaction
 from .freealgebra import (TensorElement, ad_letter, add_into, add_term,
@@ -88,16 +89,22 @@ class _Echelon:
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
     values are Scalars, or a ring's raw values with ``ops`` its ``RingOps``.
-    Each pivot row is normalized to a leading 1 (the leading entry itself
-    is not stored) and carries, negated, the combination of inserted labels
-    whose image it is, so reducing a vector needs one negation per pivot
-    step rather than one per term.
+    A pivot row is stored as it was reduced, unscaled: its lead value, the
+    rest of the row, and its label with the combination ``expr`` of earlier
+    labels, the row being the image of ``label - expr``.  The inverse of
+    the lead is taken on the first reduction step that uses the pivot and
+    kept, so a pivot that never reduces anything costs no inverse.  A step
+    cancelling the entry c at a pivot's lead costs one factor
+    ``f = -c / lead`` and adds ``f * row`` to the vector and
+    ``f * (expr - label)`` to the combination.
     """
 
     def __init__(self, ops=SCALAR_OPS):
         self.ops = ops
-        # lead key -> (row without its lead, negated label combination)
+        # lead key -> (lead value, row without its lead, label, expr)
         self.pivots = {}
+        # lead key -> inverse of the lead value, for the pivots used so far
+        self.inverses = {}
 
     def reduce(self, img):
         """Reduce ``img`` in place until its leading key is not a pivot.
@@ -105,34 +112,34 @@ class _Echelon:
         Returns ``expr`` with ``img_before == img_after + image(expr)``,
         where image(label) is the vector inserted under that label.
         """
-        pivots, ops = self.pivots, self.ops
+        pivots, inverses, ops = self.pivots, self.inverses, self.ops
+        mul, neg = ops.mul, ops.neg
         expr = {}
         while img:
             key = max(img)
             hit = pivots.get(key)
             if hit is None:
                 break
-            row, neg_ex = hit
-            neg = ops.neg(img.pop(key))
-            add_into(img, row, neg, ops)
-            add_into(expr, neg_ex, neg, ops)
+            lead, row, label, row_expr = hit
+            inv = inverses.get(key)
+            if inv is None:
+                inv = inverses[key] = ops.inv(lead)
+            step = mul(img.pop(key), inv)  # c / lead
+            f = neg(step)
+            add_into(img, row, f, ops)
+            add_term(expr, label, step, ops)
+            add_into(expr, row_expr, f, ops)
         return expr
 
     def insert(self, img, expr, label):
-        """Make the reduced, nonzero ``img`` (consumed) a pivot row.
+        """Make the reduced, nonzero ``img`` a pivot row.
 
         ``img`` and ``expr`` are the outcome of :meth:`reduce` on the
         vector inserted under ``label``, so ``img`` is the image of
-        ``label - expr``.
+        ``label - expr``; both are kept, not copied.
         """
-        ops = self.ops
-        mul = ops.mul
-        lead = max(img)
-        inv = ops.inv(img.pop(lead))
-        neg_ex = {label: ops.neg(inv)}
-        for k, v in expr.items():
-            neg_ex[k] = mul(v, inv)
-        self.pivots[lead] = ({k: mul(v, inv) for k, v in img.items()}, neg_ex)
+        key = max(img)
+        self.pivots[key] = (img.pop(key), img, label, expr)
 
 
 class NicholsTruncation:
@@ -142,6 +149,11 @@ class NicholsTruncation:
     counts per group are at most ``bound`` are kept: ``dims[n]`` counts the
     complement words of that down-set and ``ideal_dims[n]`` the rest of its
     words of length n.  ``None`` keeps every word.
+
+    ``stats[n]`` records how degree n was computed: ``dim``, the
+    ``candidates`` eliminated (the words left by the suffix and bound
+    filters), the echelon's ``pivots``, the ``inverses`` of pivot leads it
+    took, and the ``seconds`` spent.
     """
 
     def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET,
@@ -159,6 +171,8 @@ class NicholsTruncation:
         self.nf = {0: {(): {(): ops.one}}}
         self.dims = [1]
         self.ideal_dims = [0]
+        self.stats = [{"n": 0, "dim": 1, "candidates": 0, "pivots": 0,
+                       "inverses": 0, "seconds": 0.0}]
         # NF coordinates of the skew derivations of each word of basis[n]
         # in basis[n-1], for the current top degree n
         self._dcoords = {(): [{}] * spec.nletters}
@@ -169,6 +183,7 @@ class NicholsTruncation:
             self._advance()
 
     def _advance(self):
+        start = perf_counter()
         spec = self.spec
         L = spec.nletters
         n = self.max_degree + 1
@@ -227,6 +242,12 @@ class NicholsTruncation:
         self.ideal_dims.append(words - len(basis_n))
         self._dcoords = new_d
         self.max_degree = n
+        # every candidate, and only a candidate, has an entry in nf_n so far
+        self.stats.append({"n": n, "dim": len(basis_n),
+                           "candidates": len(nf_n),
+                           "pivots": len(echelon.pivots),
+                           "inverses": len(echelon.inverses),
+                           "seconds": perf_counter() - start})
 
     # ------------------------------------------------------------------
 

@@ -21,6 +21,13 @@ denominator, and inverses come from the Galois norm.  A ring picks its
 constant operations once, when it is built: when phi(N) = 1 (N = 1, 2) they
 are integer-pair closures on ``((n,), d)`` with no convolution.
 
+Most factors in the q-matrices of the paper's braided spaces are roots of
+unity +-z^k, the powers of one generator w (z, or -z for odd N).  Each ring
+indexes their canonical pairs by the exponent of w, so a product of two of
+them is a table lookup, a product with one of them moves the other factor's
+coefficients up by k modulo N (through the reduced powers of z) and keeps its
+denominator, and the inverse of w^e is w^-e with no Galois-norm walk.
+
 ``ScalarRing.ops`` is a :class:`RingOps` record of raw operations (``one``,
 ``mul``, ``add``, ``neg``, ``inv``, ``is_zero``, ``wrap``, ``unwrap``) for
 loops that should not build a ``Scalar`` per operation.  On a ring without
@@ -141,6 +148,18 @@ def _zeta_powers(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _roots_of_unity(n: int) -> tuple:
+    """The roots of unity +-z^k of Q(zeta_n) as the powers of a generator w
+    of their group (w = z for even n, -z for odd n; order lcm(2, n)):
+    (units, index) with units[e] the canonical pair of w^e and index mapping
+    each such pair back to e."""
+    zpow = _zeta_powers(n)
+    units = tuple((tuple(map(_neg, zpow[e % n])) if n % 2 and e % 2
+                   else zpow[e % n], 1) for e in range(_lcm(2, n)))
+    return units, {u: e for e, u in enumerate(units)}
+
+
+@lru_cache(maxsize=None)
 def _galois_tower(n: int) -> tuple:
     """Steps (k, m) through the Galois group (Z/n)^x of Q(zeta_n): sigma_k,
     z -> z^k, has order m modulo the subgroup H generated by the earlier
@@ -173,7 +192,7 @@ def _cyc_reduce(nums, den):
 def _cyc_add(a, b):
     (an, ad), (bn, bd) = a, b
     if ad == bd:
-        return _cyc_reduce(tuple(x + y for x, y in zip(an, bn)), ad)
+        return _cyc_reduce(tuple(map(_add, an, bn)), ad)
     g = _igcd(ad, bd)
     fa, fb = bd // g, ad // g
     return _cyc_reduce(tuple(x * fa + y * fb for x, y in zip(an, bn)),
@@ -181,7 +200,7 @@ def _cyc_add(a, b):
 
 
 def _cyc_neg(a):
-    return tuple(-x for x in a[0]), a[1]
+    return tuple(map(_neg, a[0])), a[1]
 
 
 def _cyc_is_zero(a):
@@ -266,6 +285,7 @@ class ScalarRing:
                          for v in self._zpow]
         self._red = [self._zsparse[k % n] for k in range(phi, 2 * phi - 1)]
         self._tower = _galois_tower(n)
+        self._units, self._unit_index = _roots_of_unity(n)
         self._zero_cyc = ((0,) * phi, 1)
         self._one_cyc = (self._zpow[0], 1)
         # the constant operations, chosen once: Scalar arithmetic, the
@@ -340,7 +360,31 @@ class ScalarRing:
         return tuple(out)
 
     def _conv_mul(self, a, b):
-        return _cyc_reduce(self._int_mul(a[0], b[0]), a[1] * b[1])
+        index = self._unit_index
+        ea, eb = index.get(a), index.get(b)
+        if ea is None:
+            if eb is None:
+                return _cyc_reduce(self._int_mul(a[0], b[0]), a[1] * b[1])
+            return self._rotate(a, eb)
+        if eb is None:
+            return self._rotate(b, ea)
+        units = self._units
+        return units[(ea + eb) % len(units)]
+
+    def _rotate(self, a, e):
+        """a * w^e for the generator w of the roots of unity (see
+        ``_roots_of_unity``): the coefficients of a move up by e modulo N,
+        negated when w = -z and e is odd.  w^e is a unit of Z[z], so the
+        numerators keep their content and the pair stays canonical."""
+        n, zsparse = self.cyclotomic_order, self._zsparse
+        out = [0] * self.phi
+        for i, x in enumerate(a[0], e):
+            if x:
+                for j, r in zsparse[i % n]:
+                    out[j] += x * r
+        if n % 2 and e % 2:
+            return tuple(map(_neg, out)), a[1]
+        return tuple(out), a[1]
 
     def _galois(self, v, k):
         """sigma_k(v) for an integer vector v, sigma_k: z -> z^k."""
@@ -371,6 +415,10 @@ class ScalarRing:
         The Galois group is walked along ``_tower``: if b is the product of
         the conjugates of a over a subgroup H, the product over the next
         subgroup is b * q with q = prod_{1 <= i < m} sigma_k^i(b)."""
+        e = self._unit_index.get(a)
+        if e is not None:  # a = w^e, so 1/a = w^-e
+            units = self._units
+            return units[-e % len(units)]
         nums, den = a
         if not any(nums):
             raise DivisionByZero("cyclotomic inverse of zero")

@@ -254,6 +254,10 @@ def test_usage_errors_exit_1(jordan_spec_file):
     r = run_cli("probe", spec, "--i", "x1", "--j", "x1h", "--count", "-1",
                 "--max-degree", "3")
     assert r.returncode == 1 and r.stdout == ""
+    r = run_cli("dims", spec, "--max-degree", "2", "--budget", "-1")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines()[-1].endswith(
+        "error: argument --budget: expected an integer >= 0, got '-1'")
 
 
 @pytest.mark.parametrize("obj", [

@@ -67,6 +67,29 @@ def test_extend_matches_fresh_computation():
     assert t1.ideal_dims[:6] == t2.ideal_dims[:6]
 
 
+def test_truncation_stats_per_degree():
+    spec, _ = entry_instance("lstr(A2,2)")
+    trunc = compute_truncation(spec, 3)
+    trunc.extend(4)
+    bounded = NicholsTruncation(spec, 4, bound=(2, 2, 1))
+    for t in (trunc, bounded):
+        assert len(t.stats) == 5
+        assert t.stats[0] == {"n": 0, "dim": 1, "candidates": 0,
+                              "pivots": 0, "inverses": 0, "seconds": 0.0}
+        for n, record in enumerate(t.stats[1:], 1):
+            assert sorted(record) == ["candidates", "dim", "inverses", "n",
+                                      "pivots", "seconds"]
+            assert record["n"] == n and record["dim"] == t.dims[n]
+            # every complement word is a pivot of its degree's echelon
+            assert record["pivots"] == record["dim"]
+            assert record["inverses"] <= record["pivots"]
+            assert record["dim"] <= record["candidates"] \
+                <= t.dims[n - 1] * spec.nletters
+            assert record["seconds"] >= 0
+    # the bound filter leaves fewer candidates
+    assert bounded.stats[4]["candidates"] < trunc.stats[4]["candidates"]
+
+
 def test_budget_is_enforced():
     spec, _ = entry_instance("cyc2")
     with pytest.raises(BudgetExceeded):
@@ -450,3 +473,50 @@ def test_echelon_tracks_dependencies():
         dependent.append(label)
     assert dependent == [2]
     assert len(echelon.pivots) == 3
+
+
+@pytest.mark.parametrize("raw", [True, False], ids=["ring-ops", "scalar-ops"])
+def test_echelon_inverts_pivot_leads_lazily(raw):
+    """Over Q(zeta_12) a pivot takes the inverse of its lead only when a
+    reduction first uses it, and every reduction keeps
+    img_before == img_after + image(expr)."""
+    from gknichols.nichols import _Echelon
+    from gknichols.scalars import SCALAR_OPS
+    ring = ScalarRing(12)
+    z, q = ring.zeta(1), ring.from_rational
+    base = ring.ops if raw else SCALAR_OPS
+    inverted = []
+
+    def counting_inv(value):
+        inverted.append(value)
+        return base.inv(value)
+
+    ops = base._replace(inv=counting_inv)
+    vectors = [{0: z + 2, 1: q(1, 3)},
+               {0: q(5), 2: z ** 2 - z / 2},
+               {1: z, 3: z ** 3 + 1},  # lead 3 is never reduced against
+               {1: q(-2, 7) * z, 2: z ** 5},
+               # 2 * vectors[0] - z * vectors[1]
+               {0: 2 * (z + 2) - z * q(5), 1: q(2, 3),
+                2: -z * (z ** 2 - z / 2)},
+               {0: z ** 4}]
+    echelon = _Echelon(ops)
+    dependent, inverse_counts = [], []
+    for label, vec in enumerate(vectors):
+        img = {k: ops.unwrap(v) for k, v in vec.items()}
+        expr = echelon.reduce(img)
+        after = {k: ops.wrap(v) for k, v in img.items()}
+        for lab, c in expr.items():
+            add_into(after, vectors[lab], ops.wrap(c))
+        assert after == vec
+        if img:
+            echelon.insert(img, expr, label)
+        else:
+            dependent.append(label)
+        inverse_counts.append(len(inverted))
+    assert dependent == [4, 5]
+    # leads 0, 1, 2, 3 belong to vectors 3, 0, 1, 2; vectors 3 and 4 reduce
+    # at leads 2 and 1, vector 5 at lead 0, nothing at lead 3
+    assert sorted(echelon.pivots) == [0, 1, 2, 3]
+    assert inverse_counts == [0, 0, 0, 2, 2, 3]
+    assert sorted(echelon.inverses) == [0, 1, 2]

@@ -4,7 +4,7 @@ and a differential oracle against sympy over Q(zeta_N)."""
 import pickle
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +276,52 @@ def test_mult_order_matches_sympy(sp, n):
             assert expected is None
             continue
         assert a.mult_order() == expected, terms
+
+
+def _pair(coeffs):
+    """The canonical (nums, den) pair of rational coefficients, built
+    without the ring's arithmetic."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), den
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_root_of_unity_shortcuts_match_sympy(sp, n):
+    """Products with +-z^k (by rotation or, for two roots, a table lookup)
+    and inverses of +-z^k are sympy's values, and canonical."""
+    oracle, ring = _Oracle(sp, n), ScalarRing(n)
+    mul, inv = ring.ops.mul, ring.ops.inv
+    rng = random.Random(9500 + n)
+    zero = [Fraction(0)] * ring.phi
+
+    def value(poly):
+        return poly, _pair(oracle.coeffs(poly))
+
+    # +-z^k for every k; for odd n, -z^k is not a power of z
+    roots = [value(oracle.poly([Fraction(0)] * k + [Fraction(sign)]))
+             for k in range(n) for sign in (1, -1)]
+    assert {raw for _, raw in roots} == set(ring._unit_index)
+    assert len(ring._unit_index) == lcm(2, n)
+    dense = []
+    while len(dense) < 6:
+        coeffs = _draw(rng, ring.phi)
+        if sum(c != 0 for c in coeffs) > 1 and any(c.denominator > 1
+                                                   for c in coeffs):
+            dense.append(value(oracle.poly(coeffs)))
+    rationals = [value(oracle.poly([Fraction(p, q)] + zero[1:]))
+                 for p, q in ((3, 1), (-5, 7), (1, 1), (-1, 1), (0, 1))]
+
+    def check(raw, poly):
+        assert raw == _pair(oracle.coeffs(poly))
+        _assert_canonical(raw, ring.phi)
+
+    for pu, u in roots:
+        for pv, v in rng.sample(roots, 6) + dense + rationals:
+            check(mul(u, v), pu * pv)
+            check(mul(v, u), pv * pu)
+        check(inv(u), pu.invert(oracle.mod))
+    for pd, d in dense:
+        check(inv(d), pd.invert(oracle.mod))
 
 
 def test_equal_scalars_hash_equal():
