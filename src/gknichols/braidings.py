@@ -77,6 +77,13 @@ class _BraidedBase:
     def group_of(self, idx: int) -> int:
         return self.letters[idx].group
 
+    def group_counts(self, word) -> tuple:
+        """Letter counts per group of ``word``: its Z^theta-degree."""
+        counts = [0] * self.ngroups
+        for x in word:
+            counts[self.letters[x].group - 1] += 1
+        return tuple(counts)
+
 
 def _norm_scalar(ring, value):
     if isinstance(value, Scalar):

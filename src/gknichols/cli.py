@@ -34,8 +34,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 on usage errors (2 is reserved for FAIL)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"gknichols: error: {message}", file=sys.stderr)
         sys.exit(1)
 
 

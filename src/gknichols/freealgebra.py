@@ -31,7 +31,7 @@ def word_key(word):
 
 def add_term(acc, key, value, ops=SCALAR_OPS):
     """acc[key] += value in a sparse dict, dropping a zero sum; the values
-    are Scalars, or a ring's raw values with ``ops`` its ``RingOps``."""
+    are Scalars, or a ring's payloads with ``ops`` its ``RingOps``."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = value
@@ -100,10 +100,7 @@ class TensorElement:
         """The Z^theta degree (letter counts per group index), if homogeneous."""
         deg = None
         for word in self.terms:
-            d = [0] * self.spec.ngroups
-            for idx in word:
-                d[self.spec.group_of(idx) - 1] += 1
-            d = tuple(d)
+            d = self.spec.group_counts(word)
             if deg is None:
                 deg = d
             elif deg != d:

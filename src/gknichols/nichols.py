@@ -37,11 +37,10 @@ the full truncation restricted to the down-set.  Membership above
 ``max_degree`` reduces each component through such a truncation.
 
 The tables (the normal forms ``nf``, the skew-derivation coordinates and
-the echelon rows) and the braiding expansion, unwrapped once per truncation,
-hold the ring's raw values (``ScalarRing.ops``): on a ring without
-parameters the canonical ``(nums, den)`` pairs of its constants, so the hot
-loop builds no ``Scalar``.  ``Scalar`` values appear only at
-``normal_form_vector``, which wraps the coordinates it returns, so
+the echelon rows) and the braiding expansion hold ``Scalar`` payloads, on
+which ``ScalarRing.ops`` act, on every ring, with parameters or not, so the
+hot loop builds no ``Scalar``.  ``Scalar`` values appear only at
+``normal_form_vector``, which builds one per coordinate it returns, so
 membership, verification and the probe see ``Scalar``s as before.
 
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
@@ -88,7 +87,7 @@ class _Echelon:
     """Incremental sparse echelon form with expression tracking.
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
-    values are Scalars, or a ring's raw values with ``ops`` its ``RingOps``.
+    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``.
     A pivot row is stored as it was reduced, unscaled: its lead value, the
     rest of the row, and its label with the combination ``expr`` of earlier
     labels, the row being the image of ``label - expr``.  The inverse of
@@ -162,12 +161,12 @@ class NicholsTruncation:
         self.budget = budget
         self.bound = None if bound is None else tuple(bound)
         self._ops = ops = spec.ring.ops
-        # the braiding expansions act[g-1][letter] on raw coefficients
-        self._act = [[tuple((t, ops.unwrap(c)) for t, c in expansion)
+        # the braiding expansions act[g-1][letter] on payloads
+        self._act = [[tuple((t, c.payload) for t, c in expansion)
                       for expansion in group] for group in spec._act]
         self.max_degree = 0
         self.basis = {0: [()]}
-        # normal forms and _dcoords hold the ring's raw values (see ops)
+        # normal forms and _dcoords hold payloads (see ops)
         self.nf = {0: {(): {(): ops.one}}}
         self.dims = [1]
         self.ideal_dims = [0]
@@ -282,7 +281,6 @@ class NicholsTruncation:
         ring = self.spec.ring
         if e.spec.ring is not ring and e.spec.ring != ring:
             raise RingMismatch(f"{e.spec.ring} vs {ring}")
-        ops = self._ops
         acc = {}
         for w, c in e.terms.items():
             if len(w) == n:
@@ -290,28 +288,20 @@ class NicholsTruncation:
                         _exceeds(self.spec, w, self.bound):
                     raise NicholsError(
                         f"word {w} lies outside the bound {self.bound}")
-                add_into(acc, self._word_nf(w), ops.unwrap(c), ops)
-        return {w: ops.wrap(c) for w, c in acc.items()}
-
-
-def _group_counts(spec, word):
-    """Letter counts per group of ``word``: its Z^theta-degree."""
-    counts = [0] * spec.ngroups
-    for x in word:
-        counts[spec.group_of(x) - 1] += 1
-    return counts
+                add_into(acc, self._word_nf(w), c.payload, self._ops)
+        return {w: Scalar(ring, c) for w, c in acc.items()}
 
 
 def _exceeds(spec, word, bound):
     """True when some group count of ``word`` is above ``bound``."""
-    return any(c > b for c, b in zip(_group_counts(spec, word), bound))
+    return any(c > b for c, b in zip(spec.group_counts(word), bound))
 
 
 def _downset_words(spec, bound, n):
     """Number of words of length n whose group counts are at most ``bound``:
     the sum over beta <= bound with |beta| = n of the multinomial
     n! / prod(beta_g!) times prod(letters of group g ** beta_g)."""
-    sizes = _group_counts(spec, range(spec.nletters))
+    sizes = spec.group_counts(range(spec.nletters))
     total = 0
     for beta in product(*(range(b + 1) for b in bound)):
         if sum(beta) == n:
@@ -350,7 +340,7 @@ def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
 def _component_zero(comp, n, trunc):
     spec = trunc.spec
     if n > trunc.max_degree:
-        alpha = [max(col) for col in zip(*(_group_counts(spec, w)
+        alpha = [max(col) for col in zip(*(spec.group_counts(w)
                                            for w in comp.terms))]
         trunc = NicholsTruncation(spec, n, trunc.budget, bound=alpha)
     vec = trunc.normal_form_vector(comp, n)

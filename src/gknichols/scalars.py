@@ -2,7 +2,7 @@
 
 Scalars live in Q(zeta_N) optionally extended by transcendental parameters;
 every value is stored in a canonical form so that equality is decidable.
-A ``Scalar`` has one of two kinds:
+A ``Scalar`` is a ring and a payload, of one of two kinds:
 
 * ``"c"``: a constant of Q(zeta_N), rationals included, stored as the pair
   ``(nums, den)``: ``nums`` is a tuple of phi(N) Python ints, the
@@ -28,15 +28,16 @@ them is a table lookup, a product with one of them moves the other factor's
 coefficients up by k modulo N (through the reduced powers of z) and keeps its
 denominator, and the inverse of w^e is w^-e with no Galois-norm walk.
 
-``ScalarRing.ops`` is a :class:`RingOps` record of raw operations (``one``,
-``mul``, ``add``, ``neg``, ``inv``, ``is_zero``, ``wrap``, ``unwrap``) for
-loops that should not build a ``Scalar`` per operation.  On a ring without
-parameters a raw value is the canonical ``(nums, den)`` pair of a constant
-and the operations are the ring's constant operations, the ones ``Scalar``
-arithmetic calls; on a ring with parameters a raw value is the ``Scalar``
-itself, ``wrap`` and ``unwrap`` are the identity, and the operations are
-those of :data:`SCALAR_OPS`.  The cyclotomic order is capped at
-``MAX_CYCLOTOMIC_ORDER``: the table of powers of z costs O(N * phi(N)).
+``ScalarRing.ops`` is a :class:`RingOps` record of the ring's operations on
+payloads (``one``, ``mul``, ``add``, ``neg``, ``inv``, ``is_zero``):
+``Scalar`` arithmetic is one call to them, and hot loops call them on raw
+payloads, building ``Scalar(ring, payload)`` only for what they return.  A
+payload's kind is read off its denominator: an int for a constant, a dict
+for a fraction.  On a ring with parameters two constants still go to the
+constant operations, any other pair to the polynomial arithmetic and
+``_make_frac``.  :data:`SCALAR_OPS` is the record for dicts of ``Scalar``s.
+The cyclotomic order is capped at ``MAX_CYCLOTOMIC_ORDER``: the table of
+powers of z costs O(N * phi(N)).
 
 An ``"f"`` value is reduced by the monic gcd of its numerator and
 denominator.  In at most one active parameter that gcd is Euclid's algorithm
@@ -49,10 +50,9 @@ polynomials in the others, whose contents are gcds one parameter down
 from __future__ import annotations
 
 from fractions import Fraction as _Q
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd as _igcd, lcm as _lcm
-from operator import add as _add, attrgetter, methodcaller, mul as _mul, \
-    neg as _neg
+from operator import add as _add, methodcaller, mul as _mul, neg as _neg
 from typing import Any, Callable, NamedTuple
 
 
@@ -250,8 +250,17 @@ def _rat_inv(a):
     raise DivisionByZero("cyclotomic inverse of zero")
 
 
+def _is_const(payload):
+    """True for a constant's (nums, den) payload, False for a fraction's."""
+    return type(payload[1]) is int
+
+
+def _frac_is_zero(a):
+    return _is_const(a) and _cyc_is_zero(a)
+
+
 class RingOps(NamedTuple):
-    """A ring's raw operations; see the module docstring."""
+    """A ring's operations on payloads; see the module docstring."""
 
     one: Any
     mul: Callable
@@ -259,8 +268,6 @@ class RingOps(NamedTuple):
     neg: Callable
     inv: Callable
     is_zero: Callable
-    wrap: Callable
-    unwrap: Callable
 
 
 class ScalarRing:
@@ -288,8 +295,8 @@ class ScalarRing:
         self._units, self._unit_index = _roots_of_unity(n)
         self._zero_cyc = ((0,) * phi, 1)
         self._one_cyc = (self._zpow[0], 1)
-        # the constant operations, chosen once: Scalar arithmetic, the
-        # products of polynomial coefficients and the raw ops call these
+        # the constant operations, chosen once: the payload ops and the
+        # products of polynomial coefficients call these
         if phi == 1:
             self.cyc_add, self.cyc_mul = _rat_add, _rat_mul
             self.cyc_neg, self.cyc_inv = _rat_neg, _rat_inv
@@ -299,20 +306,19 @@ class ScalarRing:
             self.cyc_neg, self.cyc_inv = _cyc_neg, self._norm_inv
             cyc_is_zero = _cyc_is_zero
         if params:
-            self.ops = SCALAR_OPS._replace(one=self.one())
+            self.ops = RingOps(self._one_cyc, self._frac_mul, self._frac_add,
+                               self._frac_neg, self._frac_inv, _frac_is_zero)
         else:
             self.ops = RingOps(self._one_cyc, self.cyc_mul, self.cyc_add,
-                               self.cyc_neg, self.cyc_inv, cyc_is_zero,
-                               partial(Scalar, self, "c"),
-                               attrgetter("payload"))
+                               self.cyc_neg, self.cyc_inv, cyc_is_zero)
 
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return Scalar(self, "c", self._zero_cyc)
+        return Scalar(self, self._zero_cyc)
 
     def one(self) -> "Scalar":
-        return Scalar(self, "c", self._one_cyc)
+        return Scalar(self, self._one_cyc)
 
     def from_int(self, n) -> "Scalar":
         return self._rational(_Q(n))
@@ -322,11 +328,11 @@ class ScalarRing:
 
     def _rational(self, r):
         nums = (r.numerator,) + self._zero_cyc[0][1:]
-        return Scalar(self, "c", (nums, r.denominator))
+        return Scalar(self, (nums, r.denominator))
 
     def zeta(self, power: int = 1) -> "Scalar":
         vec = self._zpow[power % self.cyclotomic_order]
-        return Scalar(self, "c", (vec, 1))
+        return Scalar(self, (vec, 1))
 
     def param(self, name: str) -> "Scalar":
         if name not in self.params:
@@ -334,12 +340,51 @@ class ScalarRing:
         i = self.params.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(self.params)))
         num = {exps: self._one_cyc}
-        return Scalar(self, "f", (num, self._const_poly(self._one_cyc)))
+        return Scalar(self, (num, self._const_poly(self._one_cyc)))
 
     def _const_poly(self, c):
         if _cyc_is_zero(c):
             return {}
         return {(0,) * len(self.params): c}
+
+    # -- payload operations of a ring with parameters -----------------------
+
+    def _as_frac(self, a):
+        if _is_const(a):
+            return self._const_poly(a), self._const_poly(self._one_cyc)
+        return a
+
+    def _frac_add(self, a, b):
+        if _is_const(a) and _is_const(b):
+            return self.cyc_add(a, b)
+        (na, da), (nb, db) = self._as_frac(a), self._as_frac(b)
+        return _make_frac(self, _poly_add(_poly_mul(self, na, db),
+                                          _poly_mul(self, nb, da)),
+                          _poly_mul(self, da, db))
+
+    def _frac_mul(self, a, b):
+        if _is_const(a):
+            if _is_const(b):
+                return self.cyc_mul(a, b)
+            a, b = b, a
+        elif not _is_const(b):
+            return _make_frac(self, _poly_mul(self, a[0], b[0]),
+                              _poly_mul(self, a[1], b[1]))
+        # fraction times constant: a nonzero constant is a unit, so the
+        # scaled numerator stays coprime to the (monic) denominator
+        if _cyc_is_zero(b):
+            return self._zero_cyc
+        return _poly_scale(self, a[0], b), a[1]
+
+    def _frac_neg(self, a):
+        if _is_const(a):
+            return self.cyc_neg(a)
+        return _poly_neg(a[0]), a[1]
+
+    def _frac_inv(self, a):
+        if _is_const(a):
+            return self.cyc_inv(a)
+        return _make_frac(self, a[1], a[0])
 
     # -- cyclotomic multiplication -----------------------------------------
 
@@ -462,7 +507,7 @@ def _poly_add_term(poly, exps, c):
         poly[exps] = c
 
 
-def _poly_add(ring, a, b):
+def _poly_add(a, b):
     out = dict(a)
     for e, c in b.items():
         _poly_add_term(out, e, c)
@@ -574,7 +619,7 @@ def _poly_gcd(ring, a, b):
             for d, p in b.items():
                 if d != db:
                     k = d + da - db
-                    a[k] = _poly_add(ring, a.get(k, {}),
+                    a[k] = _poly_add(a.get(k, {}),
                                      _poly_mul(ring, neg_la, p))
             a = {d: p for d, p in a.items() if p}
         a, b = b, _primitive(ring, a)[1]
@@ -610,11 +655,10 @@ class Scalar:
     kind 'f': (numerator, denominator) polynomial pair, normalized.
     """
 
-    __slots__ = ("ring", "kind", "payload", "_hash")
+    __slots__ = ("ring", "payload", "_hash")
 
-    def __init__(self, ring, kind, payload):
+    def __init__(self, ring, payload):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "_hash", None)
 
@@ -622,19 +666,16 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):  # pickle and copy through __init__
-        return Scalar, (self.ring, self.kind, self.payload)
+        return Scalar, (self.ring, self.payload)
 
-    def _as_frac(self):
-        ring = self.ring
-        if self.kind == "f":
-            return self.payload
-        return (ring._const_poly(self.payload),
-                ring._const_poly(ring._one_cyc))
+    @property
+    def kind(self) -> str:
+        return "c" if _is_const(self.payload) else "f"
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.kind == "c" and _cyc_is_zero(self.payload)
+        return self.ring.ops.is_zero(self.payload)
 
     def is_one(self) -> bool:
         return self == self.ring.one()
@@ -666,22 +707,14 @@ class Scalar:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        ring = a.ring
-        if a.kind == "c" and b.kind == "c":
-            return Scalar(ring, "c", ring.cyc_add(a.payload, b.payload))
-        (na, da), (nb, db) = a._as_frac(), b._as_frac()
-        num = _poly_add(ring, _poly_mul(ring, na, db), _poly_mul(ring, nb, da))
-        den = _poly_mul(ring, da, db)
-        return _make_frac(ring, num, den)
+        ring = self.ring
+        return Scalar(ring, ring.ops.add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.kind == "c":
-            return Scalar(self.ring, "c", self.ring.cyc_neg(self.payload))
-        num, den = self.payload
-        return Scalar(self.ring, "f", (_poly_neg(num), den))
+        ring = self.ring
+        return Scalar(ring, ring.ops.neg(self.payload))
 
     def __sub__(self, other):
         other = self._check(other)
@@ -699,31 +732,14 @@ class Scalar:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        ring = a.ring
-        if a.kind == "c" and b.kind == "c":
-            return Scalar(ring, "c", ring.cyc_mul(a.payload, b.payload))
-        if a.kind == "c" or b.kind == "c":
-            # constant times fraction: a nonzero constant is a unit, so the
-            # scaled numerator stays coprime to the (monic) denominator
-            if b.kind == "c":
-                a, b = b, a
-            if a.is_zero():
-                return ring.zero()
-            num, den = b.payload
-            return Scalar(ring, "f", (_poly_scale(ring, num, a.payload), den))
-        (na, da), (nb, db) = a._as_frac(), b._as_frac()
-        return _make_frac(ring, _poly_mul(ring, na, nb), _poly_mul(ring, da, db))
+        ring = self.ring
+        return Scalar(ring, ring.ops.mul(self.payload, other.payload))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise DivisionByZero("scalar inverse of zero")
-        if self.kind == "c":
-            return Scalar(self.ring, "c", self.ring.cyc_inv(self.payload))
-        num, den = self.payload
-        return _make_frac(self.ring, den, num)
+        ring = self.ring
+        return Scalar(ring, ring.ops.inv(self.payload))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -759,7 +775,7 @@ class Scalar:
         if self.ring is not other.ring and self.ring != other.ring:
             return False
         # canonical forms: an "f" value is never a constant
-        return self.kind == other.kind and self.payload == other.payload
+        return self.payload == other.payload
 
     def __hash__(self):
         if self._hash is None:
@@ -781,13 +797,10 @@ class Scalar:
             raise ZeroInput("multiplicative order of zero")
         if self.kind == "f":
             return None
-        n = _lcm(2, self.ring.cyclotomic_order)
-        if (self ** n) != self.ring.one():
-            return None
-        for d in sorted(_divisors(n)):
-            if (self ** d) == self.ring.one():
-                return d
-        raise AssertionError("unreachable")
+        # the roots of unity of Q(zeta_N) are the powers w^e of _roots_of_unity
+        n = len(self.ring._units)
+        e = self.ring._unit_index.get(self.payload)
+        return None if e is None else n // _igcd(e, n)
 
     # -- printing -----------------------------------------------------------
 
@@ -798,37 +811,23 @@ class Scalar:
         return print_scalar(self)
 
 
-def _identity(value):
-    return value
-
-
 # the operations on Scalar values, the same in every ring (so ``one`` is
-# left None); a ring with parameters uses them with its own ``one``
+# left None): the values of TensorElement terms and of the oracles' echelons
 SCALAR_OPS = RingOps(None, _mul, _add, _neg, methodcaller("inverse"),
-                     methodcaller("is_zero"), _identity, _identity)
+                     methodcaller("is_zero"))
 
 
 def _freeze_poly(p):
     return tuple(sorted(p.items(), key=lambda kv: _grlex_key(kv[0])))
 
 
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 def _make_frac(ring, num, den):
+    """The payload of num / den: a fraction's reduced pair, or a constant's
+    pair when the quotient is constant."""
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
-        return ring.zero()
+        return ring._zero_cyc
     g = _poly_gcd(ring, num, den)
     const = (0,) * len(ring.params)
     if set(g) != {const} or g[const] != ring._one_cyc:
@@ -840,8 +839,8 @@ def _make_frac(ring, num, den):
         num = _poly_scale(ring, num, inv)
         den = _poly_scale(ring, den, inv)
     if set(num) == set(den) == {const}:  # den is monic, so 1
-        return Scalar(ring, "c", num[const])
-    return Scalar(ring, "f", (num, den))
+        return num[const]
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -244,20 +244,23 @@ def test_probe(jordan_spec_file):
 
 
 def test_usage_errors_exit_1(jordan_spec_file):
-    assert run_cli("frobnicate").returncode == 1
-    assert run_cli("dims", "/nonexistent.json",
-                   "--max-degree", "2").returncode == 1
-    assert run_cli("verify", "--max-degree", "3").returncode == 1
+    """Each usage error exits 1 with one ``gknichols: error:`` line on
+    stderr and no usage block."""
     spec = jordan_spec_file
-    r = run_cli("dims", spec, "--max-degree", "-3")
-    assert r.returncode == 1 and r.stdout == ""
-    r = run_cli("probe", spec, "--i", "x1", "--j", "x1h", "--count", "-1",
-                "--max-degree", "3")
-    assert r.returncode == 1 and r.stdout == ""
-    r = run_cli("dims", spec, "--max-degree", "2", "--budget", "-1")
-    assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr.splitlines()[-1].endswith(
-        "error: argument --budget: expected an integer >= 0, got '-1'")
+    cases = [("frobnicate",),
+             ("dims", "/nonexistent.json", "--max-degree", "2"),
+             ("verify", "--max-degree", "3"),
+             ("dims", spec, "--max-degree", "-3"),
+             ("probe", spec, "--i", "x1", "--j", "x1h", "--count", "-1",
+              "--max-degree", "3"),
+             ("dims", spec, "--max-degree", "2", "--budget", "-1")]
+    for args in cases:
+        r = run_cli(*args)
+        assert r.returncode == 1 and r.stdout == "", args
+        assert r.stderr.startswith("gknichols: error: "), (args, r.stderr)
+        assert r.stderr.count("\n") == 1, (args, r.stderr)
+    assert r.stderr == ("gknichols: error: argument --budget: expected an "
+                        "integer >= 0, got '-1'\n")
 
 
 @pytest.mark.parametrize("obj", [

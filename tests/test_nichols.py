@@ -214,13 +214,14 @@ def _cartan_spec():
                            "q": _CARTAN_Q})
 
 
-@pytest.mark.parametrize("spec", [entry_instance("poseidon")[0],
-                                  _cartan_spec()],
-                         ids=["poseidon", "cartan-zeta12"])
-def test_truncation_builds_no_scalars(spec, monkeypatch):
-    """On a ring without parameters the truncation runs on raw values: the
-    number of Scalars it builds is a small constant, not growing with the
-    degree."""
+@pytest.mark.parametrize("spec, dim5", [
+    (entry_instance("poseidon")[0], 228), (_cartan_spec(), 96),
+    (entry_instance("lstr(A(1|0)1;r)", {"r": "generic"})[0], 87)],
+    ids=["poseidon", "cartan-zeta12", "generic-r"])
+def test_truncation_builds_no_scalars(spec, dim5, monkeypatch):
+    """On every ring, parameters or not, the truncation runs on raw
+    payloads: the number of Scalars it builds is a small constant, not
+    growing with the degree."""
     built = [0]
     init = Scalar.__init__
 
@@ -234,7 +235,7 @@ def test_truncation_builds_no_scalars(spec, monkeypatch):
         built[0] = 0
         trunc = compute_truncation(spec, degree)
         counts.append(built[0])
-    assert trunc.dims[5] > 90
+    assert trunc.dims[5] == dim5
     assert counts[0] == counts[1] <= 2, counts
 
 
@@ -475,16 +476,20 @@ def test_echelon_tracks_dependencies():
     assert len(echelon.pivots) == 3
 
 
-@pytest.mark.parametrize("raw", [True, False], ids=["ring-ops", "scalar-ops"])
-def test_echelon_inverts_pivot_leads_lazily(raw):
-    """Over Q(zeta_12) a pivot takes the inverse of its lead only when a
-    reduction first uses it, and every reduction keeps
-    img_before == img_after + image(expr)."""
+@pytest.mark.parametrize("raw, ring", [
+    (True, ScalarRing(12)), (False, ScalarRing(12)),
+    (True, ScalarRing(1, ("q",)))],
+    ids=["ring-ops", "scalar-ops", "ring-ops-param"])
+def test_echelon_inverts_pivot_leads_lazily(raw, ring):
+    """Over Q(zeta_12), and over Q(q) with z = q, a pivot takes the inverse
+    of its lead only when a reduction first uses it, and every reduction
+    keeps img_before == img_after + image(expr)."""
     from gknichols.nichols import _Echelon
     from gknichols.scalars import SCALAR_OPS
-    ring = ScalarRing(12)
-    z, q = ring.zeta(1), ring.from_rational
+    z = ring.param("q") if ring.params else ring.zeta(1)
+    q = ring.from_rational
     base = ring.ops if raw else SCALAR_OPS
+    wrap = (lambda v: Scalar(ring, v)) if raw else (lambda v: v)
     inverted = []
 
     def counting_inv(value):
@@ -503,11 +508,11 @@ def test_echelon_inverts_pivot_leads_lazily(raw):
     echelon = _Echelon(ops)
     dependent, inverse_counts = [], []
     for label, vec in enumerate(vectors):
-        img = {k: ops.unwrap(v) for k, v in vec.items()}
+        img = {k: v.payload if raw else v for k, v in vec.items()}
         expr = echelon.reduce(img)
-        after = {k: ops.wrap(v) for k, v in img.items()}
+        after = {k: wrap(v) for k, v in img.items()}
         for lab, c in expr.items():
-            add_into(after, vectors[lab], ops.wrap(c))
+            add_into(after, vectors[lab], wrap(c))
         assert after == vec
         if img:
             echelon.insert(img, expr, label)

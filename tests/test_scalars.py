@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gknichols import ScalarRing, parse_scalar, print_scalar
 from gknichols.braidings import natural_ghost
 from gknichols.scalars import (_Q, MAX_CYCLOTOMIC_ORDER, MAX_EXPONENT,
-                               DivisionByZero, ParseError, ScalarError,
+                               DivisionByZero, ParseError, Scalar,
+                               ScalarError,
                                _cyc_add, _cyc_is_zero, _cyc_neg, _print_poly,
                                qnum)
 
@@ -391,28 +392,29 @@ def _assert_canonical(raw, phi):
 
 @pytest.mark.parametrize("order, params", [(1, ()), (12, ()), (1, ("q",))])
 def test_raw_ops_match_scalar_arithmetic(order, params):
-    """wrap(op(unwrap(a), unwrap(b))) is a op b; raw constants stay in
-    canonical form."""
+    """Scalar(ring, op(a.payload, b.payload)) is a op b; raw constants stay
+    in canonical form."""
     ring = ScalarRing(order, params)
     ops = ring.ops
     values = _raw_operands(ring, 100 + order)
-    assert ops.wrap(ops.one) == ring.one()
+    assert Scalar(ring, ops.one) == ring.one()
     copied = pickle.loads(pickle.dumps((ring, values)))
     assert copied[0] == ring and copied[1] == values
-    assert copied[0].ops.wrap(copied[0].ops.one) == ring.one()
+    assert Scalar(copied[0], copied[0].ops.one) == ring.one()
     for a in values:
-        ra = ops.unwrap(a)
-        assert ops.wrap(ra) == a
+        ra = a.payload
+        assert Scalar(ring, ra) == a
         assert ops.is_zero(ra) == a.is_zero()
         results = [(ops.neg(ra), -a)]
         if not a.is_zero():
             results.append((ops.inv(ra), a.inverse()))
         for b in values:
-            rb = ops.unwrap(b)
+            rb = b.payload
             results += [(ops.add(ra, rb), a + b), (ops.mul(ra, rb), a * b)]
         for raw, expected in results:
-            assert ops.wrap(raw) == expected
-            if not params:
+            got = Scalar(ring, raw)
+            assert got == expected
+            if got.kind == "c":
                 _assert_canonical(raw, ring.phi)
         if a.is_zero():
             with pytest.raises(DivisionByZero):
@@ -426,7 +428,7 @@ def test_integer_pair_ops_match_convolution(order):
     ring = ScalarRing(order)
     assert ring.phi == 1
     ops = ring.ops
-    raws = [ops.unwrap(v) for v in _raw_operands(ring, 200 + order)]
+    raws = [v.payload for v in _raw_operands(ring, 200 + order)]
     for a in raws:
         assert ops.neg(a) == _cyc_neg(a)
         assert ops.is_zero(a) == _cyc_is_zero(a)
