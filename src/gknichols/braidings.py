@@ -9,13 +9,14 @@ Letters are exposed as small objects but indexed internally by position in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .scalars import Scalar, ScalarRing, parse_scalar, print_scalar
+from .scalars import (GKNicholsError, Scalar, ScalarRing, parse_scalar,
+                      print_scalar)
 
 
-class SpecError(Exception):
+class SpecError(GKNicholsError):
     pass
 
 
@@ -23,18 +24,15 @@ class EpsilonNotPlusMinusOne(SpecError):
     pass
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A basis letter: group index (1-based block/point index) and level.
+class Letter(namedtuple("Letter", "group level name idx")):
+    """A basis letter: group index (1-based block/point index), level, name
+    and position in ``spec.letters``.
 
     Level 0 is the point letter or the first block letter x_k; level m >= 1
     are the extra block letters (x_{k+1/2} for length-2 blocks).
     """
 
-    group: int
-    level: int
-    name: str
-    idx: int
+    __slots__ = ()
 
     def __str__(self):
         return self.name
@@ -58,6 +56,8 @@ class _BraidedBase:
         self.letters = letters
         self.name_to_idx = {l.name: l.idx for l in letters}
         self.nletters = len(letters)
+        # the group of each letter index, read on the truncation's hot path
+        self._groups = tuple(l.group for l in letters)
         # act[g-1][idx] = tuple of (target idx, Scalar)
         self._act = act
 
@@ -75,13 +75,14 @@ class _BraidedBase:
         return self._act[group - 1][self.letter(letter).idx]
 
     def group_of(self, idx: int) -> int:
-        return self.letters[idx].group
+        return self._groups[idx]
 
     def group_counts(self, word) -> tuple:
         """Letter counts per group of ``word``: its Z^theta-degree."""
         counts = [0] * self.ngroups
+        groups = self._groups
         for x in word:
-            counts[self.letters[x].group - 1] += 1
+            counts[groups[x] - 1] += 1
         return tuple(counts)
 
 

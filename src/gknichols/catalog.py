@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from functools import partial
 from math import lcm
 
-from .scalars import ScalarRing, parse_scalar
+from .scalars import GKNicholsError, ScalarRing, parse_scalar
 from .braidings import (BraidedSpaceSpec, PaleBlockPointSpec, SpecError,
                         _index_pair)
 from .freealgebra import expression_degree
 from .nichols import Presentation
 
 
-class CatalogError(Exception):
+class CatalogError(GKNicholsError):
     pass
 
 

@@ -29,11 +29,11 @@ from itertools import product
 
 from .braidings import (BraidedSpaceSpec, Interaction, PaleBlockPointSpec,
                         ghost, interaction, natural_ghost)
-from .scalars import Scalar
+from .scalars import GKNicholsError, Scalar
 from .weyl import DynkinDiagram, TableEntry, match_table_pattern
 
 
-class FlourishedError(Exception):
+class FlourishedError(GKNicholsError):
     pass
 
 

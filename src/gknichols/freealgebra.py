@@ -8,12 +8,12 @@ downstream.
 
 from __future__ import annotations
 
-from .braidings import Letter, SpecError
-from .scalars import SCALAR_OPS, ParseError, Scalar, check_exponent, \
-    parse_scalar
+from .braidings import SpecError
+from .scalars import SCALAR_OPS, GKNicholsError, ParseError, Scalar, \
+    check_exponent, parse_scalar
 
 
-class ElementError(Exception):
+class ElementError(GKNicholsError):
     pass
 
 

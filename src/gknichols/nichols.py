@@ -48,7 +48,6 @@ An independent oracle, the quantum symmetrizer, is provided for small degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import factorial, prod
 from time import perf_counter
@@ -57,12 +56,12 @@ from .braidings import Interaction, interaction
 from .freealgebra import (TensorElement, ad_letter, add_into, add_term,
                           braided_commutator, expression_degree,
                           parse_element, print_element, skew_derivation)
-from .scalars import SCALAR_OPS, RingMismatch, Scalar
+from .scalars import SCALAR_OPS, GKNicholsError, RingMismatch, Scalar
 
 DEFAULT_BUDGET = 10 ** 6
 
 
-class NicholsError(Exception):
+class NicholsError(GKNicholsError):
     pass
 
 
@@ -149,10 +148,10 @@ class NicholsTruncation:
     complement words of that down-set and ``ideal_dims[n]`` the rest of its
     words of length n.  ``None`` keeps every word.
 
-    ``stats[n]`` records how degree n was computed: ``dim``, the
-    ``candidates`` eliminated (the words left by the suffix and bound
-    filters), the echelon's ``pivots``, the ``inverses`` of pivot leads it
-    took, and the ``seconds`` spent.
+    ``stats[n]`` records how degree n was computed: ``dim`` and
+    ``ideal_dim``, the ``candidates`` eliminated (the words left by the
+    suffix and bound filters), the echelon's ``pivots``, the ``inverses`` of
+    pivot leads it took, and the ``seconds`` spent.
     """
 
     def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET,
@@ -170,8 +169,8 @@ class NicholsTruncation:
         self.nf = {0: {(): {(): ops.one}}}
         self.dims = [1]
         self.ideal_dims = [0]
-        self.stats = [{"n": 0, "dim": 1, "candidates": 0, "pivots": 0,
-                       "inverses": 0, "seconds": 0.0}]
+        self.stats = [{"n": 0, "dim": 1, "ideal_dim": 0, "candidates": 0,
+                       "pivots": 0, "inverses": 0, "seconds": 0.0}]
         # NF coordinates of the skew derivations of each word of basis[n]
         # in basis[n-1], for the current top degree n
         self._dcoords = {(): [{}] * spec.nletters}
@@ -243,6 +242,7 @@ class NicholsTruncation:
         self.max_degree = n
         # every candidate, and only a candidate, has an entry in nf_n so far
         self.stats.append({"n": n, "dim": len(basis_n),
+                           "ideal_dim": self.ideal_dims[n],
                            "candidates": len(nf_n),
                            "pivots": len(echelon.pivots),
                            "inverses": len(echelon.inverses),
@@ -418,20 +418,22 @@ def quantum_symmetrizer_kernel(spec, n: int):
 # presentations
 
 
-@dataclass
 class Presentation:
     """A named presentation: relations as parseable strings plus PBW data.
 
     ``pbw`` entries are (label, degree, height); height None means infinite.
     """
 
-    name: str
-    relations: list
-    pbw: list
-    gk: int
-    macros: dict = field(default_factory=dict)
-    is_domain: bool = False
-    params: dict = field(default_factory=dict)
+    def __init__(self, name: str, relations: list, pbw: list, gk: int,
+                 macros: dict | None = None, is_domain: bool = False,
+                 params: dict | None = None):
+        self.name = name
+        self.relations = relations
+        self.pbw = pbw
+        self.gk = gk
+        self.macros = {} if macros is None else macros
+        self.is_domain = is_domain
+        self.params = {} if params is None else params
 
 
 def pbw_hilbert_coeffs(p: Presentation, nstar: int):

@@ -34,8 +34,8 @@ payloads (``one``, ``mul``, ``add``, ``neg``, ``inv``, ``is_zero``):
 payloads, building ``Scalar(ring, payload)`` only for what they return.  A
 payload's kind is read off its denominator: an int for a constant, a dict
 for a fraction.  On a ring with parameters two constants still go to the
-constant operations, any other pair to the polynomial arithmetic and
-``_make_frac``.  :data:`SCALAR_OPS` is the record for dicts of ``Scalar``s.
+constant operations, a sum of a constant and a fraction needs no reduction,
+and any other pair goes to the polynomial arithmetic and ``_make_frac``.  :data:`SCALAR_OPS` is the record for dicts of ``Scalar``s.
 The cyclotomic order is capped at ``MAX_CYCLOTOMIC_ORDER``: the table of
 powers of z costs O(N * phi(N)).
 
@@ -60,7 +60,14 @@ MAX_CYCLOTOMIC_ORDER = 1024
 MAX_EXPONENT = 1024  # |n| in a literal power x^n of either grammar
 
 
-class ScalarError(Exception):
+class GKNicholsError(Exception):
+    """The base of the package's error classes (``ScalarError``,
+    ``SpecError``, ``ElementError``, ``NicholsError``, ``CatalogError``,
+    ``FlourishedError`` and ``WeylError``), so that a caller can catch
+    every one without importing the module that raises it."""
+
+
+class ScalarError(GKNicholsError):
     pass
 
 
@@ -339,28 +346,25 @@ class ScalarRing:
             raise ScalarError(f"unknown parameter {name!r}")
         i = self.params.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(self.params)))
-        num = {exps: self._one_cyc}
-        return Scalar(self, (num, self._const_poly(self._one_cyc)))
-
-    def _const_poly(self, c):
-        if _cyc_is_zero(c):
-            return {}
-        return {(0,) * len(self.params): c}
+        den = {(0,) * len(self.params): self._one_cyc}
+        return Scalar(self, ({exps: self._one_cyc}, den))
 
     # -- payload operations of a ring with parameters -----------------------
 
-    def _as_frac(self, a):
-        if _is_const(a):
-            return self._const_poly(a), self._const_poly(self._one_cyc)
-        return a
-
     def _frac_add(self, a, b):
-        if _is_const(a) and _is_const(b):
-            return self.cyc_add(a, b)
-        (na, da), (nb, db) = self._as_frac(a), self._as_frac(b)
-        return _make_frac(self, _poly_add(_poly_mul(self, na, db),
-                                          _poly_mul(self, nb, da)),
-                          _poly_mul(self, da, db))
+        if _is_const(a):
+            if _is_const(b):
+                return self.cyc_add(a, b)
+            a, b = b, a
+        elif not _is_const(b):
+            (na, da), (nb, db) = a, b
+            return _make_frac(self, _poly_add(_poly_mul(self, na, db),
+                                              _poly_mul(self, nb, da)),
+                              _poly_mul(self, da, db))
+        # fraction plus constant: gcd(num + c*den, den) = gcd(num, den) = 1
+        # and den stays monic, so the sum is reduced as it stands
+        num, den = a
+        return _poly_add(num, _poly_scale(self, den, b)), den
 
     def _frac_mul(self, a, b):
         if _is_const(a):

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braidings import natural_ghost
-from .scalars import Scalar, qnum
+from .scalars import GKNicholsError, Scalar, qnum
 
 _CARTAN_SEARCH_CAP = 48
 
 
-class WeylError(Exception):
+class WeylError(GKNicholsError):
     pass
 
 

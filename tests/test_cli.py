@@ -203,6 +203,19 @@ def test_flourish_with_dot(tmp_path):
     assert "box" in dot_path.read_text()
 
 
+def test_flourish_block_too_long_is_one_line_error(tmp_path):
+    """A FlourishedError from the lazily imported ``flourished`` module is
+    caught by the package's common error base."""
+    spec, _ = entry_instance("lstr(1,G)", {"G": 1})
+    obj = spec_to_json(spec)
+    obj["blocks"][0]["length"] = 3
+    path = tmp_path / "long_block.json"
+    path.write_text(json.dumps(obj))
+    r = run_cli("flourish", str(path))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "gknichols: error: block 1 has length 3\n"
+
+
 def test_reflect(tmp_path):
     diag = {"ring": {"cyclotomic_order": 3, "params": ["q"]},
             "q": [["z", "z^2", "q"], ["1", "z", "q"], ["1", "1", "-1"]]}

@@ -74,12 +74,17 @@ def test_truncation_stats_per_degree():
     bounded = NicholsTruncation(spec, 4, bound=(2, 2, 1))
     for t in (trunc, bounded):
         assert len(t.stats) == 5
-        assert t.stats[0] == {"n": 0, "dim": 1, "candidates": 0,
-                              "pivots": 0, "inverses": 0, "seconds": 0.0}
+        assert t.stats[0] == {"n": 0, "dim": 1, "ideal_dim": 0,
+                              "candidates": 0, "pivots": 0, "inverses": 0,
+                              "seconds": 0.0}
         for n, record in enumerate(t.stats[1:], 1):
-            assert sorted(record) == ["candidates", "dim", "inverses", "n",
-                                      "pivots", "seconds"]
+            assert sorted(record) == ["candidates", "dim", "ideal_dim",
+                                      "inverses", "n", "pivots", "seconds"]
             assert record["n"] == n and record["dim"] == t.dims[n]
+            assert record["ideal_dim"] == t.ideal_dims[n]
+            if t is trunc:
+                assert record["dim"] + record["ideal_dim"] \
+                    == spec.nletters ** n
             # every complement word is a pivot of its degree's echelon
             assert record["pivots"] == record["dim"]
             assert record["inverses"] <= record["pivots"]
@@ -363,6 +368,10 @@ def test_pbw_hilbert_coeffs():
     p2 = Presentation(name="ext2", relations=[],
                       pbw=[("x", 1, 2), ("y", 2, 2)], gk=0)
     assert pbw_hilbert_coeffs(p2, 4) == [1, 1, 1, 1, 0]
+    # omitted macros and params are fresh dicts, not one shared default
+    assert p.macros == p2.macros == {} and p.macros is not p2.macros
+    assert p.params == p2.params == {} and p.params is not p2.params
+    assert p.is_domain is False
 
 
 def test_verify_presentation_reports_failures():

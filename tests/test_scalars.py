@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gknichols import ScalarRing, parse_scalar, print_scalar
+from gknichols import scalars as scalars_module
 from gknichols.braidings import natural_ghost
 from gknichols.scalars import (_Q, MAX_CYCLOTOMIC_ORDER, MAX_EXPONENT,
                                DivisionByZero, ParseError, Scalar,
@@ -419,6 +420,38 @@ def test_raw_ops_match_scalar_arithmetic(order, params):
         if a.is_zero():
             with pytest.raises(DivisionByZero):
                 ops.inv(ra)
+
+
+def test_constant_plus_fraction_makes_no_reduction(monkeypatch):
+    """c + num/den is (num + c*den)/den: coprime with a monic denominator as
+    it stands, so the add takes no gcd (no _make_frac call) and gives the
+    pair that a full reduction gives."""
+    ring = ScalarRing(12, ("q", "r"))
+    q, r = ring.param("q"), ring.param("r")
+    fractions = [q, (q - 1) / (q + 3), (q * r + ring.zeta(1)) / (r * r - 2)]
+    constants = [ring.zero(), ring.one(), ring.from_rational(-3, 4),
+                 ring.zeta(5) + 2]
+    make_frac = scalars_module._make_frac
+    expected = {}
+    for i, f in enumerate(fractions):
+        num, den = f.payload
+        for j, c in enumerate(constants):
+            scaled = {e: ring.cyc_mul(v, c.payload) for e, v in den.items()}
+            total = dict(num)
+            for e, v in scaled.items():
+                total[e] = ring.cyc_add(total.get(e, ring._zero_cyc), v)
+            total = {e: v for e, v in total.items() if any(v[0])}
+            expected[i, j] = make_frac(ring, total, den)
+
+    def no_reduction(*args):
+        raise AssertionError("constant + fraction called _make_frac")
+
+    monkeypatch.setattr(scalars_module, "_make_frac", no_reduction)
+    for i, f in enumerate(fractions):
+        for j, c in enumerate(constants):
+            assert ring.ops.add(c.payload, f.payload) == expected[i, j]
+            assert ring.ops.add(f.payload, c.payload) == expected[i, j]
+            assert (c + f).payload == (f + c).payload == expected[i, j]
 
 
 @pytest.mark.parametrize("order", [1, 2])
