@@ -2,8 +2,10 @@
 
 Subcommands mirror the library: ``classify``, ``flourish`` (with DOT
 export), ``dims``, ``member``, ``verify``, ``reflect``, ``probe`` and
-``catalog``.  Data goes to stdout, per-degree progress to stderr.  Exit
-codes: 0 on success, 2 when a verification FAILs, 1 on any error.
+``catalog``.  Data goes to stdout, per-degree progress to stderr (with
+``dims --stats``, each degree's ``NicholsTruncation.stats`` record as a
+JSON line).  Exit codes: 0 on success, 2 when a verification FAILs, 1 on
+any error.
 
 Each subcommand imports the modules that only it uses (``catalog``,
 ``flourished``, ``weyl``) when it runs, so ``dims``, ``member`` and
@@ -171,13 +173,14 @@ def _graph_json(g):
     return out
 
 
-def _graded_truncation(spec, max_degree, budget):
-    """Extend degree by degree so progress can be streamed."""
+def _graded_truncation(spec, max_degree, budget, stats=False):
+    """Extend degree by degree so progress can be streamed: one line per
+    degree, the degree's ``stats`` record as JSON when ``stats`` is set."""
     trunc = compute_truncation(spec, 0, budget)
-    _progress("degree 0: dim 1")
-    for n in range(1, max_degree + 1):
+    for n in range(max_degree + 1):
         trunc.extend(n)
-        _progress(f"degree {n}: dim {trunc.dims[n]}")
+        _progress(json.dumps(trunc.stats[n]) if stats
+                  else f"degree {n}: dim {trunc.dims[n]}")
     return trunc
 
 
@@ -205,7 +208,8 @@ def _cmd_flourish(args):
 
 def _cmd_dims(args):
     spec = _load_spec(args.spec)
-    trunc = _graded_truncation(spec, args.max_degree, args.budget)
+    trunc = _graded_truncation(spec, args.max_degree, args.budget,
+                               args.stats)
     _emit(trunc.dims[: args.max_degree + 1])
     return 0
 
@@ -304,6 +308,9 @@ def build_parser() -> _Parser:
                                     "algebra")
     p.add_argument("spec")
     p.add_argument("--max-degree", type=_nonnegative, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="write each degree's statistics as a JSON line on "
+                        "stderr")
     _add_budget(p)
     p.set_defaults(func=_cmd_dims)
 

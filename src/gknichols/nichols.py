@@ -36,6 +36,28 @@ only those words; its complement words and normal forms are exactly those of
 the full truncation restricted to the down-set.  Membership above
 ``max_degree`` reduces each component through such a truncation.
 
+Over Q(zeta_N) with phi(N) > 1 and no parameters, most candidates are
+complement words, and the exact elimination spends most of its time
+confirming that.  So each candidate's image is first sent to F_p by the
+ring's ``ResidueMap`` (a ring homomorphism, p = 1 (mod N) a prime below
+2^30; see :mod:`gknichols.residues`) and reduced there, by the same
+``_Echelon`` with the ``RingOps`` of F_p, against the rows certified before
+it in its Z^theta-block (the candidates of one Z^theta-degree, which share
+no key with any other block).  A nonzero remainder certifies the candidate.
+This is exact, not probabilistic: the certified rows of a block and the
+candidate have independent images modulo p, so some maximal minor of their
+matrix is nonzero modulo p, hence nonzero over Q(zeta_N), and the rows are
+independent there too; in the exact elimination each of them is a
+complement word.  When the remainder is zero modulo p, or p divides a
+denominator, the block switches to the exact echelon: its certified rows are
+replayed into it in their order, and the rest of the block is reduced
+exactly.  The exact echelon of a block thus sees the rows it would see
+without the certificate, in the same order, so the complement, the normal
+forms and the skew-derivation coordinates, dict order included, are those
+of the exact elimination alone.  Over Q (phi(N) = 1) the certificate costs
+more than it saves, and rings with parameters are not reduced modulo p;
+both eliminate exactly only.
+
 The tables (the normal forms ``nf``, the skew-derivation coordinates and
 the echelon rows) and the braiding expansion hold ``Scalar`` payloads, on
 which ``ScalarRing.ops`` act, on every ring, with parameters or not, so the
@@ -86,7 +108,8 @@ class _Echelon:
     """Incremental sparse echelon form with expression tracking.
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
-    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``.
+    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``,
+    or residues modulo a prime with ``ops`` those of a ``ResidueMap``.
     A pivot row is stored as it was reduced, unscaled: its lead value, the
     rest of the row, and its label with the combination ``expr`` of earlier
     labels, the row being the image of ``label - expr``.  The inverse of
@@ -150,8 +173,11 @@ class NicholsTruncation:
 
     ``stats[n]`` records how degree n was computed: ``dim`` and
     ``ideal_dim``, the ``candidates`` eliminated (the words left by the
-    suffix and bound filters), the echelon's ``pivots``, the ``inverses`` of
-    pivot leads it took, and the ``seconds`` spent.
+    suffix and bound filters), the candidates ``certified`` independent
+    modulo a prime, the exact echelon's ``pivots`` (its complement words
+    and the certified rows replayed into it, so ``dim <= pivots +
+    certified``), the ``inverses`` of pivot leads it took, and the
+    ``seconds`` spent.
     """
 
     def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET,
@@ -170,7 +196,8 @@ class NicholsTruncation:
         self.dims = [1]
         self.ideal_dims = [0]
         self.stats = [{"n": 0, "dim": 1, "ideal_dim": 0, "candidates": 0,
-                       "pivots": 0, "inverses": 0, "seconds": 0.0}]
+                       "pivots": 0, "certified": 0, "inverses": 0,
+                       "seconds": 0.0}]
         # NF coordinates of the skew derivations of each word of basis[n]
         # in basis[n-1], for the current top degree n
         self._dcoords = {(): [{}] * spec.nletters}
@@ -198,6 +225,11 @@ class NicholsTruncation:
         one, mul = ops.one, ops.mul
 
         echelon = _Echelon(ops)
+        certificate = None
+        residue_map = spec.ring.residue_map()
+        if residue_map is not None:
+            from .residues import Certificate
+            certificate = Certificate(residue_map, echelon, spec.group_counts)
         basis_n = []
         nf_n = {}
         new_d = {}
@@ -225,14 +257,15 @@ class NicholsTruncation:
                     dvecs.append(acc)
                     for cw, cc in acc.items():
                         img[(d, cw)] = cc
-                expr = echelon.reduce(img)
-                if not img:
-                    nf_n[w] = expr  # w is congruent to expr modulo I(n)
-                else:
+                if certificate is None or not certificate.certify(w, img):
+                    expr = echelon.reduce(img)
+                    if not img:
+                        nf_n[w] = expr  # w is congruent to expr modulo I(n)
+                        continue
                     echelon.insert(img, expr, w)
-                    basis_n.append(w)
-                    nf_n[w] = {w: one}
-                    new_d[w] = dvecs
+                basis_n.append(w)
+                nf_n[w] = {w: one}
+                new_d[w] = dvecs
         self.basis[n] = basis_n
         self.nf[n] = nf_n
         self.dims.append(len(basis_n))
@@ -245,6 +278,8 @@ class NicholsTruncation:
                            "ideal_dim": self.ideal_dims[n],
                            "candidates": len(nf_n),
                            "pivots": len(echelon.pivots),
+                           "certified": 0 if certificate is None
+                           else certificate.count,
                            "inverses": len(echelon.inverses),
                            "seconds": perf_counter() - start})
 
@@ -573,8 +608,8 @@ def infinite_probe(spec, i, j, count: int, nstar: int,
     for k in range(count):
         if k:
             e = ad_letter(spec, i, e)
-        if e.degree() > nstar:
-            break
+        if not e.terms or e.degree() > nstar:
+            break  # a zero y_k has no degree, and ad(x_i) keeps it 0
         ys.append((k, e))
     nonzero = []
     for k, y in ys:

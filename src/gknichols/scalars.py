@@ -39,6 +39,11 @@ and any other pair goes to the polynomial arithmetic and ``_make_frac``.  :data:
 The cyclotomic order is capped at ``MAX_CYCLOTOMIC_ORDER``: the table of
 powers of z costs O(N * phi(N)).
 
+``ScalarRing.residue_map()`` gives, on a ring with no parameters and
+phi(N) > 1, the reduction of its constants modulo a prime (see
+:mod:`gknichols.residues`), with which the truncation certifies linear
+independence.
+
 An ``"f"`` value is reduced by the monic gcd of its numerator and
 denominator.  In at most one active parameter that gcd is Euclid's algorithm
 over Q(zeta_N), on the remainders of ``_poly_divmod``; in several it is the
@@ -348,6 +353,16 @@ class ScalarRing:
         exps = tuple(1 if j == i else 0 for j in range(len(self.params)))
         den = {(0,) * len(self.params): self._one_cyc}
         return Scalar(self, ({exps: self._one_cyc}, den))
+
+    def residue_map(self):
+        """The reduction modulo a prime that certifies independence in
+        the truncation, or None: only a ring with no parameters and
+        phi(N) > 1 has one (over Q the certificate costs more than the
+        exact elimination it saves)."""
+        if self.params or self.phi == 1:
+            return None
+        from .residues import residue_map
+        return residue_map(self.cyclotomic_order)
 
     # -- payload operations of a ring with parameters -----------------------
 

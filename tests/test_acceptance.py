@@ -227,11 +227,14 @@ def test_10_pale_block_grid():
 
 
 def _random_spec(ring, rng):
+    """0-1 blocks of length 2 and 0-3 points; point labels and q entries
+    are random powers of zeta_N, the a values in {0, 0, 1, -1}."""
+    order = ring.cyclotomic_order
     nblocks = rng.choice([0, 1])
     npoints = rng.randint(0, 2) if nblocks else rng.randint(2, 3)
     theta = nblocks + npoints
     blocks = [(rng.choice(["1", "-1"]), 2)] * nblocks
-    points = [print_scalar(ring.zeta(rng.randrange(12)))
+    points = [print_scalar(ring.zeta(rng.randrange(order)))
               for _ in range(npoints)]
     qmat = [[None] * theta for _ in range(theta)]
     for i in range(theta):
@@ -240,7 +243,7 @@ def _random_spec(ring, rng):
                 qmat[i][j] = blocks[i][0] if i < nblocks \
                     else points[i - nblocks]
             else:
-                qmat[i][j] = print_scalar(ring.zeta(rng.randrange(12)))
+                qmat[i][j] = print_scalar(ring.zeta(rng.randrange(order)))
     avals = {(j, k): rng.choice(["0", "0", "1", "-1"])
              for j in range(nblocks + 1, theta + 1)
              for k in range(1, nblocks + 1)}

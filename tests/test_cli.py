@@ -107,6 +107,20 @@ def test_dims_streams_progress(jordan_spec_file):
     assert "degree 4" in r.stderr
 
 
+def test_dims_stats_writes_one_json_line_per_degree(jordan_spec_file):
+    """``--stats`` writes each degree's stats record on stderr and leaves
+    stdout as it is without it."""
+    plain = run_cli("dims", jordan_spec_file, "--max-degree", "4")
+    r = run_cli("dims", jordan_spec_file, "--max-degree", "4", "--stats")
+    assert r.returncode == 0 and r.stdout == plain.stdout
+    records = [json.loads(line) for line in r.stderr.splitlines()]
+    assert [rec["n"] for rec in records] == [0, 1, 2, 3, 4]
+    assert [rec["dim"] for rec in records] == json.loads(r.stdout)
+    for rec in records:
+        assert sorted(rec) == ["candidates", "certified", "dim", "ideal_dim",
+                               "inverses", "n", "pivots", "seconds"]
+
+
 def test_dims_is_deterministic(jordan_spec_file):
     r1 = run_cli("dims", jordan_spec_file, "--max-degree", "3")
     r2 = run_cli("dims", jordan_spec_file, "--max-degree", "3")
@@ -254,6 +268,18 @@ def test_probe(jordan_spec_file):
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["evidence"] in ("INFINITE", "INCONCLUSIVE")
+
+
+def test_probe_stops_at_a_zero_y(tmp_path):
+    """ad(x2) x2 is zero in T(V) for poseidon; the sequence stops there."""
+    spec, _ = entry_instance("poseidon")
+    path = tmp_path / "poseidon.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    r = run_cli("probe", str(path), "--i", "x2", "--j", "x2",
+                "--max-degree", "3", "--count", "3")
+    assert r.returncode == 0 and r.stderr == ""
+    out = json.loads(r.stdout)
+    assert out["evidence"] == "INCONCLUSIVE" and out["nonzero_y"] == [0]
 
 
 def test_usage_errors_exit_1(jordan_spec_file):

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import gknichols
+from gknichols import catalog, spec_to_json
 
 PACKAGE_ROOT = str(Path(gknichols.__file__).resolve().parent.parent)
 POSEIDON = str(Path(__file__).resolve().parent.parent / "bench" / "data"
@@ -62,6 +63,18 @@ def test_dims_loads_only_the_truncation_engine():
         "gknichols", "gknichols.braidings", "gknichols.freealgebra",
         "gknichols.nichols", "gknichols.scalars"}
     assert not loaded & _HEAVY
+
+
+def test_dims_over_q_omega_adds_the_residues_only(tmp_path):
+    """The reduction modulo a prime is compiled only where it is used:
+    poseidon is rational, lstr(omega,1) lives over Q(zeta_3)."""
+    spec, _ = catalog.instantiate("lstr(omega,1)", {})
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    loaded = _loaded(_RUN_CLI, "dims", str(path), "--max-degree", "2")
+    assert {m for m in loaded if m.startswith("gknichols")} == {
+        "gknichols", "gknichols.braidings", "gknichols.freealgebra",
+        "gknichols.nichols", "gknichols.residues", "gknichols.scalars"}
 
 
 def test_verify_by_name_loads_the_catalog_only():

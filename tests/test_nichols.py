@@ -1,6 +1,7 @@
 """Truncation engine, symmetrizer oracle, mu/z machinery, verification."""
 
 import json
+import pickle
 import random
 from itertools import permutations, product
 
@@ -16,7 +17,9 @@ from gknichols.freealgebra import add_into
 from gknichols.nichols import (BudgetExceeded, NicholsError,
                                NicholsTruncation, NotWeak,
                                mu_rank2, quantum_symmetrizer)
-from gknichols.scalars import RingMismatch, Scalar
+from gknichols import residues
+from gknichols.residues import _is_prime, make_residue_map, residue_prime
+from gknichols.scalars import RingMismatch, Scalar, print_scalar
 from tests.conftest import entry_instance
 from tests.test_acceptance import _random_spec
 from tests.data.capture_truncation_golden import (ENTRIES, FIXTURE,
@@ -72,27 +75,138 @@ def test_truncation_stats_per_degree():
     trunc = compute_truncation(spec, 3)
     trunc.extend(4)
     bounded = NicholsTruncation(spec, 4, bound=(2, 2, 1))
-    for t in (trunc, bounded):
+    # over Q(omega): candidates are certified modulo a prime first
+    omega, _ = entry_instance("lstr(D(2|1);omega)")
+    certified = compute_truncation(omega, 4)
+    for t in (trunc, bounded, certified):
         assert len(t.stats) == 5
         assert t.stats[0] == {"n": 0, "dim": 1, "ideal_dim": 0,
-                              "candidates": 0, "pivots": 0, "inverses": 0,
-                              "seconds": 0.0}
+                              "candidates": 0, "pivots": 0, "certified": 0,
+                              "inverses": 0, "seconds": 0.0}
         for n, record in enumerate(t.stats[1:], 1):
-            assert sorted(record) == ["candidates", "dim", "ideal_dim",
-                                      "inverses", "n", "pivots", "seconds"]
+            assert sorted(record) == ["candidates", "certified", "dim",
+                                      "ideal_dim", "inverses", "n", "pivots",
+                                      "seconds"]
             assert record["n"] == n and record["dim"] == t.dims[n]
             assert record["ideal_dim"] == t.ideal_dims[n]
-            if t is trunc:
+            if t is not bounded:
                 assert record["dim"] + record["ideal_dim"] \
-                    == spec.nletters ** n
-            # every complement word is a pivot of its degree's echelon
-            assert record["pivots"] == record["dim"]
+                    == t.spec.nletters ** n
+            # a complement word is certified or an exact pivot, and the
+            # exact pivots are complement words, the certified rows of a
+            # replayed block among them
+            assert record["pivots"] <= record["dim"] \
+                <= record["pivots"] + record["certified"]
             assert record["inverses"] <= record["pivots"]
+            # a rational ring certifies nothing
+            if t is certified:
+                assert 0 < record["certified"] <= record["dim"]
+            else:
+                assert record["certified"] == 0
+                assert record["pivots"] == record["dim"]
             assert record["dim"] <= record["candidates"] \
-                <= t.dims[n - 1] * spec.nletters
+                <= t.dims[n - 1] * t.spec.nletters
             assert record["seconds"] >= 0
     # the bound filter leaves fewer candidates
     assert bounded.stats[4]["candidates"] < trunc.stats[4]["candidates"]
+
+
+def test_truncation_pickles_over_cyclotomic_ring():
+    """The residue map lives in a per-N cache, not on the truncation, so a
+    truncation over Q(omega) pickles and extends like the original."""
+    spec, _ = entry_instance("lstr(D(2|1);omega)")
+    trunc = compute_truncation(spec, 3)
+    copy = pickle.loads(pickle.dumps(trunc))
+    trunc.extend(4)
+    copy.extend(4)
+    assert copy.stats[4]["certified"] > 0
+    assert copy.dims == trunc.dims
+    assert list(copy.basis[4]) == list(trunc.basis[4])
+    assert list(copy.nf[4].items()) == list(trunc.nf[4].items())
+    assert list(copy._dcoords.items()) == list(trunc._dcoords.items())
+
+
+def _tables(spec, degree):
+    """(stats, tables): the dims, ideal dims, bases and normal forms of a
+    truncation to ``degree`` and its ``_dcoords`` after each degree, as a
+    repr, which shows the order of every dict."""
+    trunc = compute_truncation(spec, 0)
+    dcoords = []
+    for n in range(1, degree + 1):
+        trunc.extend(n)
+        dcoords.append(repr(trunc._dcoords))
+    return trunc.stats, repr([trunc.dims, trunc.ideal_dims, trunc.basis,
+                              trunc.nf, dcoords])
+
+
+def _scaled_spec(ring, rng, p):
+    """A random block+point spec over Q(zeta_N) like ``_random_spec``, with
+    the q entries off the diagonal scaled by 2, 3, p or 1/p and the a
+    values in {0, 1, -1, p, 1/p}: modulo p its images meet spurious
+    dependencies and denominators divisible by p."""
+    order = ring.cyclotomic_order
+    nblocks = rng.choice([0, 1])
+    npoints = rng.randint(1, 2) if nblocks else rng.randint(2, 3)
+    theta = nblocks + npoints
+
+    def root():
+        return print_scalar(ring.zeta(rng.randrange(order)))
+
+    blocks = [(rng.choice(["1", "-1"]), 2)] * nblocks
+    points = [root() for _ in range(npoints)]
+    scales = ["1", "1", "2", "3", str(p), f"1/{p}"]
+    qmat = [[blocks[i][0] if i == j < nblocks
+             else points[i - nblocks] if i == j
+             else f"{rng.choice(scales)}*{root()}"
+             for j in range(theta)] for i in range(theta)]
+    avals = {(j, k): rng.choice(["0", "1", "-1", str(p), f"1/{p}"])
+             for j in range(nblocks + 1, theta + 1)
+             for k in range(1, nblocks + 1)}
+    return BraidedSpaceSpec(ring, blocks, points, qmat, avals)
+
+
+def _total(runs, key):
+    return sum(record[key] for stats, _ in runs for record in stats)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 8, 12])
+def test_certificate_leaves_every_table_unchanged(order, monkeypatch):
+    """Certifying candidates modulo a prime changes no table, dict order
+    included: the truncation to degree 5 is the same with the certificate,
+    with the exact elimination alone, and with the smallest prime
+    p = 1 (mod N), whose spurious dependencies and denominators divisible
+    by p send blocks through the replay of their certified rows."""
+    ring = ScalarRing(order)
+    p = next(m for m in range(order + 1, 10 ** 4, order)
+             if _is_prime(m))
+    small_map = make_residue_map(order, *residue_prime(order, p + 1))
+    assert small_map.p == p
+    divisible = []  # the payloads whose denominator p divides
+
+    def small_residue(a):
+        x = small_map.residue(a)
+        if x is None:
+            divisible.append(a)
+        return x
+
+    rng = random.Random(500 + order)
+    specs = [_random_spec(ring, rng)] + \
+        [_scaled_spec(ring, rng, p) for _ in range(4)]
+    certified = [_tables(spec, 5) for spec in specs]
+    with monkeypatch.context() as m:
+        m.setattr(ScalarRing, "residue_map", lambda self: None)
+        exact = [_tables(spec, 5) for spec in specs]
+    with monkeypatch.context() as m:
+        m.setattr(residues, "residue_map",
+                  lambda n: small_map._replace(residue=small_residue))
+        small = [_tables(spec, 5) for spec in specs]
+    for (_, ours), (_, theirs), (_, tiny) in zip(certified, exact, small):
+        assert ours == theirs
+        assert tiny == theirs
+    assert _total(exact, "certified") == 0
+    assert 0 < _total(small, "certified") < _total(certified, "certified") \
+        < _total(exact, "candidates")
+    assert divisible and all(den % p == 0 for _, den in divisible)
 
 
 def test_budget_is_enforced():
