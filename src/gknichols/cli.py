@@ -3,9 +3,9 @@
 Subcommands mirror the library: ``classify``, ``flourish`` (with DOT
 export), ``dims``, ``member``, ``verify``, ``reflect``, ``probe`` and
 ``catalog``.  Data goes to stdout, per-degree progress to stderr (with
-``dims --stats``, each degree's ``NicholsTruncation.stats`` record as a
-JSON line).  Exit codes: 0 on success, 2 when a verification FAILs, 1 on
-any error.
+``dims --stats`` and ``member --stats``, each degree's
+``NicholsTruncation.stats`` record as a JSON line).  Exit codes: 0 on
+success, 2 when a verification FAILs, 1 on any error.
 
 Each subcommand imports the modules that only it uses (``catalog``,
 ``flourished``, ``weyl``) when it runs, so ``dims``, ``member`` and
@@ -218,7 +218,7 @@ def _cmd_member(args):
     spec = _load_spec(args.spec)
     degree = expression_degree(args.element, spec)
     e = parse_element(args.element, spec)
-    trunc = _graded_truncation(spec, degree, args.budget)
+    trunc = _graded_truncation(spec, degree, args.budget, args.stats)
     zero, witness = is_zero_in_nichols(e, trunc)
     _emit({"element": args.element, "degree": degree, "zero": zero,
            "witness": None if witness is None else print_element(witness)})
@@ -289,6 +289,12 @@ def _add_budget(p):
                         "dims[n-1] * letters (default 10^6)")
 
 
+def _add_stats(p):
+    p.add_argument("--stats", action="store_true",
+                   help="write each degree's statistics as a JSON line on "
+                        "stderr")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gknichols",
                      description="Finite GK-dimension Nichols algebra "
@@ -308,15 +314,14 @@ def build_parser() -> _Parser:
                                     "algebra")
     p.add_argument("spec")
     p.add_argument("--max-degree", type=_nonnegative, required=True)
-    p.add_argument("--stats", action="store_true",
-                   help="write each degree's statistics as a JSON line on "
-                        "stderr")
+    _add_stats(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("member", help="test an element for ideal membership")
     p.add_argument("spec")
     p.add_argument("--element", required=True)
+    _add_stats(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_member)
 

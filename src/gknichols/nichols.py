@@ -36,6 +36,17 @@ only those words; its complement words and normal forms are exactly those of
 the full truncation restricted to the down-set.  Membership above
 ``max_degree`` reduces each component through such a truncation.
 
+So a bounded truncation need not start from degree 0: ``restricted(alpha)``
+takes over the degrees a truncation already holds, keeping the complement
+words, the normal forms and the top degree's skew-derivation coordinates
+of the words of Z^theta-degree at most alpha, and only the degrees above
+are eliminated.  A truncation that is itself bounded by beta takes over
+only degree 0 when alpha does not lie below beta.  The truncation keeps the
+last bounded truncation it built and reduces the next component through
+it, extended if needed, when that component's Z^theta-degree lies below
+its bound; otherwise it drops it before restricting itself again, so it
+holds at most one bounded truncation, for as long as it lives.
+
 Over Q(zeta_N) with phi(N) > 1 and no parameters, most candidates are
 complement words, and the exact elimination spends most of its time
 confirming that.  So each candidate's image is first sent to F_p by the
@@ -105,7 +116,7 @@ class NotWeak(NicholsError):
 
 
 class _Echelon:
-    """Incremental sparse echelon form with expression tracking.
+    """Incremental sparse echelon form, tracking expressions on request.
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
     values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``,
@@ -117,7 +128,7 @@ class _Echelon:
     kept, so a pivot that never reduces anything costs no inverse.  A step
     cancelling the entry c at a pivot's lead costs one factor
     ``f = -c / lead`` and adds ``f * row`` to the vector and
-    ``f * (expr - label)`` to the combination.
+    ``f * (expr - label)`` to the combination, when one is built.
     """
 
     def __init__(self, ops=SCALAR_OPS):
@@ -127,15 +138,16 @@ class _Echelon:
         # lead key -> inverse of the lead value, for the pivots used so far
         self.inverses = {}
 
-    def reduce(self, img):
+    def reduce(self, img, track=True):
         """Reduce ``img`` in place until its leading key is not a pivot.
 
         Returns ``expr`` with ``img_before == img_after + image(expr)``,
-        where image(label) is the vector inserted under that label.
+        where image(label) is the vector inserted under that label; with
+        ``track`` false, no combination is built and None is returned.
         """
         pivots, inverses, ops = self.pivots, self.inverses, self.ops
         mul, neg = ops.mul, ops.neg
-        expr = {}
+        expr = {} if track else None
         while img:
             key = max(img)
             hit = pivots.get(key)
@@ -148,8 +160,9 @@ class _Echelon:
             step = mul(img.pop(key), inv)  # c / lead
             f = neg(step)
             add_into(img, row, f, ops)
-            add_term(expr, label, step, ops)
-            add_into(expr, row_expr, f, ops)
+            if expr is not None:
+                add_term(expr, label, step, ops)
+                add_into(expr, row_expr, f, ops)
         return expr
 
     def insert(self, img, expr, label):
@@ -157,7 +170,8 @@ class _Echelon:
 
         ``img`` and ``expr`` are the outcome of :meth:`reduce` on the
         vector inserted under ``label``, so ``img`` is the image of
-        ``label - expr``; both are kept, not copied.
+        ``label - expr``; both are kept, not copied.  ``expr`` is None in
+        an echelon whose reductions build no combination.
         """
         key = max(img)
         self.pivots[key] = (img.pop(key), img, label, expr)
@@ -176,8 +190,10 @@ class NicholsTruncation:
     suffix and bound filters), the candidates ``certified`` independent
     modulo a prime, the exact echelon's ``pivots`` (its complement words
     and the certified rows replayed into it, so ``dim <= pivots +
-    certified``), the ``inverses`` of pivot leads it took, and the
-    ``seconds`` spent.
+    certified``), the ``inverses`` of pivot leads it took, the normal
+    forms held in ``nf`` over all degrees once degree n was done
+    (``memo``), and the ``seconds`` spent.  A degree taken over by
+    :meth:`restricted` ran no elimination: its counts are 0.
     """
 
     def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET,
@@ -197,10 +213,12 @@ class NicholsTruncation:
         self.ideal_dims = [0]
         self.stats = [{"n": 0, "dim": 1, "ideal_dim": 0, "candidates": 0,
                        "pivots": 0, "certified": 0, "inverses": 0,
-                       "seconds": 0.0}]
+                       "memo": 1, "seconds": 0.0}]
         # NF coordinates of the skew derivations of each word of basis[n]
         # in basis[n-1], for the current top degree n
         self._dcoords = {(): [{}] * spec.nletters}
+        # the last bounded truncation built for membership above max_degree
+        self._kept = None
         self.extend(max_degree)
 
     def extend(self, max_degree: int):
@@ -266,22 +284,71 @@ class NicholsTruncation:
                 basis_n.append(w)
                 nf_n[w] = {w: one}
                 new_d[w] = dvecs
+        self._dcoords = new_d
+        # every candidate, and only a candidate, has an entry in nf_n so far
+        self._add_degree(basis_n, nf_n, start, len(nf_n),
+                         len(echelon.pivots),
+                         0 if certificate is None else certificate.count,
+                         len(echelon.inverses))
+
+    def _add_degree(self, basis_n, nf_n, start, candidates=0, pivots=0,
+                    certified=0, inverses=0):
+        """Store the complement and normal forms of the next degree, with
+        its stats record; ``start`` is when its computation began."""
+        spec, bound = self.spec, self.bound
+        n = self.max_degree = self.max_degree + 1
         self.basis[n] = basis_n
         self.nf[n] = nf_n
-        self.dims.append(len(basis_n))
-        words = L ** n if bound is None else _downset_words(spec, bound, n)
-        self.ideal_dims.append(words - len(basis_n))
-        self._dcoords = new_d
-        self.max_degree = n
-        # every candidate, and only a candidate, has an entry in nf_n so far
-        self.stats.append({"n": n, "dim": len(basis_n),
-                           "ideal_dim": self.ideal_dims[n],
-                           "candidates": len(nf_n),
-                           "pivots": len(echelon.pivots),
-                           "certified": 0 if certificate is None
-                           else certificate.count,
-                           "inverses": len(echelon.inverses),
+        dim = len(basis_n)
+        words = spec.nletters ** n if bound is None \
+            else _downset_words(spec, bound, n)
+        self.dims.append(dim)
+        self.ideal_dims.append(words - dim)
+        self.stats.append({"n": n, "dim": dim, "ideal_dim": words - dim,
+                           "candidates": candidates, "pivots": pivots,
+                           "certified": certified, "inverses": inverses,
+                           "memo": sum(map(len, self.nf.values())),
                            "seconds": perf_counter() - start})
+
+    def restricted(self, bound):
+        """This truncation bounded by ``bound``, read off its tables.
+
+        The result is ``NicholsTruncation(spec, max_degree, budget,
+        bound=bound)`` without its eliminations: its complement words, the
+        normal forms held for its words and the skew-derivation
+        coordinates of its top degree are these, kept for the words of
+        Z^theta-degree at most ``bound`` (see the module docstring).  The
+        vectors are shared, not copied: no table changes a stored vector.
+        When this truncation is itself bounded by a beta that ``bound``
+        does not lie below, only degree 0 is taken over, which is the fresh
+        truncation to degree 0.
+        """
+        out = NicholsTruncation(self.spec, 0, self.budget, bound=bound)
+        if not _within(out.bound, self.bound):
+            return out
+        spec, bound = self.spec, out.bound
+
+        def inside(w):
+            return not _exceeds(spec, w, bound)
+
+        for n in range(1, self.max_degree + 1):
+            start = perf_counter()
+            out._add_degree([w for w in self.basis[n] if inside(w)],
+                            {w: vec for w, vec in self.nf[n].items()
+                             if inside(w)}, start)
+        out._dcoords = {w: dvecs for w, dvecs in self._dcoords.items()
+                        if inside(w)}
+        return out
+
+    def _bounded(self, bound, degree):
+        """A truncation to ``degree`` bounded by ``bound`` or by a bound
+        above it: the kept one when ``bound`` lies below its bound, else
+        :meth:`restricted`, kept in its place."""
+        if self._kept is None or not _within(bound, self._kept.bound):
+            self._kept = None  # dropped first, so two never coexist
+            self._kept = self.restricted(bound)
+        self._kept.extend(degree)
+        return self._kept
 
     # ------------------------------------------------------------------
 
@@ -332,6 +399,11 @@ def _exceeds(spec, word, bound):
     return any(c > b for c, b in zip(spec.group_counts(word), bound))
 
 
+def _within(alpha, beta):
+    """True when ``alpha <= beta`` componentwise; None bounds nothing."""
+    return beta is None or all(a <= b for a, b in zip(alpha, beta))
+
+
 def _downset_words(spec, bound, n):
     """Number of words of length n whose group counts are at most ``bound``:
     the sum over beta <= bound with |beta| = n of the multinomial
@@ -358,11 +430,14 @@ def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
     Each homogeneous component is reduced to its normal form; the witness is
     the normal form of the first nonzero component.  A component of degree
     at most ``trunc.max_degree`` reduces through the stored tables.  One of
-    higher degree reduces through a new truncation to its degree bounded by
-    its Z^theta-degree (the componentwise maximum of the group counts of its
-    words), built with ``trunc.budget`` and dropped afterwards; its normal
-    form, and so the witness, is the one a full truncation gives, and
-    :class:`BudgetExceeded` can be raised there.
+    higher degree reduces through a truncation to its degree bounded by its
+    Z^theta-degree alpha (the componentwise maximum of the group counts of
+    its words): ``trunc.restricted(alpha)``, extended with ``trunc.budget``.
+    ``trunc`` keeps it and reuses it, extended if needed, for the next
+    component whose Z^theta-degree lies below its bound, until a component
+    outside it replaces it.  The normal form, and so the witness, is the
+    one a full truncation gives, and :class:`BudgetExceeded` can be raised
+    there.
     """
     for n in e.degrees():
         comp = e.homogeneous_component(n)
@@ -377,7 +452,7 @@ def _component_zero(comp, n, trunc):
     if n > trunc.max_degree:
         alpha = [max(col) for col in zip(*(spec.group_counts(w)
                                            for w in comp.terms))]
-        trunc = NicholsTruncation(spec, n, trunc.budget, bound=alpha)
+        trunc = trunc._bounded(alpha, n)
     vec = trunc.normal_form_vector(comp, n)
     if vec:
         out = TensorElement(spec)

@@ -147,10 +147,10 @@ class Certificate:
                 vec[key] = x
         else:
             modular = self.modular
-            modular.reduce(vec)
+            # no combination is needed modulo p, so none is built or kept
+            modular.reduce(vec, track=False)
             if vec:
-                # no combination is needed modulo p, so none is kept
-                modular.insert(vec, {}, w)
+                modular.insert(vec, None, w)
                 if rows:
                     rows.append((img, w))
                 else:

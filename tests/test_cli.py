@@ -118,7 +118,7 @@ def test_dims_stats_writes_one_json_line_per_degree(jordan_spec_file):
     assert [rec["dim"] for rec in records] == json.loads(r.stdout)
     for rec in records:
         assert sorted(rec) == ["candidates", "certified", "dim", "ideal_dim",
-                               "inverses", "n", "pivots", "seconds"]
+                               "inverses", "memo", "n", "pivots", "seconds"]
 
 
 def test_dims_is_deterministic(jordan_spec_file):
@@ -137,6 +137,23 @@ def test_member(jordan_spec_file):
     r2 = run_cli("member", jordan_spec_file, "--element", "x1 x1h")
     out2 = json.loads(r2.stdout)
     assert out2["zero"] is False and out2["witness"]
+
+
+def test_member_stats_writes_one_json_line_per_degree(jordan_spec_file):
+    """``member --stats`` writes the stats record of each degree of the
+    truncation to the element's degree on stderr; stdout is unchanged."""
+    element = "x1h x1 - x1 x1h + {1/2} x1^2 + x1 x1h x1"
+    plain = run_cli("member", jordan_spec_file, "--element", element)
+    r = run_cli("member", jordan_spec_file, "--element", element, "--stats")
+    assert r.returncode == plain.returncode == 0
+    assert r.stdout == plain.stdout
+    assert json.loads(r.stdout)["zero"] is False
+    records = [json.loads(line) for line in r.stderr.splitlines()]
+    assert [rec["n"] for rec in records] == [0, 1, 2, 3]
+    assert [rec["dim"] for rec in records] == [1, 2, 3, 4]
+    for rec in records:
+        assert sorted(rec) == ["candidates", "certified", "dim", "ideal_dim",
+                               "inverses", "memo", "n", "pivots", "seconds"]
 
 
 def test_verify_catalog_entry_passes():

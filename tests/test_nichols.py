@@ -82,13 +82,16 @@ def test_truncation_stats_per_degree():
         assert len(t.stats) == 5
         assert t.stats[0] == {"n": 0, "dim": 1, "ideal_dim": 0,
                               "candidates": 0, "pivots": 0, "certified": 0,
-                              "inverses": 0, "seconds": 0.0}
+                              "inverses": 0, "memo": 1, "seconds": 0.0}
         for n, record in enumerate(t.stats[1:], 1):
             assert sorted(record) == ["candidates", "certified", "dim",
-                                      "ideal_dim", "inverses", "n", "pivots",
-                                      "seconds"]
+                                      "ideal_dim", "inverses", "memo", "n",
+                                      "pivots", "seconds"]
             assert record["n"] == n and record["dim"] == t.dims[n]
             assert record["ideal_dim"] == t.ideal_dims[n]
+            # the memo holds every candidate's normal form, and grows
+            assert record["memo"] >= t.stats[n - 1]["memo"] \
+                + record["candidates"]
             if t is not bounded:
                 assert record["dim"] + record["ideal_dim"] \
                     == t.spec.nletters ** n
@@ -109,6 +112,17 @@ def test_truncation_stats_per_degree():
             assert record["seconds"] >= 0
     # the bound filter leaves fewer candidates
     assert bounded.stats[4]["candidates"] < trunc.stats[4]["candidates"]
+    # a degree taken over by restricted ran no elimination
+    taken = trunc.restricted((2, 2, 1))
+    assert taken.stats[0] == bounded.stats[0]
+    for n, record in enumerate(taken.stats[1:], 1):
+        assert record["n"] == n
+        assert (record["dim"], record["ideal_dim"]) == \
+            (bounded.dims[n], bounded.ideal_dims[n])
+        assert record["candidates"] == record["pivots"] == \
+            record["certified"] == record["inverses"] == 0
+        assert record["memo"] == sum(len(taken.nf[k]) for k in range(n + 1))
+        assert record["seconds"] >= 0
 
 
 def test_truncation_pickles_over_cyclotomic_ring():
@@ -471,6 +485,155 @@ def test_bounded_truncation_rejects_words_outside_its_bound():
     outside = TensorElement(spec, {(0, 0): spec.ring.one()})
     with pytest.raises(NicholsError):
         trunc.normal_form_vector(outside, 2)
+
+
+def _assert_same_tables(ours, fresh):
+    """Two truncations have the same tables at every degree: complement
+    words and top-degree skew-derivation coordinates by repr (dict order
+    included), dims, ideal dims, and the normal form of every word either
+    one memoises."""
+    assert ours.max_degree == fresh.max_degree and ours.bound == fresh.bound
+    assert repr(ours.basis) == repr(fresh.basis)
+    assert repr(ours._dcoords) == repr(fresh._dcoords)
+    assert ours.dims == fresh.dims and ours.ideal_dims == fresh.ideal_dims
+    for n in range(fresh.max_degree + 1):
+        for w in ours.nf[n].keys() | fresh.nf[n].keys():
+            assert ours._word_nf(w) == fresh._word_nf(w), w
+
+
+@pytest.mark.parametrize("name,params", [
+    ("lstr(A2,2)", {}), ("lstr(D(2|1);omega)", {}),
+    ("lstr(A(1|0)1;r)", {"r": "generic"})],
+    ids=["rational", "certificate", "generic-r"])
+def test_restriction_equals_a_fresh_bounded_truncation(name, params):
+    """``restricted(alpha)`` of a degree-4 truncation, unbounded or bounded
+    by a beta above alpha, equals the fresh truncation bounded by alpha at
+    degree 4 and again once both are extended to degree 7."""
+    spec, _ = entry_instance(name, params)
+    base = compute_truncation(spec, 4)
+    alphas = [a for a in product(range(5), repeat=spec.ngroups)
+              if sum(a) == 7]
+    for alpha in random.Random(spec.ngroups).sample(alphas, 4):
+        beta = tuple(a + 1 for a in alpha)
+        for source in (base, NicholsTruncation(spec, 4, bound=beta)):
+            ours = source.restricted(alpha)
+            fresh = NicholsTruncation(spec, 4, bound=alpha)
+            _assert_same_tables(ours, fresh)
+            ours.extend(7)
+            fresh.extend(7)
+            _assert_same_tables(ours, fresh)
+
+
+def _fresh_membership(e):
+    """(is_zero, witness terms) of e by a fresh truncation bounded by the
+    Z^theta-degree of each component, as a list of (word, Scalar)."""
+    spec = e.spec
+    for n in e.degrees():
+        comp = e.homogeneous_component(n)
+        alpha = [max(col) for col in zip(*(spec.group_counts(w)
+                                           for w in comp.terms))]
+        vec = NicholsTruncation(spec, n, bound=alpha).normal_form_vector(
+            comp, n)
+        if vec:
+            return False, list(vec.items())
+    return True, None
+
+
+def _membership(e, trunc):
+    zero, witness = is_zero_in_nichols(e, trunc)
+    return zero, None if witness is None else list(witness.terms.items())
+
+
+def test_kept_truncation_gives_the_fresh_verdict_and_witness():
+    """Membership through the kept bounded truncation, nested bounds and
+    repeats included, gives the verdict and witness, term order included,
+    of a fresh truncation bounded by each component's Z^theta-degree."""
+    spec, pres = entry_instance("lstr(A(1|0)2;omega)")
+    macros = dict(pres.macros)
+    trunc = compute_truncation(spec, 1)
+    # degree 15, Z^theta-degree (3, 6, 6): nonzero, a 12-term witness
+    e = parse_element("[ztt123, x3]^3", spec, macros)
+    zero, witness = _membership(e, trunc)
+    assert not zero and len(witness) == 12
+    assert (zero, witness) == _fresh_membership(e)
+    kept = trunc._kept
+    for text in ("[ztt123, x3]^3", "[ztt123, x3]^2", "x23^3", "ztt12^3",
+                 "[ztt123, x3] x3 x2 x1h", "x2 x3 x2 x3 x1 x1h"):
+        e = parse_element(text, spec, macros)
+        assert _membership(e, trunc) == _fresh_membership(e), text
+    assert trunc._kept is kept
+    # the kept truncation of lstr(A2,2) is reused for the nested bounds
+    # (2, 2, 2) and (2, 4, 2) of the member-overshoot relations
+    spec, pres = entry_instance("lstr(A2,2)")
+    macros = dict(pres.macros)
+    trunc = compute_truncation(spec, 5)
+    for rel in pres.relations:
+        if 6 <= expression_degree(rel, spec, macros) <= 10:
+            e = parse_element(rel, spec, macros)
+            assert _membership(e, trunc) == (True, None) \
+                == _fresh_membership(e), rel
+    words = [(0, 1, 2, 3, 2, 1, 0), (3, 2, 3, 2, 1, 0, 1, 0),
+             (2, 2, 3, 3, 0, 1)]
+    for w in words:
+        e = TensorElement(spec, {w: spec.ring.one()})
+        assert _membership(e, trunc) == _fresh_membership(e), w
+    assert trunc._kept.bound == (4, 4, 2)
+
+
+def test_nested_bound_builds_nothing_new(monkeypatch):
+    """A component whose Z^theta-degree lies below the kept bound, at a
+    degree the kept truncation holds, neither builds a truncation nor
+    eliminates a degree; above that degree, it extends the kept one."""
+    spec, _ = entry_instance("lstr(A2,2)")  # groups {x1, x1h}, {x2}, {x3}
+    trunc = compute_truncation(spec, 2)
+    one = spec.ring.one()
+    # one degree-6 component of Z^theta-degree max((4, 2, 0), (2, 2, 2))
+    big = TensorElement(spec, {(0, 1, 0, 1, 2, 2): one,
+                               (2, 2, 3, 3, 0, 1): one})
+    is_zero_in_nichols(big, trunc)
+    kept = trunc._kept
+    assert kept.bound == (4, 2, 2) and kept.max_degree == 6
+    built = []
+    for attr in ("__init__", "_advance"):
+        original = getattr(NicholsTruncation, attr)
+
+        def counting(self, *args, _original=original, _attr=attr, **kw):
+            built.append(_attr)
+            return _original(self, *args, **kw)
+
+        monkeypatch.setattr(NicholsTruncation, attr, counting)
+    for w in ((0, 1, 2, 3, 0, 1), (2, 3, 2, 3, 0, 1), (1, 0, 3)):
+        is_zero_in_nichols(TensorElement(spec, {w: one}), trunc)
+    assert built == [] and trunc._kept is kept and kept.max_degree == 6
+    is_zero_in_nichols(TensorElement(spec, {(0, 1, 0, 1, 2, 2, 3, 3): one}),
+                       trunc)
+    assert built == ["_advance", "_advance"] and trunc._kept is kept
+
+
+def test_bounds_outside_the_kept_one_rebuild():
+    """A Z^theta-degree not below the kept bound replaces the kept
+    truncation by a new one restricted from the base; a base bounded by a
+    beta that alpha does not lie below is restricted at degree 0, the
+    fresh truncation."""
+    spec, _ = entry_instance("lstr(A2,2)")  # groups {x1, x1h}, {x2}, {x3}
+    one = spec.ring.one()
+    trunc = compute_truncation(spec, 2)
+    first = TensorElement(spec, {(0, 1, 0, 1, 2, 3): one})
+    second = TensorElement(spec, {(0, 2, 0, 2, 0, 2): one})
+    is_zero_in_nichols(first, trunc)
+    kept = trunc._kept
+    assert kept.bound == (4, 1, 1)
+    assert _membership(second, trunc) == _fresh_membership(second)
+    assert trunc._kept is not kept and trunc._kept.bound == (3, 3, 0)
+    bounded = NicholsTruncation(spec, 3, bound=(2, 2, 2))
+    _assert_same_tables(bounded.restricted((3, 3, 0)),
+                        NicholsTruncation(spec, 0, bound=(3, 3, 0)))
+    assert bounded.restricted((1, 2, 2)).max_degree == 3
+    assert _membership(second, bounded) == _fresh_membership(second)
+    # every degree of the new kept truncation ran its elimination
+    assert bounded._kept.bound == (3, 3, 0)
+    assert all(record["candidates"] for record in bounded._kept.stats[1:])
+    assert len(bounded._kept.stats) == 7
 
 
 def test_pbw_hilbert_coeffs():
