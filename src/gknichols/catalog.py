@@ -2,19 +2,23 @@
 
 Every entry carries a spec builder (producing concrete scalars in a suitable
 cyclotomic ring), the defining relations as parseable strings with a macro
-table, PBW generators with degrees and heights, the GK dimension and a domain
-flag.  An entry over one block is a list of components: point labels, q-data,
-attachment data and a ``build`` that returns the component's relations,
-macros and PBW generators as ``(label, height)`` pairs.  One assembler,
-``_assemble``, turns a block sign and its components into the spec and the
-presentation: the Jordan and super Jordan planes have no component, the
-single-component entries have one, and a composition has several, for which
-it adds the cross q-commutation family.
+table, PBW generators with degrees and heights, and a domain flag.  The GK
+dimension is not stated: it is the number of PBW generators of infinite
+height (``Presentation.gk``).  An entry over one block is a list of
+components.  A component states its point labels, its q-data, the ghost of
+its first point (0 when unattached) and a ``build`` that returns the
+component's relations, macros and PBW generators as ``(label, height)``
+pairs; the a-value and the z-ladder bound follow from the block sign and the
+ghost (``_attachment``).  One assembler, ``_assemble``, turns a block sign
+and its components into the spec and the presentation: the Jordan and super
+Jordan planes have no component, the single-component entries have one, and
+a composition has several, for which it adds the cross q-commutation family.
 """
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from functools import partial
-from math import lcm
+from math import lcm, prod
 
 from .scalars import GKNicholsError, ScalarRing, parse_scalar
 from .braidings import (BraidedSpaceSpec, PaleBlockPointSpec, SpecError,
@@ -38,18 +42,36 @@ class IncompatibleComponents(CatalogError):
 INF = None  # height sentinel: no power of the generator vanishes
 
 
-def _block_pbw(eps_is_one):
-    """PBW generators and macros contributed by a rank-2 block."""
-    if eps_is_one:
-        return [("x1", 1, INF), ("x1h", 1, INF)], {}
-    return ([("x1", 1, 2), ("x21", 2, INF), ("x1h", 1, INF)],
-            {"x21": "x1h x1 + x1 x1h"})
+def _block(k, eps, w):
+    """Relations, macros and PBW generators of the block ``xk``, ``xkh`` of
+    sign ``eps``; ``w`` names the degree-2 generator of a super Jordan
+    block."""
+    x, xh = f"x{k}", f"x{k}h"
+    if eps == 1:
+        return ([f"{xh} {x} - {x} {xh} + {{1/2}} {x} {x}"], {},
+                [(x, 1, INF), (xh, 1, INF)])
+    return ([f"{x} {x}", f"{xh} {w} - {w} {xh} - {x} {w}"],
+            {w: f"{xh} {x} + {x} {xh}"},
+            [(x, 1, 2), (w, 2, INF), (xh, 1, INF)])
 
 
-def _block_relations(eps_is_one):
-    if eps_is_one:
-        return ["x1h x1 - x1 x1h + {1/2} x1 x1"]
-    return ["x1 x1", "x1h x21 - x21 x1h - x1 x21"]
+def _attachment(eps, ghost):
+    """(a-value, z-ladder bound) of a point of ghost ``ghost`` on a block of
+    sign ``eps``: a = -G/2 and bound G on a Jordan block, a = G and bound 2G
+    on a super Jordan block; ghost 0 is unattached."""
+    if not ghost:
+        return None, 0
+    if eps == 1:
+        return f"-{ghost}/2", ghost
+    return str(ghost), 2 * ghost
+
+
+def _integer(key, value):
+    """``value`` if it is an int (a bool is not), else BadParams."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParams(f"parameter {key!r} must be an integer, "
+                        f"got {value!r}")
+    return value
 
 
 def _pbw_degrees(spec, macros, entries):
@@ -70,25 +92,23 @@ def _q(s):
 # ---------------------------------------------------------------------------
 # component descriptions (single block + one connected diagonal component)
 #
-# A component fixes the point labels, the q-tilde edges, the attachment data
-# (ghost / mild) and, given the instantiated spec plus the global names of its
-# point letters, produces relations, macros and the PBW generators of the
-# coinvariant factor K as (label, height) pairs; ``_assemble`` resolves their
-# degrees.
+# A component fixes the point labels, the q-tilde edges, the ghost of its
+# first point (the others are unattached) and, given the instantiated spec
+# plus the global names of its point letters, produces relations, macros and
+# the PBW generators of the coinvariant factor K as (label, height) pairs;
+# ``_assemble`` resolves their degrees.
 
 
 @dataclass
 class _Component:
-    eps: int                     # block sign (+1 or -1)
-    ring_order: int              # cyclotomic order needed (1 = rational)
-    ring_params: tuple           # transcendental parameters
     labels: list                 # point labels as scalar strings
-    qmat_pp: dict                # (i, j) local 1-based -> q_{ij} string
-    qmat_bp: list                # per point: (q_block_point, q_point_block)
-    avals: list                  # per point: a-value string or None
-    ghost_bounds: list           # per point: z-ladder bound 2|a| (0 if free)
     build: object                # fn(spec, pts) -> (relations, macros, kpbw)
-    gk_k: int
+    ghost: int = 0               # ghost of the first point (0: unattached)
+    eps: int = 1                 # block sign (+1 or -1)
+    ring_order: int = 1          # cyclotomic order needed (1 = rational)
+    ring_params: tuple = ()      # transcendental parameters
+    qmat_pp: dict = field(default_factory=dict)  # (i, j) local -> q_{ij}
+    qmat_bp: list = None         # per point (q_bp, q_pb); None: all 1
     domain_k: bool = False
     mild: bool = False
 
@@ -103,12 +123,15 @@ def _assemble(name, eps, comps, params):
     ring = ScalarRing(lcm(*(c.ring_order for c in comps)),
                       params=tuple(sorted({p for c in comps
                                            for p in c.ring_params})))
-    offsets, labels, qbp, avals_list = [], [], [], []
+    offsets, labels, qbp, avals, bounds = [], [], [], {}, []
     for c in comps:
+        a, bound = _attachment(eps, c.ghost)
+        if a is not None:
+            avals[(2 + len(labels), 1)] = a
         offsets.append(len(labels))
+        bounds += [bound] + [0] * (len(c.labels) - 1)
         labels += c.labels
-        qbp += c.qmat_bp
-        avals_list += c.avals
+        qbp += c.qmat_bp or [("1", "1")] * len(c.labels)
     theta = 1 + len(labels)
     qm = [["1"] * theta for _ in range(theta)]
     qm[0][0] = str(eps)
@@ -117,11 +140,9 @@ def _assemble(name, eps, comps, params):
     for off, c in zip(offsets, comps):
         for (i, j), val in c.qmat_pp.items():
             qm[off + i][off + j] = val
-    avals = {(2 + j, 1): a for j, a in enumerate(avals_list) if a is not None}
     spec = BraidedSpaceSpec(ring, [(eps, 2)], labels, qm, avals)
 
-    rels = _block_relations(eps == 1)
-    pbw, macros = _block_pbw(eps == 1)
+    rels, macros, pbw = _block(1, eps, "x21")
     for ci, (off, c) in enumerate(zip(offsets, comps)):
         pts = [f"x{2 + off + j}" for j in range(len(c.labels))]
         crels, cmacros, kpbw = c.build(spec, pts)
@@ -138,19 +159,18 @@ def _assemble(name, eps, comps, params):
         for cj, (oj, b) in enumerate(zip(offsets, comps)):
             if ci == cj:
                 continue
-            for li, gi in enumerate(a.ghost_bounds):
-                for lj, gj in enumerate(b.ghost_bounds):
-                    if (gi, ci) > (gj, cj):
+            for i in range(2 + oi, 2 + oi + len(a.labels)):
+                for j in range(2 + oj, 2 + oj + len(b.labels)):
+                    if (bounds[i - 2], ci) > (bounds[j - 2], cj):
                         continue
-                    i, j = 2 + oi + li, 2 + oj + lj
                     expr = f"x{i}"
-                    for m in range(gi + 1):
+                    for m in range(bounds[i - 2] + 1):
                         coeff = spec.q(1, j) ** m * spec.q(i, j)
                         rels.append(
                             f"({expr}) x{j} - {_q(coeff)} x{j} ({expr})")
                         expr = f"[x1h, {expr}]"
     pres = Presentation(
-        name, rels, pbw, 2 + sum(c.gk_k for c in comps), macros,
+        name, rels, pbw, macros,
         is_domain=(eps == 1 and all(c.domain_k for c in comps)),
         params=dict(params))
     return spec, pres
@@ -167,11 +187,22 @@ def _z_macros(n, target="x2"):
     return macros
 
 
+def _ghost_one(pts):
+    """Relations and macros shared by the components whose first point is a
+    -1 point of ghost 1 on a Jordan block: its z-ladder stops at z2, and the
+    block commutes with the other points.  ``x1h2`` is the component's macro
+    for z1."""
+    p = pts[0]
+    rels = [f"[{p}, x1]", "z2", f"{p}^2", "x1h2^2"]
+    for q in pts[1:]:
+        rels += [f"[x1, {q}]", f"[x1h, {q}]"]
+    return rels, _z_macros(2, p)
+
+
 def _lstr_component(eps, point, G, q12):
     if G < 1:
         raise BadParams("ghost must be a positive integer")
-    bound = G if eps == 1 else 2 * G
-    a2 = f"-{G}/2" if eps == 1 else str(G)
+    _, bound = _attachment(eps, G)
     order = 3 if point == "omega" else 1
     label = "z" if point == "omega" else str(point)
 
@@ -215,14 +246,9 @@ def _lstr_component(eps, point, G, q12):
             raise BadParams(f"unsupported lstr point label {point!r}")
         return rels, macros, kpbw
 
-    gk_k = {(1, 1): G + 1, (1, -1): 0, (-1, 1): G + 1, (-1, -1): G,
-            (1, "omega"): 0}[(eps, point)]
     return _Component(
-        eps=eps, ring_order=order, ring_params=(),
-        labels=[label], qmat_pp={},
+        [label], build, ghost=G, eps=eps, ring_order=order,
         qmat_bp=[(str(q12), _inv_str(q12))],
-        avals=[a2], ghost_bounds=[bound],
-        build=build, gk_k=gk_k,
         domain_k=(eps == 1 and point == 1))
 
 
@@ -251,11 +277,8 @@ def _cyc1_component(q12):
         return rels, macros, kpbw
 
     return _Component(
-        eps=-1, ring_order=1, ring_params=(),
-        labels=["-1"], qmat_pp={},
-        qmat_bp=[(str(q12), f"-({_inv_str(q12)})")],
-        avals=["1"], ghost_bounds=[0],
-        build=build, gk_k=0, mild=True)
+        ["-1"], build, ghost=1, eps=-1,
+        qmat_bp=[(str(q12), f"-({_inv_str(q12)})")], mild=True)
 
 
 def _cyc2_component():
@@ -295,11 +318,9 @@ def _cyc2_component():
         return rels, macros, kpbw
 
     return _Component(
-        eps=-1, ring_order=1, ring_params=(),
-        labels=["-1", "-1"], qmat_pp={(1, 2): "-1", (2, 1): "1"},
-        qmat_bp=[("1", "-1"), ("1", "1")],
-        avals=["1", None], ghost_bounds=[0, 0],
-        build=build, gk_k=1, mild=True)
+        ["-1", "-1"], build, ghost=1, eps=-1,
+        qmat_pp={(1, 2): "-1", (2, 1): "1"},
+        qmat_bp=[("1", "-1"), ("1", "1")], mild=True)
 
 
 # -- one block and several points: the A/D families -------------------------
@@ -311,23 +332,21 @@ def _a10_1_component(r):
     if generic:
         order, params, rlabel, N = 1, ("q",), "q", None
     else:
-        N = int(r)
+        N = _integer("r", r)
         if N < 3:
             raise BadParams("root-of-unity order must be >= 3")
         order, params, rlabel = N, (), "z"
 
     def build(spec, pts):
         p2, p3 = pts
-        macros = _z_macros(2, p2)
+        rels, macros = _ghost_one(pts)
         macros.update({
             "x1h2": f"[x1h, {p2}]",
             "x23": f"[{p2}, {p3}]",
             "ztt12": "[x1h, x23]",
             "ztt123": "[x1h2, x23]",
         })
-        rels = [f"[{p2}, x1]", "z2", f"{p2}^2", "x1h2^2",
-                f"[x1, {p3}]", f"[x1h, {p3}]",
-                f"[{p3}, [{p3}, {p2}]]"]
+        rels.append(f"[{p3}, [{p3}, {p2}]]")
         if not generic:
             rels += [f"{p3}^{N}", f"ztt123^{N}"]
         kpbw = [("x1h2", 2), ("ztt12", 2), ("ztt123", N),
@@ -335,18 +354,14 @@ def _a10_1_component(r):
         return rels, macros, kpbw
 
     return _Component(
-        eps=1, ring_order=order, ring_params=params,
-        labels=["-1", rlabel],
-        qmat_pp={(1, 2): f"({rlabel})^-1", (2, 1): "1"},
-        qmat_bp=[("1", "1"), ("1", "1")],
-        avals=["-1/2", None], ghost_bounds=[1, 0],
-        build=build, gk_k=0 if not generic else 2)
+        ["-1", rlabel], build, ghost=1, ring_order=order, ring_params=params,
+        qmat_pp={(1, 2): f"({rlabel})^-1", (2, 1): "1"})
 
 
 def _a10_2_component():
     def build(spec, pts):
         p2, p3 = pts
-        macros = _z_macros(2, p2)
+        rels, macros = _ghost_one(pts)
         macros.update({
             "x1h2": f"[x1h, {p2}]",
             "x23": f"[{p2}, {p3}]",
@@ -354,10 +369,8 @@ def _a10_2_component():
             "ztt12": "[x1h, x23]",
             "ztt123": "[x1h2, x23]",
         })
-        rels = [f"[{p2}, x1]", "z2", f"{p2}^2", "x1h2^2",
-                f"[x1, {p3}]", f"[x1h, {p3}]",
-                f"{p3}^2", "x23^3",
-                "ztt12^3", "ztt123^6", f"[ztt123, {p3}]^3"]
+        rels += [f"{p3}^2", "x23^3",
+                 "ztt12^3", "ztt123^6", f"[ztt123, {p3}]^3"]
         kpbw = [("x1h2", 2), ("ztt12", 3),
                 ("[ztt12, [ztt12, ztt123]]", 2),
                 ("[ztt12, ztt123]", 2), ("ztt123", 6),
@@ -365,12 +378,8 @@ def _a10_2_component():
                 (p3, 2), ("x32", 3), (p2, 2)]
         return rels, macros, kpbw
 
-    return _Component(
-        eps=1, ring_order=3, ring_params=(),
-        labels=["-1", "-1"], qmat_pp={(1, 2): "z", (2, 1): "1"},
-        qmat_bp=[("1", "1"), ("1", "1")],
-        avals=["-1/2", None], ghost_bounds=[1, 0],
-        build=build, gk_k=0)
+    return _Component(["-1", "-1"], build, ghost=1, ring_order=3,
+                      qmat_pp={(1, 2): "z", (2, 1): "1"})
 
 
 def _a10_3_component():
@@ -400,18 +409,14 @@ def _a10_3_component():
                 (p3, 2), ("x32", 2), (p2, 3)]
         return rels, macros, kpbw
 
-    return _Component(
-        eps=1, ring_order=3, ring_params=(),
-        labels=["z", "-1"], qmat_pp={(1, 2): "z^2", (2, 1): "1"},
-        qmat_bp=[("1", "1"), ("1", "1")],
-        avals=["-1/2", None], ghost_bounds=[1, 0],
-        build=build, gk_k=0)
+    return _Component(["z", "-1"], build, ghost=1, ring_order=3,
+                      qmat_pp={(1, 2): "z^2", (2, 1): "1"})
 
 
 def _a20_1_component():
     def build(spec, pts):
         p2, p3, p4 = pts
-        macros = _z_macros(2, p2)
+        rels, macros = _ghost_one(pts)
         macros.update({
             "x1h2": f"[x1h, {p2}]",
             "x23": f"[{p2}, {p3}]",
@@ -426,19 +431,16 @@ def _a20_1_component():
             "ztt123": "[x1h2, x23]",
             "ztt1234": "[x1h23, x24]",
         })
-        rels = [f"[{p2}, x1]", "z2", f"{p2}^2", "x1h2^2",
-                f"[x1, {p3}]", f"[x1h, {p3}]",
-                f"[x1, {p4}]", f"[x1h, {p4}]",
-                "x24",
-                f"[{p3}, [{p3}, {p2}]]", f"[{p3}, [{p3}, {p4}]]",
-                f"[{p4}, [{p4}, {p3}]]",
-                f"{p3}^3", "x34^3", f"{p4}^3",
-                f"[x1h23, {p2}]^3",
-                f"[[x1h23, {p2}], ztt1234]^3",
-                "ztt1234^3",
-                f"[[x1h23, {p2}], [ztt1234, {p2}]]^3",
-                f"[ztt1234, {p2}]^3",
-                f"[ztt1234, [ztt1234, {p2}]]^3"]
+        rels += ["x24",
+                 f"[{p3}, [{p3}, {p2}]]", f"[{p3}, [{p3}, {p4}]]",
+                 f"[{p4}, [{p4}, {p3}]]",
+                 f"{p3}^3", "x34^3", f"{p4}^3",
+                 f"[x1h23, {p2}]^3",
+                 f"[[x1h23, {p2}], ztt1234]^3",
+                 "ztt1234^3",
+                 f"[[x1h23, {p2}], [ztt1234, {p2}]]^3",
+                 f"[ztt1234, {p2}]^3",
+                 f"[ztt1234, [ztt1234, {p2}]]^3"]
         kpbw = [("x1h2", 2), ("ztt12", 2), ("[ztt12, ztt1234]", 2),
                 ("ztt123", 3), ("[ztt123, ztt1234]", 3),
                 (f"[ztt123, [ztt1234, {p3}]]", 3), ("ztt1234", 3),
@@ -449,20 +451,16 @@ def _a20_1_component():
         return rels, macros, kpbw
 
     return _Component(
-        eps=1, ring_order=3, ring_params=(),
-        labels=["-1", "z", "z"],
+        ["-1", "z", "z"], build, ghost=1, ring_order=3,
         qmat_pp={(1, 2): "z^2", (2, 1): "1",
                  (2, 3): "z^2", (3, 2): "1",
-                 (1, 3): "1", (3, 1): "1"},
-        qmat_bp=[("1", "1"), ("1", "1"), ("1", "1")],
-        avals=["-1/2", None, None], ghost_bounds=[1, 0, 0],
-        build=build, gk_k=0)
+                 (1, 3): "1", (3, 1): "1"})
 
 
 def _d21_component():
     def build(spec, pts):
         p2, p3, p4 = pts
-        macros = _z_macros(2, p2)
+        rels, macros = _ghost_one(pts)
         macros.update({
             "x1h2": f"[x1h, {p2}]",
             "x23": f"[{p2}, {p3}]",
@@ -478,18 +476,15 @@ def _d21_component():
             "ztt123": "[x1h2, x23]",
             "ztt1234": "[x1h23, x24]",
         })
-        rels = [f"[{p2}, x1]", "z2", f"{p2}^2", "x1h2^2",
-                f"[x1, {p3}]", f"[x1h, {p3}]",
-                f"[x1, {p4}]", f"[x1h, {p4}]",
-                "x24",
-                f"[{p3}, [{p3}, {p2}]]", f"[{p4}, [{p4}, {p3}]]",
-                f"[[x234, {p3}], {p3}]",
-                f"{p3}^3", "x34^3", "x334^3", f"{p4}^3",
-                f"[x1h23, {p2}]^3",
-                f"[[ztt1234, {p3}], {p3}]^3",
-                f"[[[x1h23, x24], {p3}], {p3}]^3",
-                "ztt1234^3",
-                "[ztt1234, x334]^3"]
+        rels += ["x24",
+                 f"[{p3}, [{p3}, {p2}]]", f"[{p4}, [{p4}, {p3}]]",
+                 f"[[x234, {p3}], {p3}]",
+                 f"{p3}^3", "x34^3", "x334^3", f"{p4}^3",
+                 f"[x1h23, {p2}]^3",
+                 f"[[ztt1234, {p3}], {p3}]^3",
+                 f"[[[x1h23, x24], {p3}], {p3}]^3",
+                 "ztt1234^3",
+                 "[ztt1234, x334]^3"]
         # the second and third entries above coincide once the macros are
         # expanded; keep the proposition's list but drop the duplicate
         del rels[18]
@@ -504,14 +499,10 @@ def _d21_component():
         return rels, macros, kpbw
 
     return _Component(
-        eps=1, ring_order=3, ring_params=(),
-        labels=["-1", "z", "z^2"],
+        ["-1", "z", "z^2"], build, ghost=1, ring_order=3,
         qmat_pp={(1, 2): "z^2", (2, 1): "1",
                  (2, 3): "z", (3, 2): "1",
-                 (1, 3): "1", (3, 1): "1"},
-        qmat_bp=[("1", "1"), ("1", "1"), ("1", "1")],
-        avals=["-1/2", None, None], ghost_bounds=[1, 0, 0],
-        build=build, gk_k=0)
+                 (1, 3): "1", (3, 1): "1"})
 
 
 def _a2_2_component():
@@ -545,12 +536,8 @@ def _a2_2_component():
                 ("x32", 2), ("x1h2", 2), (p2, 2)]
         return rels, macros, kpbw
 
-    return _Component(
-        eps=1, ring_order=1, ring_params=(),
-        labels=["-1", "-1"], qmat_pp={(1, 2): "-1", (2, 1): "1"},
-        qmat_bp=[("1", "1"), ("1", "1")],
-        avals=["-1", None], ghost_bounds=[2, 0],
-        build=build, gk_k=0)
+    return _Component(["-1", "-1"], build, ghost=2,
+                      qmat_pp={(1, 2): "-1", (2, 1): "1"})
 
 
 def _simply_laced_positive_roots(adj, n):
@@ -590,12 +577,8 @@ def _a_chain_component(theta):
         return f"[{pts[i - 2]}, {seg(pts, i + 1, j)}]"
 
     def build(spec, pts):
-        p2 = pts[0]
-        macros = _z_macros(2, p2)
+        rels, macros = _ghost_one(pts)
         macros["x1h2"] = "z1"
-        rels = [f"[{p2}, x1]", "z2", f"{p2}^2", "x1h2^2"]
-        for j in range(3, theta + 1):
-            rels += [f"[x1, {pts[j - 2]}]", f"[x1h, {pts[j - 2]}]"]
         for i in range(2, theta + 1):
             for j in range(i, theta + 1):
                 if (i, j) != (2, 2):
@@ -627,20 +610,15 @@ def _a_chain_component(theta):
         return rels, macros, kpbw
 
     return _Component(
-        eps=1, ring_order=1, ring_params=(),
-        labels=["-1"] * npts,
+        ["-1"] * npts, build, ghost=1,
         qmat_pp={(i, i + 1): "-1" for i in range(1, npts)}
-        | {(i + 1, i): "1" for i in range(1, npts)},
-        qmat_bp=[("1", "1")] * npts,
-        avals=["-1/2"] + [None] * (npts - 1),
-        ghost_bounds=[1] + [0] * (npts - 1),
-        build=build, gk_k=0)
+        | {(i + 1, i): "1" for i in range(1, npts)})
 
 
 def _point_component(label, ring_order=1):
     """A ghost-0 point disconnected from everything else."""
     text = str(label)
-    ring_order = int(ring_order)
+    ring_order = _integer("order", ring_order)
     try:
         lab = _scal(ScalarRing(ring_order), text)
     except Exception as exc:
@@ -661,34 +639,43 @@ def _point_component(label, ring_order=1):
             kpbw = [(p, INF)]
         return rels, {}, kpbw
 
-    return _Component(
-        eps=1, ring_order=ring_order, ring_params=(),
-        labels=[text], qmat_pp={},
-        qmat_bp=[("1", "1")],
-        avals=[None], ghost_bounds=[0],
-        build=build, gk_k=1 if order in (None, 1) else 0,
-        domain_k=lab.is_one())
+    return _Component([text], build, ring_order=ring_order,
+                      domain_k=lab.is_one())
 
 
 # ---------------------------------------------------------------------------
 # Poseidon and Endymion entries
 
 
+_MAX_LADDER = 128  # ladder elements s_n of a poseidon presentation
+
+
 def _poseidon(params):
-    t = int(params.get("t", 2))
+    t = _integer("t", params.get("t", 2))
     if t < 2:
         raise BadParams("poseidon needs at least two blocks")
-    signs = list(params.get("signs", [1] * t))
-    ghosts = list(params.get("ghosts", [1] * t))
-    label = params.get("label", 1)
-    if len(signs) != t or len(ghosts) != t:
-        raise BadParams("signs and ghosts must have length t")
+    if t >= _MAX_LADDER.bit_length():  # each block at least doubles it
+        raise BadParams(f"poseidon with t={t} has at least 2^{t} ladder "
+                        f"elements; the cap is {_MAX_LADDER}")
+    signs, ghosts = params.get("signs", [1] * t), params.get("ghosts", [1] * t)
+    if not all(isinstance(v, (list, tuple)) and len(v) == t
+               for v in (signs, ghosts)):
+        raise BadParams("signs and ghosts must be lists of length t")
+    signs = [_integer("signs", s) for s in signs]
+    ghosts = [_integer("ghosts", g) for g in ghosts]
+    label = _integer("label", params.get("label", 1))
     if any(s not in (1, -1) for s in signs):
         raise BadParams("block signs must be +-1")
     if label not in (1, -1):
         raise BadParams("poseidon point label must be +-1")
-    if any(int(g) < 1 for g in ghosts):
+    if any(g < 1 for g in ghosts):
         raise BadParams("ghosts must be positive integers")
+    attached = [_attachment(s, g) for s, g in zip(signs, ghosts)]
+    bounds = [bound for _, bound in attached]
+    count = prod(bound + 1 for bound in bounds)
+    if count > _MAX_LADDER:
+        raise BadParams(f"poseidon has {count} ladder elements; the cap is "
+                        f"{_MAX_LADDER}")
     theta = t + 1
     qoff = _offdiagonal(params.get("q", {}), theta)
     ring = ScalarRing(1)
@@ -705,32 +692,16 @@ def _poseidon(params):
 
     qm = [[str(qval(i, j)) for j in range(1, theta + 1)]
           for i in range(1, theta + 1)]
-    avals = {}
-    bounds = []
-    for k in range(1, t + 1):
-        g = int(ghosts[k - 1])
-        if signs[k - 1] == 1:
-            avals[(theta, k)] = f"-{g}/2"
-            bounds.append(g)
-        else:
-            avals[(theta, k)] = str(g)
-            bounds.append(2 * g)
+    avals = {(theta, k): a for k, (a, _) in enumerate(attached, start=1)}
     spec = BraidedSpaceSpec(ring, [(s, 2) for s in signs], [str(label)],
                             qm, avals)
 
-    macros = {}
-    rels = []
-    pbw = []
-    for k in range(1, t + 1):
-        xk, xkh = f"x{k}", f"x{k}h"
-        if signs[k - 1] == 1:
-            rels.append(f"{xkh} {xk} - {xk} {xkh} + {{1/2}} {xk} {xk}")
-            pbw += [(xk, 1, INF), (xkh, 1, INF)]
-        else:
-            macros[f"w{k}"] = f"{xkh} {xk} + {xk} {xkh}"
-            rels += [f"{xk} {xk}",
-                     f"{xkh} w{k} - w{k} {xkh} - {xk} w{k}"]
-            pbw += [(xk, 1, 2), (f"w{k}", 2, INF), (xkh, 1, INF)]
+    rels, macros, pbw = [], {}, []
+    for k, s in enumerate(signs, start=1):
+        brels, bmacros, bpbw = _block(k, s, f"w{k}")
+        rels += brels
+        macros.update(bmacros)
+        pbw += bpbw
     for i in range(1, t + 1):
         for j in range(i + 1, t + 1):
             qij = spec.q(i, j)
@@ -741,20 +712,16 @@ def _poseidon(params):
         rels.append(f"x{i} x{theta} - {_q(spec.q(i, theta))} x{theta} x{i}")
 
     # the ladder elements s_n = (ad x1h)^{n_1} ... (ad xth)^{n_t} x_theta
-    amb = []
-    for n in _boxes(bounds):
-        amb.append(n)
-        name = "s_" + "_".join(str(c) for c in n)
+    names = {n: "s_" + "_".join(map(str, n)) for n in _boxes(bounds)}
+    for n, name in names.items():
         expr = f"x{theta}"
         for k in range(t, 0, -1):
             for _ in range(n[k - 1]):
                 expr = f"[x{k}h, {expr}]"
         macros[name] = expr
     for k in range(1, t + 1):
-        over = [0] * t
-        over[k - 1] = bounds[k - 1] + 1
         expr = f"x{theta}"
-        for _ in range(over[k - 1]):
+        for _ in range(bounds[k - 1] + 1):
             expr = f"[x{k}h, {expr}]"
         rels.append(expr)
 
@@ -767,29 +734,20 @@ def _poseidon(params):
             val = val * spec.q(theta, i) ** n[i - 1]
         return val
 
-    def eps_n(n):
-        val = label
-        for i in range(t):
-            val *= signs[i] ** n[i]
-        return val
-
-    for a in range(len(amb)):
-        for b in range(a + 1, len(amb)):
-            m, n = amb[a], amb[b]
-            nm = "s_" + "_".join(map(str, m))
-            nn = "s_" + "_".join(map(str, n))
-            rels.append(f"{nm} {nn} - {_q(pmn(m, n))} {nn} {nm}")
-    gk = 2 * t
-    for n in amb:
-        name = "s_" + "_".join(map(str, n))
-        if eps_n(n) == -1:
+    amb = list(names)
+    for a, m in enumerate(amb):
+        for n in amb[a + 1:]:
+            rels.append(f"{names[m]} {names[n]} - {_q(pmn(m, n))} "
+                        f"{names[n]} {names[m]}")
+    for n, name in names.items():
+        # s_n squares to zero when its diagonal braiding is -1
+        if label * prod(s ** c for s, c in zip(signs, n)) == -1:
             rels.append(f"{name}^2")
             pbw.append((name, 1 + sum(n), 2))
         else:
             pbw.append((name, 1 + sum(n), INF))
-            gk += 1
     pres = Presentation(
-        "poseidon", rels, pbw, gk, macros,
+        "poseidon", rels, pbw, macros,
         is_domain=(all(s == 1 for s in signs) and label == 1),
         params={"t": t, "signs": signs, "ghosts": ghosts, "label": label})
     if qoff:
@@ -844,14 +802,12 @@ def _eny(kind, params):
                        f"x3 z1 - {_q(qi)} z1 x3",
                        f"x1 x3 - {_q(q)} x3 x1"]
         pbw = [("x1", 1, 2), ("x2", 1, 2), ("x3", 1, INF), ("z1", 2, 2)]
-        gk = 1
     elif kind == "eny_minus":
         macros = {"z1": "[x2, x3]"}
         rels = base + [f"x1 x3 - {_q(q)} x3 x1",
                        "x3 x3",
                        f"x3 z1 + {_q(qi)} z1 x3"]
         pbw = [("x1", 1, 2), ("x2", 1, 2), ("x3", 1, 2), ("z1", 2, INF)]
-        gk = 1
     else:
         macros = {"x13": "[x1, x3]", "x23": "[x2, x3]",
                   "x213": "[x2, x13]", "w": "[x23, x13]"}
@@ -860,10 +816,7 @@ def _eny(kind, params):
                        "x213^2"]
         pbw = [("x2", 1, 2), ("x23", 2, INF), ("x213", 3, 2),
                ("w", 4, INF), ("x1", 1, 2), ("x13", 2, 2), ("x3", 1, 2)]
-        gk = 2
-    pres = Presentation(kind, rels, pbw, gk, macros,
-                        params={"q": qtext})
-    return spec, pres
+    return spec, Presentation(kind, rels, pbw, macros, params={"q": qtext})
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +862,7 @@ _register(CatalogEntry("super_jordan", "no parameters",
 
 def _mk_lstr(name, eps, point):
     def comp(params):
-        G = int(params.get("G", 1))
+        G = _integer("G", params.get("G", 1))
         q12 = params.get("q12", 1)
         return _lstr_component(eps, point, G, q12)
     _register(_single(name, "G in N; optional q12", ("G", "q12"), comp))
@@ -941,7 +894,7 @@ _register(_single("lstr(A2,2)", "no parameters", (),
                   lambda params: _a2_2_component()))
 _register(_single("lstr(A_theta-1)", "theta in 3..6", ("theta",),
                   lambda params: _a_chain_component(
-                      int(params.get("theta", 3)))))
+                      _integer("theta", params.get("theta", 3)))))
 _register(_single("point", "label: scalar (ghost-0 disconnected point)",
                   ("label", "order"),
                   lambda params: _point_component(
@@ -1017,23 +970,8 @@ def compose(items):
 
 
 def _rename(text, ren):
-    if not ren:
-        return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            out.append(ren.get(name, name))
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """``text`` with each identifier that is a key of ``ren`` replaced."""
+    return re.sub(r"[^\W\d]\w*", lambda m: ren.get(m[0], m[0]), text)
 
 
 # ---------------------------------------------------------------------------

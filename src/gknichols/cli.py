@@ -143,7 +143,6 @@ def _presentation_from_json(obj) -> Presentation:
         name=obj.get("name", "presentation"),
         relations=list(obj["relations"]),
         pbw=pbw,
-        gk=obj.get("gk", 0),
         macros=dict(obj.get("macros", {})),
         is_domain=bool(obj.get("is_domain", False)),
         params=dict(obj.get("params", {})),

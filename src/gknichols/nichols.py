@@ -532,18 +532,24 @@ class Presentation:
     """A named presentation: relations as parseable strings plus PBW data.
 
     ``pbw`` entries are (label, degree, height); height None means infinite.
+    The GK dimension is not given but read off the PBW basis: ``gk`` counts
+    the generators of infinite height.
     """
 
-    def __init__(self, name: str, relations: list, pbw: list, gk: int,
+    def __init__(self, name: str, relations: list, pbw: list,
                  macros: dict | None = None, is_domain: bool = False,
                  params: dict | None = None):
         self.name = name
         self.relations = relations
         self.pbw = pbw
-        self.gk = gk
         self.macros = {} if macros is None else macros
         self.is_domain = is_domain
         self.params = {} if params is None else params
+
+    @property
+    def gk(self) -> int:
+        """GK dimension: the number of PBW generators of infinite height."""
+        return sum(height is None for _, _, height in self.pbw)
 
 
 def pbw_hilbert_coeffs(p: Presentation, nstar: int):

@@ -100,6 +100,33 @@ def test_unknown_parameter_key_raises(name, key):
         catalog.instantiate(name, {key: 1})
 
 
+@pytest.mark.parametrize("name,params,message", [
+    ("lstr(1,G)", {"G": 1.5}, "parameter 'G' must be an integer, got 1.5"),
+    ("lstr(1,G)", {"G": True}, "parameter 'G' must be an integer, got True"),
+    ("lstr(A_theta-1)", {"theta": 3.9},
+     "parameter 'theta' must be an integer, got 3.9"),
+    ("poseidon", {"t": 2.5}, "parameter 't' must be an integer, got 2.5"),
+    ("poseidon", {"ghosts": [1.5, 1]},
+     "parameter 'ghosts' must be an integer, got 1.5"),
+    ("poseidon", {"signs": [1.0, 1]},
+     "parameter 'signs' must be an integer, got 1.0"),
+    ("poseidon", {"ghosts": 3}, "signs and ghosts must be lists of length t"),
+    ("point", {"order": 2.5}, "parameter 'order' must be an integer, got 2.5"),
+    ("lstr(A(1|0)1;r)", {"r": 4.5},
+     "parameter 'r' must be an integer, got 4.5"),
+    ("poseidon", {"t": 8},
+     r"t=8 has at least 2\^8 ladder elements; the cap is 128"),
+    ("poseidon", {"ghosts": [7, 20]},
+     "poseidon has 168 ladder elements; the cap is 128"),
+], ids=["G-float", "G-bool", "theta", "t", "ghosts", "signs", "ghosts-int",
+        "order", "r", "t-over-cap", "ghosts-over-cap"])
+def test_bad_parameter_value_raises(name, params, message):
+    """A non-integer where an integer is read, and a poseidon ladder above
+    its cap, are refused rather than truncated or built."""
+    with pytest.raises(catalog.BadParams, match=message):
+        catalog.instantiate(name, params)
+
+
 def test_compose_rejects_unknown_parameter_key():
     with pytest.raises(catalog.BadParams,
                        match=r"'H' for lstr\(-1,G\) \(known: G, q12\)"):

@@ -51,6 +51,16 @@ def test_catalog_unknown_parameter_key_is_one_line_error():
     assert json.loads(r.stdout)["params"] == {"r": "generic"}
 
 
+@pytest.mark.parametrize("name,param,message", [
+    ("lstr(1,G)", "G=1.5", "parameter 'G' must be an integer, got 1.5"),
+    ("poseidon", "t=9", "poseidon with t=9 has at least 2^9 ladder elements; "
+     "the cap is 128")])
+def test_catalog_bad_parameter_value_is_one_line_error(name, param, message):
+    r = run_cli("catalog", "show", name, "--params", param)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"gknichols: error: {message}\n"
+
+
 def test_catalog_poseidon_off_diagonal_q():
     r = run_cli("catalog", "show", "poseidon", "--params",
                 '{"q": {"1,2": "-1"}}')

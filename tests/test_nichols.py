@@ -639,12 +639,14 @@ def test_bounds_outside_the_kept_one_rebuild():
 def test_pbw_hilbert_coeffs():
     # two height-infinity degree-1 generators: polynomial algebra growth
     p = Presentation(name="poly2", relations=[],
-                     pbw=[("x", 1, None), ("y", 1, None)], gk=2)
+                     pbw=[("x", 1, None), ("y", 1, None)])
     assert pbw_hilbert_coeffs(p, 5) == [1, 2, 3, 4, 5, 6]
     # height-2 generators truncate their geometric factor
     p2 = Presentation(name="ext2", relations=[],
-                      pbw=[("x", 1, 2), ("y", 2, 2)], gk=0)
+                      pbw=[("x", 1, 2), ("y", 2, 2)])
     assert pbw_hilbert_coeffs(p2, 4) == [1, 1, 1, 1, 0]
+    # the GK dimension counts the generators of infinite height
+    assert p.gk == 2 and p2.gk == 0
     # omitted macros and params are fresh dicts, not one shared default
     assert p.macros == p2.macros == {} and p.macros is not p2.macros
     assert p.params == p2.params == {} and p.params is not p2.params
@@ -654,7 +656,7 @@ def test_pbw_hilbert_coeffs():
 def test_verify_presentation_reports_failures():
     spec, pres = entry_instance("jordan")
     bad = Presentation(name="bad", relations=["x1 x1h - x1h x1"],
-                       pbw=list(pres.pbw), gk=2, macros=dict(pres.macros))
+                       pbw=list(pres.pbw), macros=dict(pres.macros))
     report = verify_presentation(bad, spec, 4)
     assert not report["pass"]
     failed = [r for r in report["relations"] if r["zero"] is False]
@@ -664,7 +666,7 @@ def test_verify_presentation_reports_failures():
 def test_verify_presentation_skips_deep_relations():
     spec, pres = entry_instance("jordan")
     deep = Presentation(name="deep", relations=list(pres.relations)
-                        + ["x1^40"], pbw=list(pres.pbw), gk=2,
+                        + ["x1^40"], pbw=list(pres.pbw),
                         macros=dict(pres.macros))
     report = verify_presentation(deep, spec, 4)
     skipped = [r for r in report["relations"] if r.get("skipped_degree")]
