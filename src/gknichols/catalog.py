@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import lcm, prod
 
-from .scalars import GKNicholsError, ScalarRing, parse_scalar
+from .scalars import MAX_CYCLOTOMIC_ORDER, GKNicholsError, ScalarRing, \
+    parse_scalar
 from .braidings import (BraidedSpaceSpec, PaleBlockPointSpec, SpecError,
                         _index_pair)
 from .freealgebra import expression_degree
@@ -74,14 +75,27 @@ def _integer(key, value):
     return value
 
 
+def _scalar(key, value, ring):
+    """``value``, a str or an int (a bool is not), read as a nonzero scalar
+    of ``ring``; BadParams naming the key and the value otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise BadParams(f"parameter {key!r} must be a scalar string or an "
+                        f"integer, got {value!r}")
+    try:
+        s = parse_scalar(str(value), ring)
+    except GKNicholsError as exc:
+        raise BadParams(f"parameter {key!r}: cannot read {value!r} over the "
+                        f"cyclotomic ring of order {ring.cyclotomic_order}: "
+                        f"{exc}") from exc
+    if s.is_zero():
+        raise BadParams(f"parameter {key!r} must be nonzero, got {value!r}")
+    return s
+
+
 def _pbw_degrees(spec, macros, entries):
     """Resolve (expr, height) pairs into (label, degree, height) triples."""
     return [(expr, expression_degree(expr, spec, macros), height)
             for expr, height in entries]
-
-
-def _scal(ring, text):
-    return parse_scalar(str(text), ring)
 
 
 def _q(s):
@@ -204,6 +218,7 @@ def _lstr_component(eps, point, G, q12):
         raise BadParams("ghost must be a positive integer")
     _, bound = _attachment(eps, G)
     order = 3 if point == "omega" else 1
+    _scalar("q12", q12, ScalarRing(order))
     label = "z" if point == "omega" else str(point)
 
     def build(spec, pts):
@@ -262,6 +277,8 @@ def _inv_str(q12):
 
 
 def _cyc1_component(q12):
+    _scalar("q12", q12, ScalarRing(1))
+
     def build(spec, pts):
         p = pts[0]
         q = spec.q(1, 2)
@@ -617,16 +634,11 @@ def _a_chain_component(theta):
 
 def _point_component(label, ring_order=1):
     """A ghost-0 point disconnected from everything else."""
-    text = str(label)
     ring_order = _integer("order", ring_order)
-    try:
-        lab = _scal(ScalarRing(ring_order), text)
-    except Exception as exc:
-        raise BadParams(
-            f"cannot parse point label {text!r} over the cyclotomic ring "
-            f"of order {ring_order}") from exc
-    if lab.is_zero():
-        raise BadParams("point label must be nonzero")
+    if not 1 <= ring_order <= MAX_CYCLOTOMIC_ORDER:
+        raise BadParams(f"parameter 'order' must be in "
+                        f"1..{MAX_CYCLOTOMIC_ORDER}, got {ring_order}")
+    lab = _scalar("label", label, ScalarRing(ring_order))
     order = lab.mult_order()
 
     def build(spec, pts):
@@ -639,7 +651,7 @@ def _point_component(label, ring_order=1):
             kpbw = [(p, INF)]
         return rels, {}, kpbw
 
-    return _Component([text], build, ring_order=ring_order,
+    return _Component([str(label)], build, ring_order=ring_order,
                       domain_k=lab.is_one())
 
 
@@ -683,11 +695,11 @@ def _poseidon(params):
 
     def qval(i, j):
         if i == j:
-            return _scal(ring, str(signs[i - 1]) if i <= t else str(label))
+            return ring.from_int(signs[i - 1] if i <= t else label)
         if (i, j) in qoff:
-            return _scal(ring, str(qoff[(i, j)]))
+            return _scalar("q", qoff[(i, j)], ring)
         if (j, i) in qoff:
-            return _scal(ring, str(qoff[(j, i)])).inverse()
+            return _scalar("q", qoff[(j, i)], ring).inverse()
         return one
 
     qm = [[str(qval(i, j)) for j in range(1, theta + 1)]
@@ -726,7 +738,7 @@ def _poseidon(params):
         rels.append(expr)
 
     def pmn(m, n):
-        val = _scal(ring, str(label))
+        val = ring.from_int(label)
         for i in range(1, t + 1):
             for j in range(1, t + 1):
                 val = val * spec.q(i, j) ** (m[i - 1] * n[j - 1])
@@ -784,11 +796,9 @@ def _boxes(bounds):
 
 
 def _eny(kind, params):
-    qtext = str(params.get("q", "q"))
-    ring = ScalarRing(1, params=("q",) if qtext == "q" else ())
-    q = _scal(ring, qtext)
-    if q.is_zero():
-        raise BadParams("q must be nonzero")
+    value = params.get("q", "q")
+    ring = ScalarRing(1, params=("q",) if value == "q" else ())
+    q = _scalar("q", value, ring)
     qi = q.inverse()
     if kind == "eny_star":
         spec = PaleBlockPointSpec(ring, -1, str(q), str(-qi), "-1")
@@ -816,7 +826,8 @@ def _eny(kind, params):
                        "x213^2"]
         pbw = [("x2", 1, 2), ("x23", 2, INF), ("x213", 3, 2),
                ("w", 4, INF), ("x1", 1, 2), ("x13", 2, 2), ("x3", 1, 2)]
-    return spec, Presentation(kind, rels, pbw, macros, params={"q": qtext})
+    return spec, Presentation(kind, rels, pbw, macros,
+                              params={"q": str(value)})
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ Elements are exact linear combinations of words in the spec's letters; a word
 is stored as a tuple of letter indices.  Words are ordered by length, then
 lexicographically on indices, which is the term order used for all pivoting
 downstream.
+
+Element texts are read by the one grammar of :func:`scalars.parse_tree`,
+whose names here are the spec's letters and a macro table's keys;
+:func:`parse_element` evaluates the tree to an element and
+:func:`expression_degree` to its length degree, without expanding it.
 """
 
 from __future__ import annotations
 
 from .braidings import SpecError
-from .scalars import SCALAR_OPS, GKNicholsError, ParseError, Scalar, \
-    check_exponent, parse_scalar
+from .scalars import SCALAR_OPS, GKNicholsError, Scalar, join_terms, \
+    parse_tree, scalar_value
 
 
 class ElementError(GKNicholsError):
@@ -267,135 +272,18 @@ def skew_derivation(spec, i, e: TensorElement) -> TensorElement:
 
 
 def _parse_tree(text: str, spec, macros) -> tuple:
-    """Parse the element grammar (see :func:`parse_element`) into a tree.
-
-    Nodes are ``("sum", [(negate, node), ...])``, ``("prod", [node, ...])``,
-    ``("pow", node, n)``, ``("neg", node)``, ``("comm", left, right)``,
-    ``("scalar", literal)``, ``("num", numerator, denominator or None)``,
-    ``("letter", name)`` and ``("macro", name)``.  Syntax errors, unknown
-    names and bad rational literals raise :class:`ParseError`.
-    """
-    pos = 0
-    end = len(text)
-
-    def peek():
-        nonlocal pos
-        while pos < end and text[pos].isspace():
-            pos += 1
-        return text[pos] if pos < end else ""
-
-    def expect(ch):
-        nonlocal pos
-        if peek() != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def digits():
-        nonlocal pos
-        start = pos
-        while pos < end and text[pos].isdigit():
-            pos += 1
-        return text[start:pos]
-
-    def parse_sum():
-        nonlocal pos
-        terms = [(False, parse_product())]
-        while peek() in ("+", "-"):
-            pos += 1
-            terms.append((text[pos - 1] == "-", parse_product()))
-        return terms[0][1] if len(terms) == 1 else ("sum", terms)
-
-    def parse_product():
-        nonlocal pos
-        factors = [parse_power()]
-        while True:
-            ch = peek()
-            if ch == "*":
-                pos += 1
-            elif not (ch and (ch in "([{" or ch.isalpha() or ch.isdigit())):
-                break
-            factors.append(parse_power())
-        return factors[0] if len(factors) == 1 else ("prod", factors)
-
-    def parse_power():
-        nonlocal pos
-        node = parse_atom()
-        if peek() == "^":
-            pos += 1
-            if not peek().isdigit():
-                raise ParseError("positive integer exponent expected", pos)
-            start = pos
-            node = ("pow", node, check_exponent(digits(), start))
-        return node
-
-    def commutator(close):
-        left = parse_sum()
-        expect(",")
-        right = parse_sum()
-        expect(close)
-        return ("comm", left, right)
-
-    def parse_atom():
-        nonlocal pos
-        ch = peek()
-        start = pos
-        if ch == "(":
-            pos += 1
-            node = parse_sum()
-            expect(")")
-            return node
-        if ch == "[":
-            pos += 1
-            return commutator("]")
-        if ch == "{":
-            depth = 0
-            while pos < end:
-                if text[pos] == "{":
-                    depth += 1
-                elif text[pos] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                pos += 1
-            if depth != 0:
-                raise ParseError("unterminated scalar literal", start)
-            pos += 1
-            return ("scalar", text[start + 1:pos - 1])
-        if ch == "-":
-            pos += 1
-            return ("neg", parse_atom())
-        if ch.isdigit():
-            num, den = int(digits()), None
-            if text[pos:pos + 1] == "/":
-                pos += 1
-                den = digits()
-                if not den or int(den) == 0:
-                    raise ParseError(
-                        f"bad rational literal {text[start:pos]!r}", start)
-                den = int(den)
-            return ("num", num, den)
-        if ch.isalpha() or ch == "_":
-            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            name = text[start:pos]
-            if name == "ad":
-                expect("(")
-                return commutator(")")
-            if name in spec.name_to_idx:
-                return ("letter", name)
-            if name in macros:
-                return ("macro", name)
-            raise ParseError(f"unknown letter or macro {name!r}", start)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end", pos)
-
-    node = parse_sum()
-    if peek():
-        raise ParseError(f"unexpected {text[pos]!r}", pos)
-    return node
+    """The tree of :func:`scalars.parse_tree` for an element text, whose
+    names are the letters of ``spec`` (``("letter", name)``) and the keys
+    of ``macros`` (``("macro", name)``)."""
+    def resolve(name):
+        if name in spec.name_to_idx:
+            return ("letter", name)
+        return ("macro", name) if name in macros else None
+    return parse_tree(text, spec.ring, resolve)
 
 
 def parse_element(text: str, spec, macros=None) -> TensorElement:
-    """Parse the element grammar.
+    """Parse an element text (the grammar of :func:`scalars.parse_tree`).
 
     Letters by name (`x1`, `x1h`, ...), `*`, `+`, `-`, `^`, parentheses,
     `{scalar}` coefficients, integer and `p/r` literals, `ad(x, e)`,
@@ -437,13 +325,7 @@ def _element(node, spec, macros) -> TensorElement:
             value = parse_element(value, spec, macros)
             macros[node[1]] = value
         return value
-    if kind == "scalar":
-        coeff = parse_scalar(node[1], spec.ring)
-    elif node[2] is None:
-        coeff = spec.ring.from_int(node[1])
-    else:
-        coeff = spec.ring.from_rational(node[1], node[2])
-    return TensorElement.unit(spec).scale(coeff)
+    return TensorElement.unit(spec).scale(scalar_value(node, spec.ring))
 
 
 def expression_degree(text: str, spec, macros=None) -> int:
@@ -500,7 +382,4 @@ def print_element(e: TensorElement) -> str:
             parts.append(f"{{{cs}}}*{mono}")
         else:
             parts.append(f"{{{cs}}}")
-    body = parts[0]
-    for p in parts[1:]:
-        body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return body
+    return join_terms(parts)

@@ -50,6 +50,10 @@ over Q(zeta_N), on the remainders of ``_poly_divmod``; in several it is the
 primitive pseudo-remainder sequence in the last active parameter over the
 polynomials in the others, whose contents are gcds one parameter down
 (Brown, J. ACM 18, 1971).
+
+:func:`parse_tree` reads the package's scalar and element texts by one
+grammar; :func:`scalar_value` evaluates a scalar tree, and
+:func:`join_terms` prints a sum of scalar or element terms.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Any, Callable, NamedTuple
 
 
 MAX_CYCLOTOMIC_ORDER = 1024
-MAX_EXPONENT = 1024  # |n| in a literal power x^n of either grammar
+MAX_EXPONENT = 1024  # |n| in a literal power x^n of a scalar or element
 
 
 class GKNicholsError(Exception):
@@ -96,16 +100,6 @@ class ParseError(ScalarError):
 
 class UnknownParameter(ParseError):
     pass
-
-
-def check_exponent(digits: str, position: int) -> int:
-    """The exponent ``digits`` as an int; ParseError at ``position`` when it
-    is above MAX_EXPONENT, decided from the digits before any arithmetic."""
-    n = digits.lstrip("0") or "0"
-    if len(n) > len(str(MAX_EXPONENT)) or int(n) > MAX_EXPONENT:
-        raise ParseError(f"exponent above the maximum {MAX_EXPONENT}",
-                         position)
-    return int(n)
 
 
 def euler_phi(n: int) -> int:
@@ -880,117 +874,194 @@ def qnum(n: int, q: Scalar) -> Scalar:
 # parsing and printing
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
+    """Parse a scalar text (``resolve`` None) or an element text into a tree.
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    One grammar, from the loosest binding to the tightest: ``+`` and binary
+    ``-``; ``*`` (in a scalar also ``/``, in an element also juxtaposition);
+    unary ``-``; ``^`` with a non-negative integer exponent (``^-n`` in a
+    scalar only).  Atoms are parentheses, integers and names.  A scalar's
+    names are ``z`` and the parameters of ``ring``.  An element text adds
+    ``p/r`` literals, ``[a, b]``, ``ad(a, b)`` and ``{scalar}`` literals,
+    parsed in place; ``resolve(name)`` gives the leaf of any other name, or
+    None when it is unknown.
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    Nodes are ``("sum", [(negate, node), ...])``, ``("prod", [node, ...])``,
+    ``("pow", node, n)``, ``("neg", node)``, ``("comm", left, right)``,
+    ``("scalar", node)``, ``("num", numerator, denominator)``,
+    ``("name", name)`` for ``z`` and the parameters, and the leaves of
+    ``resolve``; ``a/b`` is ``("prod", [a, ("pow", b, -1)])``.  Errors
+    raise :class:`ParseError` at their position in ``text``.
+    """
+    pos = 0
+    end = len(text)
 
-    def take_name(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+    def skip(n):  # step over n characters and the whitespace after them
+        nonlocal pos
+        pos += n
+        while pos < end and text[pos].isspace():
+            pos += 1
 
-    def take_digits(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.text[start:self.pos]
+    def expect(ch):
+        if text[pos:pos + 1] != ch:
+            raise ParseError(f"expected {ch!r}", pos)
+        skip(1)
+
+    def digits():  # a run of ASCII digits; the caller steps over whitespace
+        nonlocal pos
+        start = pos
+        while pos < end and "0" <= text[pos] <= "9":
+            pos += 1
+        return text[start:pos]
+
+    def parse_sum(scalar):
+        terms = [(False, parse_product(scalar))]
+        while (ch := text[pos:pos + 1]) in ("+", "-"):
+            skip(1)
+            terms.append((ch == "-", parse_product(scalar)))
+        return terms[0][1] if len(terms) == 1 else ("sum", terms)
+
+    def parse_product(scalar):
+        factors = [parse_power(scalar)]
+        while True:
+            ch = text[pos:pos + 1]
+            if ch == "*" or (ch == "/" and scalar):
+                skip(1)
+                factor = parse_power(scalar)
+                factors.append(factor if ch == "*" else ("pow", factor, -1))
+            elif not scalar and ch and (ch in "([{" or ch.isalnum()):
+                factors.append(parse_power(scalar))
+            else:
+                return factors[0] if len(factors) == 1 else ("prod", factors)
+
+    def parse_power(scalar):
+        if text[pos:pos + 1] == "-":  # weaker than ^: -x^2 is -(x^2)
+            skip(1)
+            return ("neg", parse_power(scalar))
+        node = parse_atom(scalar)
+        if text[pos:pos + 1] != "^":
+            return node
+        skip(1)
+        sign = 1
+        if scalar and text[pos:pos + 1] == "-":
+            skip(1)
+            sign = -1
+        start = pos
+        n = digits()
+        if not n:
+            raise ParseError("positive integer exponent expected", start)
+        skip(0)
+        n = n.lstrip("0") or "0"  # capped by its digits, before any power
+        if len(n) > len(str(MAX_EXPONENT)) or int(n) > MAX_EXPONENT:
+            raise ParseError(f"exponent above the maximum {MAX_EXPONENT}",
+                             start)
+        return ("pow", node, sign * int(n))
+
+    def commutator(close):
+        left = parse_sum(False)
+        expect(",")
+        right = parse_sum(False)
+        expect(close)
+        return ("comm", left, right)
+
+    def parse_atom(scalar):
+        nonlocal pos
+        ch = text[pos:pos + 1]
+        start = pos
+        if ch == "(":
+            skip(1)
+            node = parse_sum(scalar)
+            expect(")")
+            return node
+        if "0" <= ch <= "9":
+            num = int(digits())
+            if scalar or text[pos:pos + 1] != "/":
+                skip(0)
+                return ("num", num, 1)
+            pos += 1
+            den = digits()
+            if not den or int(den) == 0:
+                raise ParseError(
+                    f"bad rational literal {text[start:pos]!r}", start)
+            skip(0)
+            return ("num", num, int(den))
+        if ch.isalpha() or ch == "_":
+            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            name = text[start:pos]
+            skip(0)
+            if scalar:
+                if name == "z" or name in ring.params:
+                    return ("name", name)
+                raise UnknownParameter(f"unknown name {name!r}", start)
+            if name == "ad":
+                expect("(")
+                return commutator(")")
+            node = resolve(name)
+            if node is None:
+                raise ParseError(f"unknown letter or macro {name!r}", start)
+            return node
+        if ch == "[" and not scalar:
+            skip(1)
+            return commutator("]")
+        if ch == "{" and not scalar:
+            skip(1)
+            node = parse_sum(True)
+            if pos == end:
+                raise ParseError("unterminated scalar literal", start)
+            expect("}")
+            return ("scalar", node)
+        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end", pos)
+
+    skip(0)
+    node = parse_sum(resolve is None)
+    if pos < end:
+        raise ParseError(f"unexpected {text[pos]!r}", pos)
+    return node
 
 
 def parse_scalar(text: str, ring: ScalarRing) -> Scalar:
-    """Parse the scalar grammar: integers, `p/r`, `z`, params, + - * / ^ ()."""
-    toks = _Tokens(text)
-    value = _parse_sum(toks, ring)
-    toks.skip_ws()
-    if toks.pos != len(text):
-        raise ParseError(f"unexpected {text[toks.pos]!r}", toks.pos)
-    return value
+    """Parse a scalar text (see :func:`parse_tree`) over ``ring``."""
+    return scalar_value(parse_tree(text, ring, None), ring)
 
 
-def _parse_sum(toks, ring):
-    value = _parse_product(toks, ring)
-    while True:
-        ch = toks.peek()
-        if ch == "+":
-            toks.pos += 1
-            value = value + _parse_product(toks, ring)
-        elif ch == "-":
-            toks.pos += 1
-            value = value - _parse_product(toks, ring)
-        else:
-            return value
-
-
-def _parse_product(toks, ring):
-    value = _parse_power(toks, ring)
-    while True:
-        ch = toks.peek()
-        if ch == "*":
-            toks.pos += 1
-            value = value * _parse_power(toks, ring)
-        elif ch == "/":
-            toks.pos += 1
-            divisor = _parse_power(toks, ring)
-            if divisor.is_zero():
-                raise DivisionByZero("division by zero in scalar expression")
-            value = value / divisor
-        else:
-            return value
-
-
-def _parse_power(toks, ring):
-    # unary minus binds weaker than ^, so -z^2 means -(z^2)
-    if toks.peek() == "-":
-        toks.pos += 1
-        return -_parse_power(toks, ring)
-    value = _parse_atom(toks, ring)
-    if toks.peek() == "^":
-        toks.pos += 1
-        neg = False
-        if toks.peek() == "-":
-            toks.pos += 1
-            neg = True
-        if not toks.peek().isdigit():
-            raise ParseError("integer exponent expected", toks.pos)
-        pos = toks.pos
-        exp = check_exponent(toks.take_digits(), pos)
-        value = value ** (-exp if neg else exp)
-    return value
-
-
-def _parse_atom(toks, ring):
-    ch = toks.peek()
-    if ch == "(":
-        toks.pos += 1
-        value = _parse_sum(toks, ring)
-        if toks.peek() != ")":
-            raise ParseError("expected ')'", toks.pos)
-        toks.pos += 1
+def scalar_value(node, ring: ScalarRing) -> Scalar:
+    """The value over ``ring`` of a scalar tree of :func:`parse_tree`."""
+    kind = node[0]
+    if kind == "num":
+        return ring.from_rational(node[1], node[2])
+    if kind == "name":
+        return ring.zeta() if node[1] == "z" else ring.param(node[1])
+    if kind == "prod":
+        factors = node[1]
+        value = scalar_value(factors[0], ring)
+        for factor in factors[1:]:
+            value = value * scalar_value(factor, ring)
         return value
-    if ch.isdigit():
-        return ring.from_int(int(toks.take_digits()))
-    if ch.isalpha() or ch == "_":
-        pos = toks.pos
-        name = toks.take_name()
-        if name == "z":
-            return ring.zeta()
-        if name in ring.params:
-            return ring.param(name)
-        raise UnknownParameter(f"unknown name {name!r}", pos)
-    raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
-                     toks.pos)
+    if kind == "pow":
+        value, n = scalar_value(node[1], ring), node[2]
+        if n < 0:
+            if value.is_zero():
+                raise DivisionByZero("division by zero in scalar expression")
+            value, n = value.inverse(), -n
+        return value if n == 1 else value ** n
+    if kind == "sum":
+        terms = node[1]
+        value = scalar_value(terms[0][1], ring)
+        for negate, term in terms[1:]:
+            other = scalar_value(term, ring)
+            value = value - other if negate else value + other
+        return value
+    if kind == "neg":
+        return -scalar_value(node[1], ring)
+    return scalar_value(node[1], ring)  # "scalar"
+
+
+def join_terms(parts) -> str:
+    """The printed terms ``parts`` as a sum: a term that starts with ``-``
+    is joined by `` - `` and the rest by `` + ``."""
+    return parts[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}"
+                              for p in parts[1:])
 
 
 def _print_cyc(cyc, as_factor=False):
@@ -1012,9 +1083,7 @@ def _print_cyc(cyc, as_factor=False):
                 parts.append(f"{c}*{var}")
     if not parts:
         return "0"
-    body = parts[0]
-    for p in parts[1:]:
-        body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    body = join_terms(parts)
     if as_factor and (len(parts) > 1 or "/" in body or body.startswith("-")):
         return f"({body})"
     return body
@@ -1039,10 +1108,7 @@ def _print_poly(ring, p):
                 terms.append(coeff + "*" + "*".join(factors))
         else:
             terms.append(coeff)
-    body = terms[0]
-    for t in terms[1:]:
-        body += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return body
+    return join_terms(terms)
 
 
 def print_scalar(s: Scalar) -> str:

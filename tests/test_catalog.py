@@ -118,11 +118,36 @@ def test_unknown_parameter_key_raises(name, key):
      r"t=8 has at least 2\^8 ladder elements; the cap is 128"),
     ("poseidon", {"ghosts": [7, 20]},
      "poseidon has 168 ladder elements; the cap is 128"),
+    ("lstr(1,G)", {"q12": 1.5},
+     "parameter 'q12' must be a scalar string or an integer, got 1.5"),
+    ("lstr(1,G)", {"q12": True},
+     "parameter 'q12' must be a scalar string or an integer, got True"),
+    ("lstr(omega,1)", {"q12": [1]},
+     r"parameter 'q12' must be a scalar string or an integer, got \[1\]"),
+    ("cyc1", {"q12": "w"}, "parameter 'q12': cannot read 'w' over the "
+     r"cyclotomic ring of order 1: unknown name 'w' \(at position 0\)"),
+    ("lstr(1,G)", {"q12": "0"}, "parameter 'q12' must be nonzero, got '0'"),
+    ("point", {"label": 1.5},
+     "parameter 'label' must be a scalar string or an integer, got 1.5"),
+    ("point", {"label": "z+"}, "parameter 'label': cannot read 'z\\+'"),
+    ("point", {"order": 0}, r"parameter 'order' must be in 1\.\.1024, got 0"),
+    ("point", {"order": -3}, "parameter 'order' must be in 1..1024, got -3"),
+    ("point", {"order": 2000},
+     "parameter 'order' must be in 1..1024, got 2000"),
+    ("eny_plus", {"q": True},
+     "parameter 'q' must be a scalar string or an integer, got True"),
+    ("poseidon", {"q": {"1,2": [1]}},
+     r"parameter 'q' must be a scalar string or an integer, got \[1\]"),
 ], ids=["G-float", "G-bool", "theta", "t", "ghosts", "signs", "ghosts-int",
-        "order", "r", "t-over-cap", "ghosts-over-cap"])
+        "order", "r", "t-over-cap", "ghosts-over-cap", "q12-float",
+        "q12-bool", "q12-list", "q12-name", "q12-zero", "label-float",
+        "label-syntax", "order-0", "order-negative", "order-over-cap",
+        "eny-q-bool", "poseidon-q-list"])
 def test_bad_parameter_value_raises(name, params, message):
-    """A non-integer where an integer is read, and a poseidon ladder above
-    its cap, are refused rather than truncated or built."""
+    """A non-integer where an integer is read, a scalar parameter that is
+    not a nonzero scalar string or integer, and a poseidon ladder above its
+    cap, are refused rather than truncated or built; the error names the
+    key."""
     with pytest.raises(catalog.BadParams, match=message):
         catalog.instantiate(name, params)
 

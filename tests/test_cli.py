@@ -54,7 +54,10 @@ def test_catalog_unknown_parameter_key_is_one_line_error():
 @pytest.mark.parametrize("name,param,message", [
     ("lstr(1,G)", "G=1.5", "parameter 'G' must be an integer, got 1.5"),
     ("poseidon", "t=9", "poseidon with t=9 has at least 2^9 ladder elements; "
-     "the cap is 128")])
+     "the cap is 128"),
+    ("lstr(1,G)", "q12=1.5",
+     "parameter 'q12' must be a scalar string or an integer, got 1.5"),
+    ("point", "order=0", "parameter 'order' must be in 1..1024, got 0")])
 def test_catalog_bad_parameter_value_is_one_line_error(name, param, message):
     r = run_cli("catalog", "show", name, "--params", param)
     assert r.returncode == 1 and r.stdout == ""
@@ -147,6 +150,9 @@ def test_member(jordan_spec_file):
     r2 = run_cli("member", jordan_spec_file, "--element", "x1 x1h")
     out2 = json.loads(r2.stdout)
     assert out2["zero"] is False and out2["witness"]
+    # unary minus binds weaker than ^, so this is zero already in T(V)
+    r3 = run_cli("member", jordan_spec_file, "--element", "-x1^2 + x1 x1")
+    assert r3.returncode == 0 and json.loads(r3.stdout)["zero"] is True
 
 
 def test_member_stats_writes_one_json_line_per_degree(jordan_spec_file):

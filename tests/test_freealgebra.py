@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gknichols import (BraidedSpaceSpec, ScalarRing, TensorElement,
                        braided_commutator, expression_degree, parse_element,
-                       print_element, skew_derivation)
+                       parse_scalar, print_element, skew_derivation)
 from gknichols.freealgebra import (ElementError, NonHomogeneous, ad_letter,
                                    group_act)
 
@@ -130,6 +130,30 @@ def test_macros_expand_recursively():
     assert expression_degree("w x12", SPEC, macros) == 5
 
 
+def test_unary_minus_binds_weaker_than_power():
+    """As in a scalar text, -a^n is -(a^n), also inside a product."""
+    def same(a, b):
+        return (parse_element(a, SPEC) - parse_element(b, SPEC)).is_zero()
+    assert same("-x1^2", "-(x1^2)")
+    assert same("x1*-x1^2", "-(x1 x1 x1)")
+    assert same("-x1^2 + x1 x1", "0")
+    assert same("-{2}^2", "{-4}")
+    assert same("-2^2", "{-4}")
+
+
+PARAM_SPEC = BraidedSpaceSpec(ScalarRing(4, params=("q",)), [], ["-1"],
+                              [["-1"]])
+
+
+@pytest.mark.parametrize("text", [
+    "-2^2", "2/(q + 1)", "(q)^-1", "-z^2/3", "3/4", "-q^2 - 2*q/5",
+    "(z + 1)^3/(q - z)", "2^-2", "-(1 - q)^2", "q/q^2*q"])
+def test_scalar_literal_matches_parse_scalar(text):
+    """A {...} literal has the value parse_scalar gives its text."""
+    e = parse_element("{%s}" % text, PARAM_SPEC)
+    assert e.coeff(()) == parse_scalar(text, PARAM_SPEC.ring)
+
+
 def test_parse_errors():
     from gknichols.scalars import ParseError
     with pytest.raises((ElementError, ParseError)):
@@ -153,6 +177,9 @@ PARSE_ERRORS = [
     ("x1h^2 + + x1", "unexpected '+'", 8),
     ("x1^1025", "exponent above the maximum 1024", 3),
     ("x2 x1^999999999", "exponent above the maximum 1024", 6),
+    ("x1*{z+}", "unexpected '}'", 6),
+    ("{w} x1", "unknown name 'w'", 1),
+    ("x1 \u00b2", "unexpected '\u00b2'", 3),  # digits are ASCII only
 ]
 
 BAD_RATIONALS = [
