@@ -131,21 +131,45 @@ def _presentation_json(p: Presentation):
 
 
 def _presentation_from_json(obj) -> Presentation:
-    pbw = []
-    for entry in obj["pbw"]:
+    """A Presentation from its JSON object, every field checked before use:
+    a bad one raises a one-line ValueError naming it and its value."""
+    def check(ok, field, what, value):
+        if not ok:
+            raise ValueError(f"presentation: {field} must be {what}, "
+                             f"got {json.dumps(value)}")
+
+    check(isinstance(obj, dict), "the top level", "an object", obj)
+    relations, pbw = obj.get("relations"), obj.get("pbw")
+    macros, params = obj.get("macros", {}), obj.get("params", {})
+    check(isinstance(relations, list)
+          and all(isinstance(r, str) for r in relations),
+          "relations", "a list of strings", relations)
+    check(isinstance(macros, dict)
+          and all(isinstance(m, str) for m in macros.values()),
+          "macros", "an object of strings", macros)
+    check(isinstance(params, dict), "params", "an object", params)
+    check(isinstance(pbw, list), "pbw", "a list", pbw)
+    generators = []
+    for i, entry in enumerate(pbw):
         if isinstance(entry, dict):
-            label, degree, height = entry["label"], entry["degree"], \
-                entry["height"]
-        else:
-            label, degree, height = entry
-        pbw.append((label, degree, None if height == 0 else height))
+            entry = [entry.get(key) for key in ("label", "degree", "height")]
+        check(isinstance(entry, list) and len(entry) == 3, f"pbw[{i}]",
+              "[label, degree, height] or {label, degree, height}", entry)
+        label, degree, height = entry
+        # a bool is not an int here
+        check(isinstance(label, str), f"pbw[{i}] label", "a string", label)
+        check(type(degree) is int and degree >= 1, f"pbw[{i}] degree",
+              "an integer >= 1", degree)
+        check(type(height) is int and height >= 0, f"pbw[{i}] height",
+              "an integer >= 0 (0 for infinite)", height)
+        generators.append((label, degree, height or None))
     return Presentation(
         name=obj.get("name", "presentation"),
-        relations=list(obj["relations"]),
-        pbw=pbw,
-        macros=dict(obj.get("macros", {})),
+        relations=relations,
+        pbw=generators,
+        macros=macros,
         is_domain=bool(obj.get("is_domain", False)),
-        params=dict(obj.get("params", {})),
+        params=params,
     )
 
 

@@ -112,11 +112,6 @@ class TensorElement:
                 raise NonHomogeneous("element is not Z^theta-homogeneous")
         return deg if deg is not None else (0,) * self.spec.ngroups
 
-    def homogeneous_component(self, n):
-        return TensorElement(self.spec,
-                             {w: c for w, c in self.terms.items()
-                              if len(w) == n})
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):

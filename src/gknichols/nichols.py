@@ -27,25 +27,14 @@ nf(p.x) = sum_u c_u nf(u.x) where nf(p) = sum_u c_u u (x a letter).
 Both rewrite a word through strictly smaller words of its length.
 
 B(V) is Z^theta-graded by the letter counts per group (block or point), and
-skew derivations and the braiding never raise that degree.  So the words of
-Z^theta-degree at most alpha (componentwise) span a self-contained piece of
-the computation: the elimination keys (d, cw) of different Z^theta-degrees
-never meet, and every word a normal form of such a word is built from has
-Z^theta-degree at most alpha too.  A truncation with ``bound=alpha`` keeps
-only those words; its complement words and normal forms are exactly those of
-the full truncation restricted to the down-set.  Membership above
-``max_degree`` reduces each component through such a truncation.
-
-So a bounded truncation need not start from degree 0: ``restricted(alpha)``
-takes over the degrees a truncation already holds, keeping the complement
-words, the normal forms and the top degree's skew-derivation coordinates
-of the words of Z^theta-degree at most alpha, and only the degrees above
-are eliminated.  A truncation that is itself bounded by beta takes over
-only degree 0 when alpha does not lie below beta.  The truncation keeps the
-last bounded truncation it built and reduces the next component through
-it, extended if needed, when that component's Z^theta-degree lies below
-its bound; otherwise it drops it before restricting itself again, so it
-holds at most one bounded truncation, for as long as it lives.
+skew derivations and the braiding never raise that degree.  So each degree
+splits into Z^theta-blocks, the words of one Z^theta-degree beta: the
+elimination keys (d, cw) of different blocks never meet, and block beta
+needs only the blocks beta - e_g below it.  ``extend`` fills every block of
+a degree; ``normal_form_vector`` fills, for a word above ``max_degree``,
+its block and the ones below it first.  Each block is eliminated once, and
+its candidates in the same lex order either way, so its complement words
+and normal forms are those of the full truncation.
 
 Over Q(zeta_N) with phi(N) > 1 and no parameters, most candidates are
 complement words, and the exact elimination spends most of its time
@@ -53,8 +42,7 @@ confirming that.  So each candidate's image is first sent to F_p by the
 ring's ``ResidueMap`` (a ring homomorphism, p = 1 (mod N) a prime below
 2^30; see :mod:`gknichols.residues`) and reduced there, by the same
 ``_Echelon`` with the ``RingOps`` of F_p, against the rows certified before
-it in its Z^theta-block (the candidates of one Z^theta-degree, which share
-no key with any other block).  A nonzero remainder certifies the candidate.
+it in its Z^theta-block.  A nonzero remainder certifies the candidate.
 This is exact, not probabilistic: the certified rows of a block and the
 candidate have independent images modulo p, so some maximal minor of their
 matrix is nonzero modulo p, hence nonzero over Q(zeta_N), and the rows are
@@ -82,7 +70,6 @@ An independent oracle, the quantum symmetrizer, is provided for small degrees.
 from __future__ import annotations
 
 from itertools import product
-from math import factorial, prod
 from time import perf_counter
 
 from .braidings import Interaction, interaction
@@ -178,29 +165,30 @@ class _Echelon:
 
 
 class NicholsTruncation:
-    """Bases of I(n) and monomial complements of B^n for 0 <= n <= max_degree.
-
-    With ``bound`` (one maximum per group), only the words whose letter
-    counts per group are at most ``bound`` are kept: ``dims[n]`` counts the
-    complement words of that down-set and ``ideal_dims[n]`` the rest of its
-    words of length n.  ``None`` keeps every word.
+    """Bases of I(n) and monomial complements of B^n for 0 <= n <= max_degree,
+    and of the Z^theta-blocks above ``max_degree`` that membership needed.
 
     ``stats[n]`` records how degree n was computed: ``dim`` and
     ``ideal_dim``, the ``candidates`` eliminated (the words left by the
-    suffix and bound filters), the candidates ``certified`` independent
-    modulo a prime, the exact echelon's ``pivots`` (its complement words
-    and the certified rows replayed into it, so ``dim <= pivots +
-    certified``), the ``inverses`` of pivot leads it took, the normal
-    forms held in ``nf`` over all degrees once degree n was done
-    (``memo``), and the ``seconds`` spent.  A degree taken over by
-    :meth:`restricted` ran no elimination: its counts are 0.
+    suffix filter), the candidates ``certified`` independent modulo a
+    prime, the exact echelon's ``pivots`` (its complement words and the
+    certified rows replayed into it, so ``dim <= pivots + certified``), the
+    ``inverses`` of pivot leads it took, the normal forms held in ``nf[0]``
+    to ``nf[n]`` once degree n was done (``memo``), and the ``seconds``
+    its elimination passes took.  The blocks of degree n filled on demand
+    before ``extend`` reached n count in the record written when degree n
+    completes.
+
+    ``budget`` caps the candidates of one elimination pass, counted before
+    it as the upper bound ``len(prefixes) * L``: ``dims[n-1] * L`` when
+    ``extend`` eliminates degree n, and at most that when a pass fills some
+    blocks of degree n on demand, whose prefixes are the complement words
+    of the blocks below them.
     """
 
-    def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET,
-                 *, bound=None):
+    def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET):
         self.spec = spec
         self.budget = budget
-        self.bound = None if bound is None else tuple(bound)
         self._ops = ops = spec.ring.ops
         # the braiding expansions act[g-1][letter] on payloads
         self._act = [[tuple((t, c.payload) for t, c in expansion)
@@ -214,31 +202,96 @@ class NicholsTruncation:
         self.stats = [{"n": 0, "dim": 1, "ideal_dim": 0, "candidates": 0,
                        "pivots": 0, "certified": 0, "inverses": 0,
                        "memo": 1, "seconds": 0.0}]
-        # NF coordinates of the skew derivations of each word of basis[n]
-        # in basis[n-1], for the current top degree n
-        self._dcoords = {(): [{}] * spec.nletters}
-        # the last bounded truncation built for membership above max_degree
-        self._kept = None
+        # per degree n, (Z^theta-degree, NF coordinates of the skew
+        # derivations in degree n-1) of its complement words, kept while a
+        # block above may still need them: the top degree and the blocks
+        # filled above it
+        self._dcoords = {0: {(): ((0,) * spec.ngroups,
+                                  [{}] * spec.nletters)}}
+        # Z^theta-degree -> complement words in lex order, for the blocks
+        # filled above max_degree
+        self._blocks = {}
+        # degree -> [candidates, pivots, certified, inverses, seconds] of
+        # the passes run there until the degree completes
+        self._work = {}
         self.extend(max_degree)
 
     def extend(self, max_degree: int):
+        """Fill every block of each degree up to ``max_degree``."""
         while self.max_degree < max_degree:
-            self._advance()
+            n = self.max_degree + 1
+            blocks = self._blocks
+            early = [beta for beta in blocks if sum(beta) == n]
+            basis_n = self._eliminate(n, self.basis[n - 1],
+                                      lambda beta: beta not in early)
+            if early:
+                basis_n = sorted(basis_n + [w for beta in early
+                                            for w in blocks.pop(beta)])
+            self.max_degree = n
+            self.basis[n] = basis_n
+            del self._dcoords[n - 1]
+            dim = len(basis_n)
+            ideal_dim = self.spec.nletters ** n - dim
+            self.dims.append(dim)
+            self.ideal_dims.append(ideal_dim)
+            candidates, pivots, certified, inverses, seconds = \
+                self._work.pop(n)
+            self.stats.append({
+                "n": n, "dim": dim, "ideal_dim": ideal_dim,
+                "candidates": candidates, "pivots": pivots,
+                "certified": certified, "inverses": inverses,
+                "memo": sum(len(self.nf[k]) for k in range(n + 1)),
+                "seconds": seconds})
 
-    def _advance(self):
+    def _fill(self, betas, n):
+        """Fill the blocks ``betas`` of degree n > max_degree that are not
+        filled yet, after the blocks below them they need: one elimination
+        pass per degree."""
+        blocks = self._blocks
+        levels = []
+        need = set(betas) - blocks.keys()
+        while need:
+            levels.append(need)
+            if n - len(levels) == self.max_degree:
+                break  # the degree below is complete
+            need = {beta for alpha in need for beta in _below(alpha)} \
+                - blocks.keys()
+        for k, targets in enumerate(reversed(levels), n - len(levels) + 1):
+            below = {beta for alpha in targets for beta in _below(alpha)}
+            if k - 1 == self.max_degree:
+                top = self._dcoords[k - 1]
+                prefixes = [u for u in self.basis[k - 1]
+                            if top[u][0] in below]
+            else:
+                prefixes = sorted(u for beta in below for u in blocks[beta])
+            words = self._eliminate(k, prefixes, targets.__contains__)
+            for beta in targets:
+                blocks[beta] = []
+            new_d = self._dcoords[k]
+            for w in words:
+                blocks[new_d[w][0]].append(w)
+
+    def _eliminate(self, n, prefixes, wanted):
+        """One elimination pass at degree n over the candidates u.x, for u
+        in ``prefixes`` (complement words of degree n-1 in lex order), whose
+        suffix is a complement word and whose Z^theta-degree ``wanted``
+        accepts.  Every candidate gets its normal form in ``nf[n]``, a
+        complement word its coordinates in ``_dcoords[n]`` too, and the
+        pass adds its counts to ``_work[n]``.  Returns the complement words
+        in lex order."""
         start = perf_counter()
         spec = self.spec
         L = spec.nletters
-        n = self.max_degree + 1
-        prefixes = self.basis[n - 1]
         count = len(prefixes) * L  # an upper bound on the candidates
         if count > self.budget:
             raise BudgetExceeded(n, count, self.budget)
-        prev_d = self._dcoords
+        prev_d = self._dcoords[n - 1]
+        groups = [spec.group_of(x) - 1 for x in range(L)]
+        # Z^theta-degree -> those of its words times a letter, per group
+        ups = {}
         word_nf = self._word_nf
         act = self._act
         group_of = spec.group_of
-        bound = self.bound
         ops = self._ops
         one, mul = ops.one, ops.mul
 
@@ -247,18 +300,24 @@ class NicholsTruncation:
         residue_map = spec.ring.residue_map()
         if residue_map is not None:
             from .residues import Certificate
-            certificate = Certificate(residue_map, echelon, spec.group_counts)
-        basis_n = []
-        nf_n = {}
-        new_d = {}
+            certificate = Certificate(residue_map, echelon)
+        words = []
+        nf_n = self.nf.setdefault(n, {})
+        new_d = self._dcoords.setdefault(n, {})
+        before = len(nf_n)
         for prefix in prefixes:
-            pd = prev_d[prefix]
+            counts, pd = prev_d[prefix]
+            up = ups.get(counts)
+            if up is None:
+                up = ups[counts] = [counts[:g] + (c + 1,) + counts[g + 1:]
+                                    for g, c in enumerate(counts)]
             for last in range(L):
                 w = prefix + (last,)
                 if w[1:] not in prev_d:
                     continue  # the suffix is not a complement word
-                if bound is not None and _exceeds(spec, w, bound):
-                    continue  # w leaves the down-set of bound
+                beta = up[groups[last]]
+                if not wanted(beta):
+                    continue  # w lies in a block this pass does not fill
                 dvecs = []
                 img = {}
                 for d in range(L):
@@ -266,94 +325,39 @@ class NicholsTruncation:
                     g = group_of(d)
                     expansion = act[g - 1][last]
                     for u, alpha in pd[d].items():
-                        for tgt, beta in expansion:
+                        for tgt, coeff in expansion:
                             vec = word_nf(u + (tgt,))
                             if vec:
-                                add_into(acc, vec, mul(alpha, beta), ops)
+                                add_into(acc, vec, mul(alpha, coeff), ops)
                     if d == last:
                         add_term(acc, prefix, one, ops)
                     dvecs.append(acc)
                     for cw, cc in acc.items():
                         img[(d, cw)] = cc
-                if certificate is None or not certificate.certify(w, img):
+                if certificate is None or \
+                        not certificate.certify(w, beta, img):
                     expr = echelon.reduce(img)
                     if not img:
                         nf_n[w] = expr  # w is congruent to expr modulo I(n)
                         continue
                     echelon.insert(img, expr, w)
-                basis_n.append(w)
+                words.append(w)
                 nf_n[w] = {w: one}
-                new_d[w] = dvecs
-        self._dcoords = new_d
-        # every candidate, and only a candidate, has an entry in nf_n so far
-        self._add_degree(basis_n, nf_n, start, len(nf_n),
-                         len(echelon.pivots),
-                         0 if certificate is None else certificate.count,
-                         len(echelon.inverses))
-
-    def _add_degree(self, basis_n, nf_n, start, candidates=0, pivots=0,
-                    certified=0, inverses=0):
-        """Store the complement and normal forms of the next degree, with
-        its stats record; ``start`` is when its computation began."""
-        spec, bound = self.spec, self.bound
-        n = self.max_degree = self.max_degree + 1
-        self.basis[n] = basis_n
-        self.nf[n] = nf_n
-        dim = len(basis_n)
-        words = spec.nletters ** n if bound is None \
-            else _downset_words(spec, bound, n)
-        self.dims.append(dim)
-        self.ideal_dims.append(words - dim)
-        self.stats.append({"n": n, "dim": dim, "ideal_dim": words - dim,
-                           "candidates": candidates, "pivots": pivots,
-                           "certified": certified, "inverses": inverses,
-                           "memo": sum(map(len, self.nf.values())),
-                           "seconds": perf_counter() - start})
-
-    def restricted(self, bound):
-        """This truncation bounded by ``bound``, read off its tables.
-
-        The result is ``NicholsTruncation(spec, max_degree, budget,
-        bound=bound)`` without its eliminations: its complement words, the
-        normal forms held for its words and the skew-derivation
-        coordinates of its top degree are these, kept for the words of
-        Z^theta-degree at most ``bound`` (see the module docstring).  The
-        vectors are shared, not copied: no table changes a stored vector.
-        When this truncation is itself bounded by a beta that ``bound``
-        does not lie below, only degree 0 is taken over, which is the fresh
-        truncation to degree 0.
-        """
-        out = NicholsTruncation(self.spec, 0, self.budget, bound=bound)
-        if not _within(out.bound, self.bound):
-            return out
-        spec, bound = self.spec, out.bound
-
-        def inside(w):
-            return not _exceeds(spec, w, bound)
-
-        for n in range(1, self.max_degree + 1):
-            start = perf_counter()
-            out._add_degree([w for w in self.basis[n] if inside(w)],
-                            {w: vec for w, vec in self.nf[n].items()
-                             if inside(w)}, start)
-        out._dcoords = {w: dvecs for w, dvecs in self._dcoords.items()
-                        if inside(w)}
-        return out
-
-    def _bounded(self, bound, degree):
-        """A truncation to ``degree`` bounded by ``bound`` or by a bound
-        above it: the kept one when ``bound`` lies below its bound, else
-        :meth:`restricted`, kept in its place."""
-        if self._kept is None or not _within(bound, self._kept.bound):
-            self._kept = None  # dropped first, so two never coexist
-            self._kept = self.restricted(bound)
-        self._kept.extend(degree)
-        return self._kept
+                new_d[w] = (beta, dvecs)
+        # every candidate, and only a candidate, got an entry in nf_n
+        work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
+        for i, count in enumerate((
+                len(nf_n) - before, len(echelon.pivots),
+                0 if certificate is None else certificate.count,
+                len(echelon.inverses), perf_counter() - start)):
+            work[i] += count
+        return words
 
     # ------------------------------------------------------------------
 
     def _word_nf(self, w):
-        """Normal form of the word w, memoised in ``nf[len(w)]``.
+        """Normal form of the word w, memoised in ``nf[len(w)]``; its block
+        is filled.
 
         A word missing from the table either has a prefix outside the
         complement (prefix rule) or a complement prefix and a suffix outside
@@ -379,44 +383,24 @@ class NicholsTruncation:
 
     def normal_form_vector(self, e: TensorElement, n: int) -> dict:
         """Coordinates (Scalars) of the degree-n component of e in the
-        complement basis."""
+        complement basis; above ``max_degree``, the blocks of its words are
+        filled first (see :meth:`_fill`)."""
         ring = self.spec.ring
         if e.spec.ring is not ring and e.spec.ring != ring:
             raise RingMismatch(f"{e.spec.ring} vs {ring}")
+        terms = [(w, c) for w, c in e.terms.items() if len(w) == n]
+        if n > self.max_degree:
+            self._fill({self.spec.group_counts(w) for w, _ in terms}, n)
         acc = {}
-        for w, c in e.terms.items():
-            if len(w) == n:
-                if self.bound is not None and \
-                        _exceeds(self.spec, w, self.bound):
-                    raise NicholsError(
-                        f"word {w} lies outside the bound {self.bound}")
-                add_into(acc, self._word_nf(w), c.payload, self._ops)
+        for w, c in terms:
+            add_into(acc, self._word_nf(w), c.payload, self._ops)
         return {w: Scalar(ring, c) for w, c in acc.items()}
 
 
-def _exceeds(spec, word, bound):
-    """True when some group count of ``word`` is above ``bound``."""
-    return any(c > b for c, b in zip(spec.group_counts(word), bound))
-
-
-def _within(alpha, beta):
-    """True when ``alpha <= beta`` componentwise; None bounds nothing."""
-    return beta is None or all(a <= b for a, b in zip(alpha, beta))
-
-
-def _downset_words(spec, bound, n):
-    """Number of words of length n whose group counts are at most ``bound``:
-    the sum over beta <= bound with |beta| = n of the multinomial
-    n! / prod(beta_g!) times prod(letters of group g ** beta_g)."""
-    sizes = spec.group_counts(range(spec.nletters))
-    total = 0
-    for beta in product(*(range(b + 1) for b in bound)):
-        if sum(beta) == n:
-            ways = factorial(n)
-            for b in beta:
-                ways //= factorial(b)
-            total += ways * prod(s ** b for s, b in zip(sizes, beta))
-    return total
+def _below(beta):
+    """The Z^theta-degrees beta - e_g, for each group g that beta counts."""
+    return [beta[:g] + (c - 1,) + beta[g + 1:]
+            for g, c in enumerate(beta) if c]
 
 
 def compute_truncation(spec, max_degree: int,
@@ -427,37 +411,18 @@ def compute_truncation(spec, max_degree: int,
 def is_zero_in_nichols(e: TensorElement, trunc: NicholsTruncation):
     """(is_zero, witness): witness is a nonzero reduced form when not zero.
 
-    Each homogeneous component is reduced to its normal form; the witness is
-    the normal form of the first nonzero component.  A component of degree
-    at most ``trunc.max_degree`` reduces through the stored tables.  One of
-    higher degree reduces through a truncation to its degree bounded by its
-    Z^theta-degree alpha (the componentwise maximum of the group counts of
-    its words): ``trunc.restricted(alpha)``, extended with ``trunc.budget``.
-    ``trunc`` keeps it and reuses it, extended if needed, for the next
-    component whose Z^theta-degree lies below its bound, until a component
-    outside it replaces it.  The normal form, and so the witness, is the
-    one a full truncation gives, and :class:`BudgetExceeded` can be raised
-    there.
+    Each homogeneous component is reduced to its normal form by
+    ``trunc.normal_form_vector``, which fills the Z^theta-blocks of a
+    component above ``trunc.max_degree`` and keeps them for later calls;
+    :class:`BudgetExceeded` can be raised there.  The witness is the normal
+    form of the first nonzero component, the one a full truncation gives.
     """
     for n in e.degrees():
-        comp = e.homogeneous_component(n)
-        ok, witness = _component_zero(comp, n, trunc)
-        if not ok:
-            return False, witness
-    return True, None
-
-
-def _component_zero(comp, n, trunc):
-    spec = trunc.spec
-    if n > trunc.max_degree:
-        alpha = [max(col) for col in zip(*(spec.group_counts(w)
-                                           for w in comp.terms))]
-        trunc = trunc._bounded(alpha, n)
-    vec = trunc.normal_form_vector(comp, n)
-    if vec:
-        out = TensorElement(spec)
-        out.terms = vec
-        return False, out
+        vec = trunc.normal_form_vector(e, n)
+        if vec:
+            out = TensorElement(trunc.spec)
+            out.terms = vec
+            return False, out
     return True, None
 
 

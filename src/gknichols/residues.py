@@ -107,33 +107,31 @@ def residue_map(n: int) -> ResidueMap:
 
 
 class Certificate:
-    """Independence modulo p for the candidates of one degree.
+    """Independence modulo p for the candidates of one elimination pass.
 
-    ``certify(w, img)`` sends the exact image of the candidate w to F_p by
-    the map's ``residue`` and reduces it, in an echelon over F_p of the same
-    class as ``exact``, against the rows certified before it.  A nonzero
-    remainder certifies that w is a complement word.  Otherwise, or when p
-    divides a denominator, the Z^theta-block of w (``block(w)``, its group
-    counts) switches to the ``exact`` echelon: the block's certified rows
-    are replayed into it in their order, and this and every later candidate
-    of the block are reduced exactly.  Blocks share no key, so one echelon
-    of each kind serves them all.
+    ``certify(w, block, img)`` sends the exact image of the candidate w to
+    F_p by the map's ``residue`` and reduces it, in an echelon over F_p of
+    the same class as ``exact``, against the rows certified before it.  A
+    nonzero remainder certifies that w is a complement word.  Otherwise, or
+    when p divides a denominator, the Z^theta-block of w (``block``, its
+    group counts) switches to the ``exact`` echelon: the block's certified
+    rows are replayed into it in their order, and this and every later
+    candidate of the block are reduced exactly.  Blocks share no key, so one
+    echelon of each kind serves every block of the pass.
     """
 
-    def __init__(self, residue_map: ResidueMap, exact, block):
+    def __init__(self, residue_map: ResidueMap, exact):
         self.residue = residue_map.residue
         self.modular = type(exact)(residue_map.ops)
         self.exact = exact
-        self.block = block
         # block -> [(exact image, word)] certified in order, or None once
         # the block is eliminated exactly
         self.rows = {}
         self.count = 0
 
-    def certify(self, w, img):
+    def certify(self, w, block, img):
         """True when w is certified; False when its block is exact (the
         caller then reduces ``img`` with the exact echelon)."""
-        block = self.block(w)
         rows = self.rows.get(block, ())
         if rows is None:
             return False

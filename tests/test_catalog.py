@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -63,6 +64,32 @@ def test_entry_gk_matches_classifier(name, params, degree):
         verdict = classify(spec)
     assert isinstance(verdict, FiniteGK)
     assert verdict.gk == pres.gk
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.list_entries()
+                                  if n != "compose"])
+def test_multigraded_hilbert_series_equals_pbw(name):
+    """To degree 6, the complement words of each Z^theta-degree are as many
+    as the PBW monomials of that degree, each generator taken at the
+    Z^theta-degree of its label with its height."""
+    degree = 6
+    spec, pres = entry_instance(name)
+    trunc = compute_truncation(spec, degree)
+    got = Counter(spec.group_counts(w) for n in range(degree + 1)
+                  for w in trunc.basis[n])
+    series = Counter({(0,) * spec.ngroups: 1})
+    for label, length, height in pres.pbw:
+        beta = parse_element(label, spec, dict(pres.macros)).group_degree()
+        assert sum(beta) == length, label
+        powers = Counter()
+        for gamma, count in series.items():
+            k = 0
+            while (height is None or k < height) \
+                    and sum(gamma) + k * length <= degree:
+                powers[tuple(a + k * b for a, b in zip(gamma, beta))] += count
+                k += 1
+        series = powers
+    assert got == series
 
 
 DOMAINS = {"jordan", "lstr(1,G)", "lstr_-(1,G)", "poseidon"}

@@ -356,6 +356,34 @@ def test_malformed_spec_is_one_line_error(obj, tmp_path):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"relations": [], "pbw": 5}, "pbw must"),
+    ([1, 2], "the top level must"),
+    ({"relations": 5, "pbw": []}, "relations must"),
+    ({"relations": [7], "pbw": []}, "relations must"),
+    ({"relations": [], "pbw": [["x1", "a", 0]]}, "pbw[0] degree must"),
+    ({"relations": [], "pbw": [], "macros": [1]}, "macros must"),
+    ({"pbw": [{"label": "x1"}]}, "relations must"),
+    ({"relations": [], "pbw": [{"label": "x1"}]}, "pbw[0] degree must"),
+    ({"relations": [], "pbw": [["x1", 1, -2]]}, "pbw[0] height must"),
+    ({"relations": [], "pbw": [["x1", 1, 1.5]]}, "pbw[0] height must"),
+    ({"relations": [], "pbw": [["x1", True, 0]]}, "pbw[0] degree must"),
+], ids=["pbw-int", "list", "relations-int", "relation-int", "degree-str",
+        "macros-list", "no-relations", "pbw-missing-keys", "height-negative",
+        "height-float", "degree-bool"])
+def test_malformed_presentation_is_one_line_error(obj, field,
+                                                  jordan_spec_file, tmp_path):
+    """Each bad field of a ``verify --presentation`` file is named in a
+    one-line error, before anything reads the file."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    r = run_cli("verify", jordan_spec_file, "--presentation", str(path),
+                "--max-degree", "2")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("gknichols: error: presentation: " + field)
+    assert r.stderr.count("\n") == 1
+
+
 def test_member_bad_rational_is_one_line_error(jordan_spec_file):
     r = run_cli("member", jordan_spec_file, "--element", "3/0 x1")
     assert r.returncode == 1

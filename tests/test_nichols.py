@@ -14,8 +14,7 @@ from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
                        pbw_hilbert_coeffs, quantum_symmetrizer_kernel,
                        spec_from_json, verify_presentation, z_element)
 from gknichols.freealgebra import add_into
-from gknichols.nichols import (BudgetExceeded, NicholsError,
-                               NicholsTruncation, NotWeak,
+from gknichols.nichols import (BudgetExceeded, NicholsTruncation, NotWeak,
                                mu_rank2, quantum_symmetrizer)
 from gknichols import residues
 from gknichols.residues import _is_prime, make_residue_map, residue_prime
@@ -70,31 +69,54 @@ def test_extend_matches_fresh_computation():
     assert t1.ideal_dims[:6] == t2.ideal_dims[:6]
 
 
+def _word_of(spec, beta, rng):
+    """A random word of Z^theta-degree beta."""
+    letters = [[x for x in range(spec.nletters) if spec.group_of(x) == g]
+               for g in range(1, spec.ngroups + 1)]
+    word = [rng.choice(letters[g]) for g, c in enumerate(beta)
+            for _ in range(c)]
+    rng.shuffle(word)
+    return tuple(word)
+
+
+def _fill_on_demand(trunc, words):
+    """Normal forms of ``words`` (of one degree), filling their blocks."""
+    one = trunc.spec.ring.one()
+    return trunc.normal_form_vector(
+        TensorElement(trunc.spec, {w: one for w in words}), len(words[0]))
+
+
 def test_truncation_stats_per_degree():
     spec, _ = entry_instance("lstr(A2,2)")
     trunc = compute_truncation(spec, 3)
     trunc.extend(4)
-    bounded = NicholsTruncation(spec, 4, bound=(2, 2, 1))
     # over Q(omega): candidates are certified modulo a prime first
     omega, _ = entry_instance("lstr(D(2|1);omega)")
     certified = compute_truncation(omega, 4)
-    for t in (trunc, bounded, certified):
+    # degrees 3 and 4 part-filled on demand before extend reaches them
+    partial = compute_truncation(omega, 2)
+    rng = random.Random(4)
+    _fill_on_demand(partial, [_word_of(omega, (2, 1, 1), rng),
+                              _word_of(omega, (1, 1, 2), rng)])
+    assert partial._work.keys() == {3, 4} and partial.max_degree == 2
+    partial.extend(4)
+    assert partial._work == {} and partial._blocks == {}
+    for t in (trunc, certified, partial):
         assert len(t.stats) == 5
         assert t.stats[0] == {"n": 0, "dim": 1, "ideal_dim": 0,
                               "candidates": 0, "pivots": 0, "certified": 0,
                               "inverses": 0, "memo": 1, "seconds": 0.0}
         for n, record in enumerate(t.stats[1:], 1):
-            assert sorted(record) == ["candidates", "certified", "dim",
-                                      "ideal_dim", "inverses", "memo", "n",
-                                      "pivots", "seconds"]
+            assert list(record) == ["n", "dim", "ideal_dim", "candidates",
+                                    "pivots", "certified", "inverses",
+                                    "memo", "seconds"]
             assert record["n"] == n and record["dim"] == t.dims[n]
             assert record["ideal_dim"] == t.ideal_dims[n]
             # the memo holds every candidate's normal form, and grows
             assert record["memo"] >= t.stats[n - 1]["memo"] \
                 + record["candidates"]
-            if t is not bounded:
-                assert record["dim"] + record["ideal_dim"] \
-                    == t.spec.nletters ** n
+            assert record["dim"] + record["ideal_dim"] \
+                == t.spec.nletters ** n
             # a complement word is certified or an exact pivot, and the
             # exact pivots are complement words, the certified rows of a
             # replayed block among them
@@ -102,41 +124,38 @@ def test_truncation_stats_per_degree():
                 <= record["pivots"] + record["certified"]
             assert record["inverses"] <= record["pivots"]
             # a rational ring certifies nothing
-            if t is certified:
-                assert 0 < record["certified"] <= record["dim"]
-            else:
+            if t is trunc:
                 assert record["certified"] == 0
                 assert record["pivots"] == record["dim"]
+            else:
+                assert 0 < record["certified"] <= record["dim"]
             assert record["dim"] <= record["candidates"] \
                 <= t.dims[n - 1] * t.spec.nletters
             assert record["seconds"] >= 0
-    # the bound filter leaves fewer candidates
-    assert bounded.stats[4]["candidates"] < trunc.stats[4]["candidates"]
-    # a degree taken over by restricted ran no elimination
-    taken = trunc.restricted((2, 2, 1))
-    assert taken.stats[0] == bounded.stats[0]
-    for n, record in enumerate(taken.stats[1:], 1):
-        assert record["n"] == n
-        assert (record["dim"], record["ideal_dim"]) == \
-            (bounded.dims[n], bounded.ideal_dims[n])
-        assert record["candidates"] == record["pivots"] == \
-            record["certified"] == record["inverses"] == 0
-        assert record["memo"] == sum(len(taken.nf[k]) for k in range(n + 1))
-        assert record["seconds"] >= 0
+    # the work done on demand counts in its degree's record: the blocks
+    # are the same, so are the elimination counts
+    counts = ("n", "dim", "ideal_dim", "candidates", "pivots", "certified",
+              "inverses")
+    for mine, fresh in zip(partial.stats, certified.stats):
+        assert [mine[k] for k in counts] == [fresh[k] for k in counts]
 
 
 def test_truncation_pickles_over_cyclotomic_ring():
     """The residue map lives in a per-N cache, not on the truncation, so a
-    truncation over Q(omega) pickles and extends like the original."""
+    truncation over Q(omega), holding blocks above its max_degree, pickles
+    and extends like the original."""
     spec, _ = entry_instance("lstr(D(2|1);omega)")
     trunc = compute_truncation(spec, 3)
+    _fill_on_demand(trunc, [_word_of(spec, (2, 2, 1), random.Random(5))])
+    assert trunc._blocks and trunc._work
     copy = pickle.loads(pickle.dumps(trunc))
-    trunc.extend(4)
-    copy.extend(4)
+    assert repr(copy._blocks) == repr(trunc._blocks)
+    trunc.extend(5)
+    copy.extend(5)
     assert copy.stats[4]["certified"] > 0
     assert copy.dims == trunc.dims
-    assert list(copy.basis[4]) == list(trunc.basis[4])
-    assert list(copy.nf[4].items()) == list(trunc.nf[4].items())
+    assert list(copy.basis[5]) == list(trunc.basis[5])
+    assert list(copy.nf[5].items()) == list(trunc.nf[5].items())
     assert list(copy._dcoords.items()) == list(trunc._dcoords.items())
 
 
@@ -386,36 +405,41 @@ def _zdegree(spec, w):
                  for g in range(1, spec.ngroups + 1))
 
 
+def _downset(beta, low):
+    """The Z^theta-degrees gamma <= beta with |gamma| >= low."""
+    return {gamma for gamma in product(*(range(c + 1) for c in beta))
+            if sum(gamma) >= low}
+
+
 @pytest.mark.parametrize("name", ["cyc2", "lstr(A2,2)", "poseidon",
                                   "eny_plus"])
-def test_bounded_truncation_is_the_filtered_full_one(name):
-    """For every alpha with |alpha| = 5, the truncation bounded by alpha has
-    the full complement words of Z^theta-degree <= alpha, in the same order,
-    and the full normal form of every word it memoises."""
+def test_blocks_filled_on_demand_are_the_full_ones(name):
+    """For every beta with |beta| = 5, a word of Z^theta-degree beta on a
+    degree-1 truncation fills exactly the blocks of degree >= 2 below beta,
+    with the full complement words of each block, in the same order, and
+    the full normal form, term order included, of every word memoised."""
     spec, _ = entry_instance(name)
     degree = 5
     full = compute_truncation(spec, degree)
-    words = {n: [_zdegree(spec, w)
-                 for w in product(range(spec.nletters), repeat=n)]
-             for n in range(degree + 1)}
-    alphas = [a for a in product(range(degree + 1), repeat=spec.ngroups)
-              if sum(a) == degree]
-    for alpha in alphas:
-        def inside(w):
-            return all(c <= a for c, a in zip(_zdegree(spec, w), alpha))
-        bounded = NicholsTruncation(spec, degree, bound=alpha)
-        for n in range(degree + 1):
-            assert bounded.basis[n] == [w for w in full.basis[n]
-                                        if inside(w)], (alpha, n)
-            for w, vec in bounded.nf[n].items():
-                assert inside(w) and vec == full._word_nf(w), (alpha, w)
-            downset = sum(1 for d in words[n]
-                          if all(c <= a for c, a in zip(d, alpha)))
-            assert bounded.dims[n] + bounded.ideal_dims[n] == downset
+    rng = random.Random(degree)
+    for beta in product(range(degree + 1), repeat=spec.ngroups):
+        if sum(beta) != degree:
+            continue
+        low = compute_truncation(spec, 1)
+        _fill_on_demand(low, [_word_of(spec, beta, rng)])
+        assert low.max_degree == 1
+        assert low._blocks.keys() == _downset(beta, 2), beta
+        for gamma, words in low._blocks.items():
+            assert words == [w for w in full.basis[sum(gamma)]
+                             if _zdegree(spec, w) == gamma], (beta, gamma)
+        for n in range(2, degree + 1):
+            for w, vec in low.nf[n].items():
+                assert repr(vec) == repr(full._word_nf(w)), (beta, w)
 
 
 def _assert_same_membership(e):
-    """A degree-1 truncation gives the verdict and witness of a full one."""
+    """A degree-1 truncation gives the verdict and witness, term order
+    included, of a full one."""
     spec = e.spec
     low = compute_truncation(spec, 1)
     full = compute_truncation(spec, max(e.degrees()))
@@ -425,7 +449,8 @@ def _assert_same_membership(e):
     if full_witness is None:
         assert witness is None
     else:
-        assert witness.terms == full_witness.terms
+        assert list(witness.terms.items()) == \
+            list(full_witness.terms.items())
     return zero
 
 
@@ -460,7 +485,7 @@ def test_membership_above_max_degree_matches_full_truncation():
 
 def test_catalog_relations_vanish_above_max_degree():
     """Every relation of degree <= 10 of every blocks-plus-points entry is
-    zero by a degree-1 truncation, that is by Z^theta-bounded ones."""
+    zero by a degree-1 truncation, that is by blocks filled on demand."""
     checked = 0
     for name in catalog.list_entries():
         if name == "compose":
@@ -478,65 +503,57 @@ def test_catalog_relations_vanish_above_max_degree():
     assert checked == 170
 
 
-def test_bounded_truncation_rejects_words_outside_its_bound():
-    spec, _ = entry_instance("cyc2")
-    trunc = NicholsTruncation(spec, 3, bound=(1, 1, 1))
-    assert trunc.dims[1] == 4 and trunc.basis[1] == [(0,), (1,), (2,), (3,)]
-    outside = TensorElement(spec, {(0, 0): spec.ring.one()})
-    with pytest.raises(NicholsError):
-        trunc.normal_form_vector(outside, 2)
-
-
 def _assert_same_tables(ours, fresh):
     """Two truncations have the same tables at every degree: complement
-    words and top-degree skew-derivation coordinates by repr (dict order
-    included), dims, ideal dims, and the normal form of every word either
-    one memoises."""
-    assert ours.max_degree == fresh.max_degree and ours.bound == fresh.bound
+    words by repr (order included), dims, ideal dims, the top degree's
+    skew-derivation coordinates and the normal form of every word either
+    one memoises, each by repr, and the stats counts but memo and seconds
+    (the memo depends on the words reduced before)."""
+    assert ours.max_degree == fresh.max_degree
     assert repr(ours.basis) == repr(fresh.basis)
-    assert repr(ours._dcoords) == repr(fresh._dcoords)
     assert ours.dims == fresh.dims and ours.ideal_dims == fresh.ideal_dims
+    assert ours._dcoords.keys() == fresh._dcoords.keys()
+    for n, table in fresh._dcoords.items():
+        assert ours._dcoords[n].keys() == table.keys()
+        for w, dvecs in table.items():
+            assert repr(ours._dcoords[n][w]) == repr(dvecs), w
     for n in range(fresh.max_degree + 1):
         for w in ours.nf[n].keys() | fresh.nf[n].keys():
-            assert ours._word_nf(w) == fresh._word_nf(w), w
+            assert repr(ours._word_nf(w)) == repr(fresh._word_nf(w)), w
+    for mine, theirs in zip(ours.stats, fresh.stats, strict=True):
+        for key in ("n", "dim", "ideal_dim", "candidates", "pivots",
+                    "certified", "inverses"):
+            assert mine[key] == theirs[key], (mine["n"], key)
+    assert ours._blocks == ours._work == {}
 
 
 @pytest.mark.parametrize("name,params", [
     ("lstr(A2,2)", {}), ("lstr(D(2|1);omega)", {}),
     ("lstr(A(1|0)1;r)", {"r": "generic"})],
     ids=["rational", "certificate", "generic-r"])
-def test_restriction_equals_a_fresh_bounded_truncation(name, params):
-    """``restricted(alpha)`` of a degree-4 truncation, unbounded or bounded
-    by a beta above alpha, equals the fresh truncation bounded by alpha at
-    degree 4 and again once both are extended to degree 7."""
+def test_extend_over_blocks_filled_on_demand(name, params):
+    """After blocks of degrees 5 to 7 are filled on demand on a degree-4
+    truncation, ``extend(7)`` gives the tables of a fresh truncation to
+    degree 7."""
     spec, _ = entry_instance(name, params)
-    base = compute_truncation(spec, 4)
+    ours = compute_truncation(spec, 4)
+    rng = random.Random(spec.ngroups)
     alphas = [a for a in product(range(5), repeat=spec.ngroups)
               if sum(a) == 7]
-    for alpha in random.Random(spec.ngroups).sample(alphas, 4):
-        beta = tuple(a + 1 for a in alpha)
-        for source in (base, NicholsTruncation(spec, 4, bound=beta)):
-            ours = source.restricted(alpha)
-            fresh = NicholsTruncation(spec, 4, bound=alpha)
-            _assert_same_tables(ours, fresh)
-            ours.extend(7)
-            fresh.extend(7)
-            _assert_same_tables(ours, fresh)
+    for alpha in rng.sample(alphas, 4):
+        for n in (5, 6):
+            word = tuple(rng.randrange(spec.nletters) for _ in range(n))
+            _fill_on_demand(ours, [word])
+        _fill_on_demand(ours, [_word_of(spec, alpha, rng)])
+    assert ours.max_degree == 4 and ours._work.keys() == {5, 6, 7}
+    ours.extend(7)
+    _assert_same_tables(ours, compute_truncation(spec, 7))
 
 
-def _fresh_membership(e):
-    """(is_zero, witness terms) of e by a fresh truncation bounded by the
-    Z^theta-degree of each component, as a list of (word, Scalar)."""
-    spec = e.spec
-    for n in e.degrees():
-        comp = e.homogeneous_component(n)
-        alpha = [max(col) for col in zip(*(spec.group_counts(w)
-                                           for w in comp.terms))]
-        vec = NicholsTruncation(spec, n, bound=alpha).normal_form_vector(
-            comp, n)
-        if vec:
-            return False, list(vec.items())
-    return True, None
+def _fresh_membership(e, degree):
+    """(is_zero, witness terms) of e by a fresh truncation to ``degree``,
+    as a list of (word, Scalar)."""
+    return _membership(e, compute_truncation(e.spec, degree))
 
 
 def _membership(e, trunc):
@@ -544,10 +561,10 @@ def _membership(e, trunc):
     return zero, None if witness is None else list(witness.terms.items())
 
 
-def test_kept_truncation_gives_the_fresh_verdict_and_witness():
-    """Membership through the kept bounded truncation, nested bounds and
-    repeats included, gives the verdict and witness, term order included,
-    of a fresh truncation bounded by each component's Z^theta-degree."""
+def test_shared_blocks_give_the_fresh_verdict_and_witness():
+    """Membership through the blocks that earlier calls filled, nested
+    Z^theta-degrees and repeats included, gives the verdict and witness,
+    term order included, of a fresh truncation of the same degree."""
     spec, pres = entry_instance("lstr(A(1|0)2;omega)")
     macros = dict(pres.macros)
     trunc = compute_truncation(spec, 1)
@@ -555,15 +572,12 @@ def test_kept_truncation_gives_the_fresh_verdict_and_witness():
     e = parse_element("[ztt123, x3]^3", spec, macros)
     zero, witness = _membership(e, trunc)
     assert not zero and len(witness) == 12
-    assert (zero, witness) == _fresh_membership(e)
-    kept = trunc._kept
+    assert (zero, witness) == _fresh_membership(e, 1)
     for text in ("[ztt123, x3]^3", "[ztt123, x3]^2", "x23^3", "ztt12^3",
                  "[ztt123, x3] x3 x2 x1h", "x2 x3 x2 x3 x1 x1h"):
         e = parse_element(text, spec, macros)
-        assert _membership(e, trunc) == _fresh_membership(e), text
-    assert trunc._kept is kept
-    # the kept truncation of lstr(A2,2) is reused for the nested bounds
-    # (2, 2, 2) and (2, 4, 2) of the member-overshoot relations
+        assert _membership(e, trunc) == _fresh_membership(e, 1), text
+    # the member-overshoot relations of lstr(A2,2) share their blocks
     spec, pres = entry_instance("lstr(A2,2)")
     macros = dict(pres.macros)
     trunc = compute_truncation(spec, 5)
@@ -571,69 +585,58 @@ def test_kept_truncation_gives_the_fresh_verdict_and_witness():
         if 6 <= expression_degree(rel, spec, macros) <= 10:
             e = parse_element(rel, spec, macros)
             assert _membership(e, trunc) == (True, None) \
-                == _fresh_membership(e), rel
+                == _fresh_membership(e, 5), rel
     words = [(0, 1, 2, 3, 2, 1, 0), (3, 2, 3, 2, 1, 0, 1, 0),
              (2, 2, 3, 3, 0, 1)]
     for w in words:
         e = TensorElement(spec, {w: spec.ring.one()})
-        assert _membership(e, trunc) == _fresh_membership(e), w
-    assert trunc._kept.bound == (4, 4, 2)
+        assert _membership(e, trunc) == _fresh_membership(e, 5), w
 
 
-def test_nested_bound_builds_nothing_new(monkeypatch):
-    """A component whose Z^theta-degree lies below the kept bound, at a
-    degree the kept truncation holds, neither builds a truncation nor
-    eliminates a degree; above that degree, it extends the kept one."""
+def test_a_block_is_eliminated_once(monkeypatch):
+    """Each block is eliminated once, whichever call fills it: one pass per
+    degree fills the blocks a component needs, a component whose blocks
+    are filled eliminates nothing, and ``extend`` skips the blocks filled
+    on demand."""
     spec, _ = entry_instance("lstr(A2,2)")  # groups {x1, x1h}, {x2}, {x3}
     trunc = compute_truncation(spec, 2)
+    passes = []
+    eliminate = NicholsTruncation._eliminate
+
+    def counting(self, n, *args):
+        # a pass adds the normal forms of its candidates, and only those,
+        # to nf[n]
+        before = set(self.nf.get(n, ()))
+        words = eliminate(self, n, *args)
+        passes.append((n, self.nf[n].keys() - before))
+        return words
+
+    monkeypatch.setattr(NicholsTruncation, "_eliminate", counting)
     one = spec.ring.one()
-    # one degree-6 component of Z^theta-degree max((4, 2, 0), (2, 2, 2))
+    # one degree-6 component of Z^theta-degrees (4, 2, 0) and (2, 2, 2)
     big = TensorElement(spec, {(0, 1, 0, 1, 2, 2): one,
                                (2, 2, 3, 3, 0, 1): one})
     is_zero_in_nichols(big, trunc)
-    kept = trunc._kept
-    assert kept.bound == (4, 2, 2) and kept.max_degree == 6
-    built = []
-    for attr in ("__init__", "_advance"):
-        original = getattr(NicholsTruncation, attr)
-
-        def counting(self, *args, _original=original, _attr=attr, **kw):
-            built.append(_attr)
-            return _original(self, *args, **kw)
-
-        monkeypatch.setattr(NicholsTruncation, attr, counting)
-    for w in ((0, 1, 2, 3, 0, 1), (2, 3, 2, 3, 0, 1), (1, 0, 3)):
+    assert [n for n, _ in passes] == [3, 4, 5, 6]
+    assert trunc._blocks.keys() == \
+        (_downset((4, 2, 0), 3) | _downset((2, 2, 2), 3))
+    count = len(passes)
+    # words of those blocks and of blocks below them
+    for w in ((0, 0, 1, 1, 2, 2), (3, 2, 3, 2, 0, 1), (1, 0, 3), (2, 3)):
         is_zero_in_nichols(TensorElement(spec, {w: one}), trunc)
-    assert built == [] and trunc._kept is kept and kept.max_degree == 6
+    is_zero_in_nichols(big, trunc)
+    assert len(passes) == count
+    # (4, 2, 2) at degree 8 needs no new block of degree 3
     is_zero_in_nichols(TensorElement(spec, {(0, 1, 0, 1, 2, 2, 3, 3): one}),
                        trunc)
-    assert built == ["_advance", "_advance"] and trunc._kept is kept
-
-
-def test_bounds_outside_the_kept_one_rebuild():
-    """A Z^theta-degree not below the kept bound replaces the kept
-    truncation by a new one restricted from the base; a base bounded by a
-    beta that alpha does not lie below is restricted at degree 0, the
-    fresh truncation."""
-    spec, _ = entry_instance("lstr(A2,2)")  # groups {x1, x1h}, {x2}, {x3}
-    one = spec.ring.one()
-    trunc = compute_truncation(spec, 2)
-    first = TensorElement(spec, {(0, 1, 0, 1, 2, 3): one})
-    second = TensorElement(spec, {(0, 2, 0, 2, 0, 2): one})
-    is_zero_in_nichols(first, trunc)
-    kept = trunc._kept
-    assert kept.bound == (4, 1, 1)
-    assert _membership(second, trunc) == _fresh_membership(second)
-    assert trunc._kept is not kept and trunc._kept.bound == (3, 3, 0)
-    bounded = NicholsTruncation(spec, 3, bound=(2, 2, 2))
-    _assert_same_tables(bounded.restricted((3, 3, 0)),
-                        NicholsTruncation(spec, 0, bound=(3, 3, 0)))
-    assert bounded.restricted((1, 2, 2)).max_degree == 3
-    assert _membership(second, bounded) == _fresh_membership(second)
-    # every degree of the new kept truncation ran its elimination
-    assert bounded._kept.bound == (3, 3, 0)
-    assert all(record["candidates"] for record in bounded._kept.stats[1:])
-    assert len(bounded._kept.stats) == 7
+    assert [n for n, _ in passes[count:]] == [4, 5, 6, 7, 8]
+    trunc.extend(8)
+    words = [w for _, candidates in passes for w in candidates]
+    assert len(words) == len(set(words))
+    fresh = compute_truncation(spec, 8)
+    assert trunc.dims == fresh.dims
+    assert len(words) == sum(record["candidates"]
+                             for record in fresh.stats[3:])
 
 
 def test_pbw_hilbert_coeffs():
