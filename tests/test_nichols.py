@@ -258,6 +258,13 @@ def test_budget_counts_candidate_words():
     exc = info.value
     assert (exc.degree, exc.count, exc.budget) == (11, 22, 20)
     assert str(exc) == "degree 11 needs 22 candidate words (budget 20)"
+    # membership above max_degree fills its blocks under the same budget
+    # (jordan has one group, so a block is a whole degree)
+    low = compute_truncation(spec, 1, budget=20)
+    word = TensorElement(spec, {(0,) * 12: spec.ring.one()})
+    with pytest.raises(BudgetExceeded) as info:
+        is_zero_in_nichols(word, low)
+    assert (info.value.degree, info.value.count) == (11, 22)
 
 
 def test_budget_below_letters_stops_at_degree_1():
