@@ -32,9 +32,9 @@ splits into Z^theta-blocks, the words of one Z^theta-degree beta: the
 elimination keys (d, cw) of different blocks never meet, and block beta
 needs only the blocks beta - e_g below it.  ``extend`` fills every block of
 a degree; ``normal_form_vector`` fills, for a word above ``max_degree``,
-its block and the ones below it first.  Each block is eliminated once, and
-its candidates in the same lex order either way, so its complement words
-and normal forms are those of the full truncation.
+its block and the ones below it first.  Each block is eliminated once,
+with its candidates in the same lex order either way, so its complement
+words and normal forms are those of the full truncation.
 
 Over Q(zeta_N) with phi(N) > 1 and no parameters, most candidates are
 complement words, and the exact elimination spends most of its time
