@@ -16,7 +16,6 @@ a composition has several, for which it adds the cross q-commutation family.
 """
 
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from math import lcm, prod
 
@@ -113,18 +112,24 @@ def _q(s):
 # ``_assemble`` resolves their degrees.
 
 
-@dataclass
 class _Component:
-    labels: list                 # point labels as scalar strings
-    build: object                # fn(spec, pts) -> (relations, macros, kpbw)
-    ghost: int = 0               # ghost of the first point (0: unattached)
-    eps: int = 1                 # block sign (+1 or -1)
-    ring_order: int = 1          # cyclotomic order needed (1 = rational)
-    ring_params: tuple = ()      # transcendental parameters
-    qmat_pp: dict = field(default_factory=dict)  # (i, j) local -> q_{ij}
-    qmat_bp: list = None         # per point (q_bp, q_pb); None: all 1
-    domain_k: bool = False
-    mild: bool = False
+    """One component's data; ``build(spec, pts)`` gives its (relations,
+    macros, kpbw)."""
+
+    def __init__(self, labels, build, ghost=0, eps=1, ring_order=1,
+                 ring_params=(), qmat_pp=None, qmat_bp=None, domain_k=False,
+                 mild=False):
+        self.labels = labels  # point labels as scalar strings
+        self.build = build
+        self.ghost = ghost  # ghost of the first point (0: unattached)
+        self.eps = eps  # block sign (+1 or -1)
+        self.ring_order = ring_order  # cyclotomic order (1 = rational)
+        self.ring_params = ring_params  # transcendental parameters
+        # (i, j) local -> q_{ij}
+        self.qmat_pp = {} if qmat_pp is None else qmat_pp
+        self.qmat_bp = qmat_bp  # per point (q_bp, q_pb); None: all 1
+        self.domain_k = domain_k
+        self.mild = mild
 
 
 def _assemble(name, eps, comps, params):
@@ -834,13 +839,13 @@ def _eny(kind, params):
 # the registry
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    signature: str
-    builder: object
-    keys: tuple = ()           # the parameter keys the builder reads
-    component: object = None   # fn(params) -> _Component, when composable
+    def __init__(self, name, signature, builder, keys=(), component=None):
+        self.name = name
+        self.signature = signature
+        self.builder = builder
+        self.keys = keys            # the parameter keys the builder reads
+        self.component = component  # fn(params) -> _Component, when composable
 
     def check_keys(self, params):
         unknown = [k for k in params if k not in self.keys]

@@ -2,10 +2,12 @@
 
 Subcommands mirror the library: ``classify``, ``flourish`` (with DOT
 export), ``dims``, ``member``, ``verify``, ``reflect``, ``probe`` and
-``catalog``.  Data goes to stdout, per-degree progress to stderr (with
-``dims --stats`` and ``member --stats``, each degree's
-``NicholsTruncation.stats`` record as a JSON line).  Exit codes: 0 on
-success, 2 when a verification FAILs, 1 on any error.
+``catalog``.  Data goes to stdout, progress to stderr: ``dims`` and
+``member`` write a line per degree, ``verify`` one per relation, and with
+``--stats`` the four commands that truncate (``dims``, ``member``,
+``verify``, ``probe``) write each degree's ``NicholsTruncation.stats``
+record as a JSON line.  Exit codes: 0 on success, 2 when a verification
+FAILs, 1 on any error.
 
 Each subcommand imports the modules that only it uses (``catalog``,
 ``flourished``, ``weyl``) when it runs, so ``dims``, ``member`` and
@@ -259,8 +261,10 @@ def _cmd_verify(args):
                 "verify needs --name <entry> or <spec.json> --presentation")
         spec = _load_spec(args.spec)
         pres = _presentation_from_json(_load_json(args.presentation))
+    trunc = (_graded_truncation(spec, args.max_degree, args.budget, True)
+             if args.stats else None)
     report = verify_presentation(pres, spec, args.max_degree, args.budget,
-                                 progress=_progress)
+                                 progress=_progress, trunc=trunc)
     report["pbw"] = _pbw_json(pres.pbw)
     _emit(report)
     return 0 if report["pass"] else 2
@@ -280,8 +284,10 @@ def _cmd_probe(args):
     spec = _load_spec(args.spec)
     i = spec.letter(args.i).idx
     j = spec.letter(args.j).idx
+    trunc = (_graded_truncation(spec, args.max_degree, args.budget, True)
+             if args.stats else None)
     report = infinite_probe(spec, i, j, args.count, args.max_degree,
-                            args.budget)
+                            args.budget, trunc=trunc)
     _emit(report)
     return 0
 
@@ -356,6 +362,7 @@ def build_parser() -> _Parser:
                    help="entry parameters: JSON object or key=value")
     p.add_argument("--presentation", help="presentation JSON file")
     p.add_argument("--max-degree", type=_nonnegative, required=True)
+    _add_stats(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -371,6 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--j", required=True, help="letter name, e.g. x2")
     p.add_argument("--count", type=_nonnegative, default=4)
     p.add_argument("--max-degree", type=_nonnegative, required=True)
+    _add_stats(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_probe)
 

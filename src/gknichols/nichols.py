@@ -36,33 +36,48 @@ its block and the ones below it first.  Each block is eliminated once,
 with its candidates in the same lex order either way, so its complement
 words and normal forms are those of the full truncation.
 
-Over Q(zeta_N) with phi(N) > 1 and no parameters, most candidates are
-complement words, and the exact elimination spends most of its time
-confirming that.  So each candidate's image is first sent to F_p by the
-ring's ``ResidueMap`` (a ring homomorphism, p = 1 (mod N) a prime below
-2^30; see :mod:`gknichols.residues`) and reduced there, by the same
-``_Echelon`` with the ``RingOps`` of F_p, against the rows certified before
-it in its Z^theta-block.  A nonzero remainder certifies the candidate.
-This is exact, not probabilistic: the certified rows of a block and the
-candidate have independent images modulo p, so some maximal minor of their
-matrix is nonzero modulo p, hence nonzero over Q(zeta_N), and the rows are
-independent there too; in the exact elimination each of them is a
-complement word.  When the remainder is zero modulo p, or p divides a
-denominator, the block switches to the exact echelon: its certified rows are
-replayed into it in their order, and the rest of the block is reduced
-exactly.  The exact echelon of a block thus sees the rows it would see
-without the certificate, in the same order, so the complement, the normal
-forms and the skew-derivation coordinates, dict order included, are those
-of the exact elimination alone.  Over Q (phi(N) = 1) the certificate costs
-more than it saves, and rings with parameters are not reduced modulo p;
-both eliminate exactly only.
+On every ring but Q, most candidates are complement words, and an exact
+elimination spends most of its time confirming that.  So there the ring's
+``ResidueMap`` (a ring homomorphism to F_p, p a prime below 2^30, each
+parameter sent to a fixed residue; see :mod:`gknichols.residues`) comes
+first.  ``_dcoords`` holds the residues of the skew-derivation coordinates,
+and each candidate's image is built in F_p, from its prefix's residue
+coordinates, the residues of the braiding coefficients and those of the
+degree n-1 normal forms, then reduced by a ``Certificate`` against the rows
+certified before it in its Z^theta-block.  A nonzero remainder certifies
+the candidate.  This is exact, not probabilistic: the certified rows of a
+block and the candidate have independent images modulo p, so some maximal
+minor of their matrix is nonzero modulo p, hence nonzero over the ring, and
+the rows are independent there too; in the exact elimination each of them
+is a complement word.  When the remainder is zero modulo p, or a residue is
+undefined, the block goes exact: its certified words are replayed into the
+exact echelon in their order, and the rest of the block is reduced exactly.
+The exact coordinates of a prefix are built on demand from those of its own
+prefix, by the recursion that builds an image, and memoised in ``_exact``.
 
-The tables (the normal forms ``nf``, the skew-derivation coordinates and
-the echelon rows) and the braiding expansion hold ``Scalar`` payloads, on
-which ``ScalarRing.ops`` act, on every ring, with parameters or not, so the
-hot loop builds no ``Scalar``.  ``Scalar`` values appear only at
-``normal_form_vector``, which builds one per coordinate it returns, so
-membership, verification and the probe see ``Scalar``s as before.
+An image built in F_p has the residues of the exact values, so the
+certificate decides as it would on the exact image sent to F_p.  Its keys
+and their order can differ from the exact ones only where a sum vanishes
+modulo p; then the word's residue coordinates are marked unknown, and a
+candidate that extends it uses the residues of its exact coordinates
+instead.  The residue coordinates in use thus have the exact keys, in the
+exact order, and an image built from them reads the normal forms the
+exact image reads, in the same order.  Where a residue is undefined, the
+candidate's exact image is built and sent to F_p instead.  So the exact
+echelon of a block sees the rows it would see without the certificate, in
+the same order, and the complement, the normal forms (dict order
+included) and the exact coordinates are those of the exact elimination
+alone.  Over Q (phi(N) = 1 and no parameters) the certificate costs more
+than it saves (see ``ScalarRing.residue_map``): the truncation eliminates
+exactly only, and ``_dcoords`` holds exact coordinates.
+
+The normal forms ``nf``, the exact coordinates, the echelon rows and the
+braiding expansion hold ``Scalar`` payloads, on which ``ScalarRing.ops``
+act, on every ring, with parameters or not, and the images in F_p are
+dicts of ints, so the hot loop builds no ``Scalar``.  ``Scalar`` values
+appear only at ``normal_form_vector``, which builds one per coordinate it
+returns, so membership, verification and the probe see ``Scalar``s as
+before.
 
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
@@ -103,11 +118,10 @@ class NotWeak(NicholsError):
 
 
 class _Echelon:
-    """Incremental sparse echelon form, tracking expressions on request.
+    """Incremental sparse echelon form, tracking expressions.
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
-    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``,
-    or residues modulo a prime with ``ops`` those of a ``ResidueMap``.
+    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``.
     A pivot row is stored as it was reduced, unscaled: its lead value, the
     rest of the row, and its label with the combination ``expr`` of earlier
     labels, the row being the image of ``label - expr``.  The inverse of
@@ -115,7 +129,7 @@ class _Echelon:
     kept, so a pivot that never reduces anything costs no inverse.  A step
     cancelling the entry c at a pivot's lead costs one factor
     ``f = -c / lead`` and adds ``f * row`` to the vector and
-    ``f * (expr - label)`` to the combination, when one is built.
+    ``f * (expr - label)`` to the combination.
     """
 
     def __init__(self, ops=SCALAR_OPS):
@@ -125,16 +139,15 @@ class _Echelon:
         # lead key -> inverse of the lead value, for the pivots used so far
         self.inverses = {}
 
-    def reduce(self, img, track=True):
+    def reduce(self, img):
         """Reduce ``img`` in place until its leading key is not a pivot.
 
         Returns ``expr`` with ``img_before == img_after + image(expr)``,
-        where image(label) is the vector inserted under that label; with
-        ``track`` false, no combination is built and None is returned.
+        where image(label) is the vector inserted under that label.
         """
         pivots, inverses, ops = self.pivots, self.inverses, self.ops
         mul, neg = ops.mul, ops.neg
-        expr = {} if track else None
+        expr = {}
         while img:
             key = max(img)
             hit = pivots.get(key)
@@ -147,9 +160,8 @@ class _Echelon:
             step = mul(img.pop(key), inv)  # c / lead
             f = neg(step)
             add_into(img, row, f, ops)
-            if expr is not None:
-                add_term(expr, label, step, ops)
-                add_into(expr, row_expr, f, ops)
+            add_term(expr, label, step, ops)
+            add_into(expr, row_expr, f, ops)
         return expr
 
     def insert(self, img, expr, label):
@@ -157,8 +169,7 @@ class _Echelon:
 
         ``img`` and ``expr`` are the outcome of :meth:`reduce` on the
         vector inserted under ``label``, so ``img`` is the image of
-        ``label - expr``; both are kept, not copied.  ``expr`` is None in
-        an echelon whose reductions build no combination.
+        ``label - expr``; both are kept, not copied.
         """
         key = max(img)
         self.pivots[key] = (img.pop(key), img, label, expr)
@@ -190,9 +201,11 @@ class NicholsTruncation:
         self.spec = spec
         self.budget = budget
         self._ops = ops = spec.ring.ops
-        # the braiding expansions act[g-1][letter] on payloads
-        self._act = [[tuple((t, c.payload) for t, c in expansion)
-                      for expansion in group] for group in spec._act]
+        # per letter d, the braiding expansions g_d . letter on payloads
+        act = [[tuple((t, c.payload) for t, c in expansion)
+                for expansion in group] for group in spec._act]
+        self._expansions = [act[spec.group_of(d) - 1]
+                            for d in range(spec.nletters)]
         self.max_degree = 0
         self.basis = {0: [()]}
         # normal forms and _dcoords hold payloads (see ops)
@@ -205,9 +218,15 @@ class NicholsTruncation:
         # per degree n, (Z^theta-degree, NF coordinates of the skew
         # derivations in degree n-1) of its complement words, kept while a
         # block above may still need them: the top degree and the blocks
-        # filled above it
+        # filled above it; over a ring with a residue map the coordinates
+        # are residues, with the keys of the exact ones, or None where
+        # those keys are not known or a residue is undefined
         self._dcoords = {0: {(): ((0,) * spec.ngroups,
                                   [{}] * spec.nletters)}}
+        # over a ring with a residue map: complement word -> its exact
+        # coordinates, for the words of degree >= max_degree - 1 whose
+        # exact coordinates were needed
+        self._exact = {}
         # Z^theta-degree -> complement words in lex order, for the blocks
         # filled above max_degree
         self._blocks = {}
@@ -230,6 +249,9 @@ class NicholsTruncation:
             self.max_degree = n
             self.basis[n] = basis_n
             del self._dcoords[n - 1]
+            # the exact coordinates below n-1 are rebuilt if ever needed
+            self._exact = {w: dvecs for w, dvecs in self._exact.items()
+                           if len(w) >= n - 1}
             dim = len(basis_n)
             ideal_dim = self.spec.nletters ** n - dim
             self.dims.append(dim)
@@ -289,18 +311,16 @@ class NicholsTruncation:
         groups = [spec.group_of(x) - 1 for x in range(L)]
         # Z^theta-degree -> those of its words times a letter, per group
         ups = {}
-        word_nf = self._word_nf
-        act = self._act
-        group_of = spec.group_of
-        ops = self._ops
-        one, mul = ops.one, ops.mul
-
-        echelon = _Echelon(ops)
-        certificate = None
-        residue_map = spec.ring.residue_map()
-        if residue_map is not None:
+        image = self._image
+        one = self._ops.one
+        echelon = _Echelon(self._ops)
+        rmap = spec.ring.residue_map()
+        if rmap is not None:
             from .residues import Certificate
-            certificate = Certificate(residue_map, echelon)
+            certificate = Certificate(rmap.p)
+            residue_image = self._residue_image(n, rmap)
+            exact_dcoords, exact = self._exact_dcoords, self._exact
+            residue = rmap.residue
         words = []
         nf_n = self.nf.setdefault(n, {})
         new_d = self._dcoords.setdefault(n, {})
@@ -318,40 +338,176 @@ class NicholsTruncation:
                 beta = up[groups[last]]
                 if not wanted(beta):
                     continue  # w lies in a block this pass does not fill
-                dvecs = []
-                img = {}
-                for d in range(L):
-                    acc = {}
-                    g = group_of(d)
-                    expansion = act[g - 1][last]
-                    for u, alpha in pd[d].items():
-                        for tgt, coeff in expansion:
-                            vec = word_nf(u + (tgt,))
-                            if vec:
-                                add_into(acc, vec, mul(alpha, coeff), ops)
-                    if d == last:
-                        add_term(acc, prefix, one, ops)
-                    dvecs.append(acc)
-                    for cw, cc in acc.items():
-                        img[(d, cw)] = cc
-                if certificate is None or \
-                        not certificate.certify(w, beta, img):
-                    expr = echelon.reduce(img)
-                    if not img:
-                        nf_n[w] = expr  # w is congruent to expr modulo I(n)
-                        continue
-                    echelon.insert(img, expr, w)
+                if rmap is None:
+                    img, coords = image(prefix, last, pd)
+                else:
+                    img = None
+                    if certificate.is_open(beta):
+                        got = residue_image(prefix, last, pd)
+                        if got is None:  # from the exact image
+                            img, dvecs = image(prefix, last,
+                                               exact_dcoords(prefix))
+                            got = _residues(dvecs, residue)
+                        vec, coords = got
+                        if certificate.certify(w, beta, vec):
+                            words.append(w)
+                            nf_n[w] = {w: one}
+                            new_d[w] = (beta, coords)
+                            if img is not None:
+                                exact[w] = dvecs
+                            continue
+                        # the block goes exact, from its certified rows
+                        for v in certificate.replay(beta):
+                            row, exact[v] = image(v[:-1], v[-1],
+                                                  exact_dcoords(v[:-1]))
+                            echelon.insert(row, echelon.reduce(row), v)
+                    if img is None:
+                        img, dvecs = image(prefix, last,
+                                           exact_dcoords(prefix))
+                        _, coords = _residues(dvecs, residue)
+                expr = echelon.reduce(img)
+                if not img:
+                    nf_n[w] = expr  # w is congruent to expr modulo I(n)
+                    continue
+                echelon.insert(img, expr, w)
                 words.append(w)
                 nf_n[w] = {w: one}
-                new_d[w] = (beta, dvecs)
+                new_d[w] = (beta, coords)
+                if rmap is not None:
+                    exact[w] = dvecs
         # every candidate, and only a candidate, got an entry in nf_n
         work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
         for i, count in enumerate((
                 len(nf_n) - before, len(echelon.pivots),
-                0 if certificate is None else certificate.count,
+                0 if rmap is None else certificate.count,
                 len(echelon.inverses), perf_counter() - start)):
             work[i] += count
         return words
+
+    def _image(self, prefix, last, pd):
+        """(image, dvecs) of the word prefix.last: ``dvecs[d]`` holds the
+        coordinates of its skew derivation by the letter d in the
+        complement of its degree less one, computed from those of the
+        prefix, ``pd``; the image maps each (d, complement word) to its
+        coordinate.  Exact, on payloads."""
+        ops = self._ops
+        one, mul = ops.one, ops.mul
+        word_nf = self._word_nf
+        dvecs = []
+        img = {}
+        for d, expansions in enumerate(self._expansions):
+            acc = {}
+            expansion = expansions[last]
+            for u, alpha in pd[d].items():
+                for tgt, coeff in expansion:
+                    vec = word_nf(u + (tgt,))
+                    if vec:
+                        add_into(acc, vec, mul(alpha, coeff), ops)
+            if d == last:
+                add_term(acc, prefix, one, ops)
+            dvecs.append(acc)
+            for cw, cc in acc.items():
+                img[(d, cw)] = cc
+        return img, dvecs
+
+    def _exact_dcoords(self, u):
+        """The exact ``dvecs`` of the complement word u over a ring with a
+        residue map, built from those of its prefix by :meth:`_image` and
+        memoised in ``_exact``."""
+        if not u:
+            return [{}] * self.spec.nletters
+        dvecs = self._exact.get(u)
+        if dvecs is None:
+            _, dvecs = self._image(u[:-1], u[-1], self._exact_dcoords(u[:-1]))
+            self._exact[u] = dvecs
+        return dvecs
+
+    def _residue_image(self, n, rmap):
+        """The image of :meth:`_image` built in F_p, for the candidates of
+        degree n: ``image(prefix, last, pd)``, with ``pd`` the residue
+        coordinates of the prefix, gives (image, dvecs) as dicts of ints,
+        the image without zero values, or None where a residue is
+        undefined.  The values are the residues of the exact ones, and
+        dvecs is None unless no sum vanished modulo p: then no exact sum
+        vanished either, so its dicts have the keys of the exact ones, in
+        the same order.  Where ``pd`` is None, the residues of the
+        prefix's exact coordinates take its place."""
+        p, residue = rmap.p, rmap.residue
+        prev_d = self._dcoords[n - 1]
+        word_nf, exact_dcoords = self._word_nf, self._exact_dcoords
+        # the braiding expansions in F_p; None where a residue is undefined
+        expansions = []
+        for group in self._expansions:
+            row = []
+            for expansion in group:
+                terms = tuple((tgt, residue(c)) for tgt, c in expansion)
+                row.append(None if any(x is None for _, x in terms)
+                           else terms)
+            expansions.append(row)
+        # word of degree n-1 -> its normal form in F_p, or None
+        memo = {}
+        # prefix -> the residues of its exact coordinates, or None
+        derived = {}
+
+        def normal_form(v):
+            if v in prev_d:
+                vec = {v: 1}
+            else:
+                vec = {}
+                for cw, c in word_nf(v).items():
+                    x = residue(c)
+                    if x is None:
+                        vec = None
+                        break
+                    vec[cw] = x
+            memo[v] = vec
+            return vec
+
+        def image(prefix, last, pd):
+            if pd is None:
+                pd = derived.get(prefix, False)
+                if pd is False:
+                    pd = derived[prefix] = _residues(exact_dcoords(prefix),
+                                                     residue)[1]
+                if pd is None:
+                    return None
+            same_keys = True
+            dvecs = []
+            img = {}
+            for d, row in enumerate(expansions):
+                expansion = row[last]
+                if expansion is None:
+                    return None
+                acc = {}
+                for u, alpha in pd[d].items():
+                    for tgt, coeff in expansion:
+                        v = u + (tgt,)
+                        vec = memo.get(v, False)
+                        if vec is False:
+                            vec = normal_form(v)
+                        if vec is None:
+                            return None
+                        f = alpha * coeff % p
+                        for cw, x in vec.items():
+                            s = (acc.get(cw, 0) + f * x) % p
+                            if s:
+                                acc[cw] = s
+                            else:
+                                same_keys = False
+                                acc.pop(cw, None)
+                if d == last:
+                    s = (acc.get(prefix, 0) + 1) % p
+                    if s:
+                        acc[prefix] = s
+                    else:
+                        same_keys = False
+                        del acc[prefix]
+                dvecs.append(acc)
+                for cw, x in acc.items():
+                    img[(d, cw)] = x
+            return img, dvecs if same_keys else None
+
+        return image
 
     # ------------------------------------------------------------------
 
@@ -401,6 +557,24 @@ def _below(beta):
     """The Z^theta-degrees beta - e_g, for each group g that beta counts."""
     return [beta[:g] + (c - 1,) + beta[g + 1:]
             for g, c in enumerate(beta) if c]
+
+
+def _residues(dvecs, residue):
+    """(image, dvecs) in F_p of the exact ``dvecs`` of a word: the image
+    without its zero values, and the dvecs with every key; (None, None)
+    where a value has no residue."""
+    img, out = {}, []
+    for d, acc in enumerate(dvecs):
+        vec = {}
+        for cw, c in acc.items():
+            x = residue(c)
+            if x is None:
+                return None, None
+            if x:
+                img[(d, cw)] = x
+            vec[cw] = x
+        out.append(vec)
+    return img, out
 
 
 def compute_truncation(spec, max_degree: int,
@@ -543,10 +717,12 @@ def pbw_hilbert_coeffs(p: Presentation, nstar: int):
 
 def verify_presentation(p: Presentation, spec, nstar: int,
                         budget: int = DEFAULT_BUDGET,
-                        progress=None) -> dict:
+                        progress=None, trunc=None) -> dict:
     """Check every relation vanishes in B(V) and graded dims match the PBW
-    generating function up to degree nstar."""
-    trunc = compute_truncation(spec, nstar, budget)
+    generating function up to degree nstar, on ``trunc`` (a truncation of
+    spec to degree nstar) or on one built here."""
+    if trunc is None:
+        trunc = compute_truncation(spec, nstar, budget)
     macros = dict(p.macros)
     report = {"name": p.name, "relations": [], "pass": True}
     for rel in p.relations:
@@ -642,13 +818,15 @@ def z_element(spec, k: int, j: int, n: int, budget: int = DEFAULT_BUDGET):
 
 
 def infinite_probe(spec, i, j, count: int, nstar: int,
-                   budget: int = DEFAULT_BUDGET) -> dict:
-    """Build y_k = ad(x_i)^k x_j and reduce ordered products in B.
+                   budget: int = DEFAULT_BUDGET, trunc=None) -> dict:
+    """Build y_k = ad(x_i)^k x_j and reduce ordered products in B, on
+    ``trunc`` (a truncation of spec to degree nstar) or on one built here.
 
     Evidence only: INFINITE when all tested ordered products are linearly
     independent, INCONCLUSIVE otherwise.
     """
-    trunc = compute_truncation(spec, nstar, budget)
+    if trunc is None:
+        trunc = compute_truncation(spec, nstar, budget)
     ys = []
     e = TensorElement.letter(spec, j)
     for k in range(count):

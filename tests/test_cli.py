@@ -172,6 +172,47 @@ def test_member_stats_writes_one_json_line_per_degree(jordan_spec_file):
                                "inverses", "memo", "n", "pivots", "seconds"]
 
 
+_STATS_KEYS = ["candidates", "certified", "dim", "ideal_dim", "inverses",
+               "memo", "n", "pivots", "seconds"]
+
+
+def test_verify_stats_writes_one_json_line_per_degree():
+    """``verify --stats`` writes the stats record of each degree of its
+    truncation on stderr before the relation lines; stdout is unchanged.
+    Over Q(q), q generic, candidates are certified modulo a prime."""
+    args = ("verify", "--name", "lstr(A(1|0)1;r)", "--params", "r=generic",
+            "--max-degree", "5")
+    plain = run_cli(*args)
+    r = run_cli(*args, "--stats")
+    assert r.returncode == plain.returncode == 0
+    assert r.stdout == plain.stdout
+    assert json.loads(r.stdout)["pass"] is True
+    lines = r.stderr.splitlines()
+    records = [json.loads(line) for line in lines[:6]]
+    assert lines[6:] == plain.stderr.splitlines()
+    assert [rec["n"] for rec in records] == [0, 1, 2, 3, 4, 5]
+    assert [rec["dim"] for rec in records] == json.loads(r.stdout)["dims"]
+    for rec in records:
+        assert sorted(rec) == _STATS_KEYS
+    assert sum(rec["certified"] for rec in records) > 0
+
+
+def test_probe_stats_writes_one_json_line_per_degree(jordan_spec_file):
+    """``probe --stats`` writes the stats record of each degree on stderr,
+    and nothing else; stdout is unchanged."""
+    args = ("probe", jordan_spec_file, "--i", "x1", "--j", "x1h",
+            "--count", "3", "--max-degree", "4")
+    plain = run_cli(*args)
+    r = run_cli(*args, "--stats")
+    assert r.returncode == plain.returncode == 0
+    assert r.stdout == plain.stdout and plain.stderr == ""
+    records = [json.loads(line) for line in r.stderr.splitlines()]
+    assert [rec["n"] for rec in records] == [0, 1, 2, 3, 4]
+    assert [rec["dim"] for rec in records] == [1, 2, 3, 4, 5]
+    for rec in records:
+        assert sorted(rec) == _STATS_KEYS
+
+
 def test_verify_catalog_entry_passes():
     r = run_cli("verify", "--name", "jordan", "--max-degree", "4")
     assert r.returncode == 0

@@ -78,10 +78,13 @@ def test_dims_over_q_omega_adds_the_residues_only(tmp_path):
 
 
 def test_verify_by_name_loads_the_catalog_only():
+    """The catalog's records are plain classes, so ``verify --name`` loads
+    no ``dataclasses`` (nor the ``inspect`` it imports)."""
     loaded = _loaded(_RUN_CLI, "verify", "--name", "lstr(1,G)",
                      "--max-degree", "2")
     assert "gknichols.catalog" in loaded
-    assert not loaded & {"gknichols.flourished", "gknichols.weyl"}
+    assert not loaded & {"gknichols.flourished", "gknichols.weyl",
+                         "dataclasses", "inspect"}
 
 
 def test_every_public_name_resolves_lazily():

@@ -161,15 +161,35 @@ def test_truncation_pickles_over_cyclotomic_ring():
 
 def _tables(spec, degree):
     """(stats, tables): the dims, ideal dims, bases and normal forms of a
-    truncation to ``degree`` and its ``_dcoords`` after each degree, as a
-    repr, which shows the order of every dict."""
+    truncation to ``degree`` and the exact skew-derivation coordinates of
+    its complement words, as a repr, which shows the order of every dict.
+
+    Without a residue map the coordinates are ``_dcoords``, read after each
+    degree.  With one, ``_dcoords`` holds their residues, and the exact ones
+    are built on demand by ``_exact_dcoords`` once the truncation is done;
+    the normal forms are read before that, and the top degree's residues
+    are checked against the exact coordinates."""
     trunc = compute_truncation(spec, 0)
+    rmap = spec.ring.residue_map()
     dcoords = []
     for n in range(1, degree + 1):
         trunc.extend(n)
-        dcoords.append(repr(trunc._dcoords))
-    return trunc.stats, repr([trunc.dims, trunc.ideal_dims, trunc.basis,
-                              trunc.nf, dcoords])
+        if rmap is None:
+            dcoords.append([(w, trunc._dcoords[n][w][1])
+                            for w in trunc.basis[n]])
+    tables = repr([trunc.dims, trunc.ideal_dims, trunc.basis, trunc.nf])
+    if rmap is not None:
+        for n in range(1, degree + 1):
+            dcoords.append([(w, trunc._exact_dcoords(w))
+                            for w in trunc.basis[n]])
+        for w, exact in dcoords[-1]:
+            assert trunc._dcoords[degree][w][1] in (
+                None, [{u: rmap.residue(c) for u, c in vec.items()}
+                       for vec in exact]), w
+        # building them reduced no word again
+        assert repr([trunc.dims, trunc.ideal_dims, trunc.basis,
+                     trunc.nf]) == tables
+    return trunc.stats, tables + repr(dcoords)
 
 
 def _scaled_spec(ring, rng, p):
@@ -202,44 +222,119 @@ def _total(runs, key):
     return sum(record[key] for stats, _ in runs for record in stats)
 
 
+def _smallest_map(ring):
+    """The residue map of ``ring`` at the smallest prime p = 1 (mod N),
+    and the list its ``residue`` appends every payload to that it finds
+    no residue for."""
+    order = ring.cyclotomic_order
+    p = next(m for m in range(order + 1, 10 ** 4, order) if _is_prime(m))
+    rmap = make_residue_map(order, *residue_prime(order, p + 1),
+                            len(ring.params))
+    assert rmap.p == p
+    undefined = []
+
+    def residue(a):
+        x = rmap.residue(a)
+        if x is None:
+            undefined.append(a)
+        return x
+
+    return rmap._replace(residue=residue), undefined
+
+
+def _certificate_runs(specs, degree, monkeypatch):
+    """The _tables of ``specs`` with the ring's residue map, with the exact
+    elimination alone and with the smallest prime's map, which must all
+    agree, and the payloads the last map found no residue for."""
+    certified = [_tables(spec, degree) for spec in specs]
+    with monkeypatch.context() as m:
+        m.setattr(ScalarRing, "residue_map", lambda self: None)
+        exact = [_tables(spec, degree) for spec in specs]
+    small_map, undefined = _smallest_map(specs[0].ring)
+    with monkeypatch.context() as m:
+        m.setattr(residues, "residue_map", lambda n, k: small_map)
+        small = [_tables(spec, degree) for spec in specs]
+    for (_, ours), (_, theirs), (_, tiny) in zip(certified, exact, small):
+        assert ours == theirs
+        assert tiny == theirs
+    assert _total(exact, "certified") == 0
+    return certified, exact, small, undefined
+
+
 @pytest.mark.parametrize("order", [3, 4, 5, 8, 12])
 def test_certificate_leaves_every_table_unchanged(order, monkeypatch):
     """Certifying candidates modulo a prime changes no table, dict order
     included: the truncation to degree 5 is the same with the certificate,
     with the exact elimination alone, and with the smallest prime
-    p = 1 (mod N), whose spurious dependencies and denominators divisible
-    by p send blocks through the replay of their certified rows."""
+    p = 1 (mod N), whose spurious dependencies, spurious zeros and
+    denominators divisible by p send blocks through the replay of their
+    certified rows and words through their exact coordinates."""
     ring = ScalarRing(order)
     p = next(m for m in range(order + 1, 10 ** 4, order)
              if _is_prime(m))
-    small_map = make_residue_map(order, *residue_prime(order, p + 1))
-    assert small_map.p == p
-    divisible = []  # the payloads whose denominator p divides
-
-    def small_residue(a):
-        x = small_map.residue(a)
-        if x is None:
-            divisible.append(a)
-        return x
-
     rng = random.Random(500 + order)
     specs = [_random_spec(ring, rng)] + \
         [_scaled_spec(ring, rng, p) for _ in range(4)]
-    certified = [_tables(spec, 5) for spec in specs]
-    with monkeypatch.context() as m:
-        m.setattr(ScalarRing, "residue_map", lambda self: None)
-        exact = [_tables(spec, 5) for spec in specs]
-    with monkeypatch.context() as m:
-        m.setattr(residues, "residue_map",
-                  lambda n: small_map._replace(residue=small_residue))
-        small = [_tables(spec, 5) for spec in specs]
-    for (_, ours), (_, theirs), (_, tiny) in zip(certified, exact, small):
-        assert ours == theirs
-        assert tiny == theirs
-    assert _total(exact, "certified") == 0
+    certified, exact, small, undefined = _certificate_runs(
+        specs, 5, monkeypatch)
     assert 0 < _total(small, "certified") < _total(certified, "certified") \
         < _total(exact, "candidates")
-    assert divisible and all(den % p == 0 for _, den in divisible)
+    assert undefined and all(den % p == 0 for _, den in undefined)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("lstr(A(1|0)1;r)", {"r": "generic"}), ("eny_plus", {}),
+    ("eny_minus", {}), ("eny_star", {})])
+def test_certificate_over_parameters_leaves_every_table_unchanged(
+        name, params, monkeypatch):
+    """The same over Q(q), q generic, where q goes to a fixed residue:
+    the certificate leaves fewer rows to the exact echelon."""
+    spec, _ = entry_instance(name, params)
+    certified, exact, small, _ = _certificate_runs([spec], 5, monkeypatch)
+    assert 0 < _total(small, "certified") < _total(certified, "certified")
+    assert _total(certified, "certified") <= _total(exact, "candidates")
+    assert [record["pivots"] for record in certified[0][0]] \
+        < [record["pivots"] for record in exact[0][0]]
+
+
+@pytest.mark.parametrize("small", [False, True],
+                         ids=["ring-prime", "smallest-prime"])
+@pytest.mark.parametrize("name,params", [
+    ("lstr(A(1|0)1;r)", {"r": "generic"}), ("eny_star", {})])
+def test_exact_fallback_over_parameters(name, params, small, monkeypatch):
+    """Over Q(q), q generic: a degree-2 truncation with blocks of degrees 3
+    to 6 filled on demand, and its pickled copy, extended to degree 6, have
+    the tables of the exact elimination alone: bases, the normal form of
+    every word either one memoises, and the exact coordinates of the
+    complement words, built on demand, equal to the exact ``_dcoords``,
+    dict order included.  With the smallest prime, spurious zeros send
+    words through their exact coordinates and blocks through replays."""
+    spec, _ = entry_instance(name, params)
+    with monkeypatch.context() as m:
+        m.setattr(ScalarRing, "residue_map", lambda self: None)
+        fresh = compute_truncation(spec, 6)
+    if small:
+        small_map, _ = _smallest_map(spec.ring)
+        monkeypatch.setattr(residues, "residue_map", lambda n, k: small_map)
+    ours = compute_truncation(spec, 2)
+    rng = random.Random(spec.nletters)
+    for n in (3, 4, 5, 6):
+        _fill_on_demand(ours, [tuple(rng.randrange(spec.nletters)
+                                     for _ in range(n)) for _ in range(2)])
+    assert ours._blocks and ours.max_degree == 2
+    copy = pickle.loads(pickle.dumps(ours))
+    for trunc in (ours, copy):
+        trunc.extend(6)
+        assert repr(trunc.basis) == repr(fresh.basis)
+        assert trunc.dims == fresh.dims
+        for n in range(7):
+            for w in trunc.nf[n].keys() | fresh.nf[n].keys():
+                assert repr(trunc._word_nf(w)) == repr(fresh._word_nf(w))
+        assert repr([(w, trunc._exact_dcoords(w)) for w in fresh.basis[6]]) \
+            == repr([(w, fresh._dcoords[6][w][1]) for w in fresh.basis[6]])
+        assert sum(record["certified"] for record in trunc.stats) > 0
+        # some blocks went exact, from their certified rows
+        assert sum(record["pivots"] for record in trunc.stats) > 0
 
 
 def test_budget_is_enforced():
