@@ -26,13 +26,13 @@ def main():
     print(f"\ncatalog entry {name} {params}: {len(pres.relations)} relations,"
           f" {len(pres.pbw)} PBW generators, GK {pres.gk}")
 
-    report = verify_presentation(pres, cat_spec, 6)
+    trunc = compute_truncation(cat_spec, 6)
+    report = verify_presentation(pres, trunc)
     print("verification pass:", report["pass"])
     print("graded dims  :", report["dims"])
     print("PBW expansion:", report["pbw_dims"])
 
-    # The raw truncation exposes the graded ideal as well.
-    trunc = compute_truncation(cat_spec, 5)
+    # The truncation exposes the graded ideal as well.
     print("ideal dims   :", trunc.ideal_dims[:6])
 
 

@@ -15,7 +15,7 @@ from gknichols import catalog
 def main():
     spec1, pres1 = catalog.instantiate("cyc1", {})
     print("cyc1 verdict:", classify(spec1))
-    report = verify_presentation(pres1, spec1, 7)
+    report = verify_presentation(pres1, compute_truncation(spec1, 7))
     print("cyc1 verification pass:", report["pass"])
     print("cyc1 dims:", report["dims"])
     kgens = [(l, h) for l, _, h in pres1.pbw if l not in ("x1", "x1h", "x21")]
@@ -26,13 +26,13 @@ def main():
 
     spec2, pres2 = catalog.instantiate("cyc2", {})
     print("\ncyc2 verdict:", classify(spec2))
-    report = verify_presentation(pres2, spec2, 6)
+    trunc = compute_truncation(spec2, 6)
+    report = verify_presentation(pres2, trunc)
     print("cyc2 verification pass:", report["pass"])
     print("cyc2 dims:", report["dims"])
 
     # the degree-6 identity behind the extra PBW generator
     lhs = "[x1h, [x1h2, x123]] - x1h2 x1123 - x1123 x1h2"
-    trunc = compute_truncation(spec2, 6)
     e = parse_element(lhs, spec2, pres2.macros)
     zero, _ = is_zero_in_nichols(e, trunc)
     print("degree-6 identity holds:", zero)

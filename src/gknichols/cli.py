@@ -209,6 +209,14 @@ def _graded_truncation(spec, max_degree, budget, stats=False):
     return trunc
 
 
+def _truncation(spec, args):
+    """The truncation of ``verify`` and ``probe``: streamed degree by
+    degree with ``--stats``, built at once and silently without it."""
+    if args.stats:
+        return _graded_truncation(spec, args.max_degree, args.budget, True)
+    return compute_truncation(spec, args.max_degree, args.budget)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -224,10 +232,10 @@ def _cmd_flourish(args):
     from .flourished import build_flourished
     spec = _load_spec(args.spec)
     g = build_flourished(spec)
-    _emit(_graph_json(g))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(g.to_dot() + "\n")
+    _emit(_graph_json(g))
     return 0
 
 
@@ -261,10 +269,8 @@ def _cmd_verify(args):
                 "verify needs --name <entry> or <spec.json> --presentation")
         spec = _load_spec(args.spec)
         pres = _presentation_from_json(_load_json(args.presentation))
-    trunc = (_graded_truncation(spec, args.max_degree, args.budget, True)
-             if args.stats else None)
-    report = verify_presentation(pres, spec, args.max_degree, args.budget,
-                                 progress=_progress, trunc=trunc)
+    report = verify_presentation(pres, _truncation(spec, args),
+                                 progress=_progress)
     report["pbw"] = _pbw_json(pres.pbw)
     _emit(report)
     return 0 if report["pass"] else 2
@@ -284,11 +290,7 @@ def _cmd_probe(args):
     spec = _load_spec(args.spec)
     i = spec.letter(args.i).idx
     j = spec.letter(args.j).idx
-    trunc = (_graded_truncation(spec, args.max_degree, args.budget, True)
-             if args.stats else None)
-    report = infinite_probe(spec, i, j, args.count, args.max_degree,
-                            args.budget, trunc=trunc)
-    _emit(report)
+    _emit(infinite_probe(_truncation(spec, args), i, j, args.count))
     return 0
 
 

@@ -1,11 +1,10 @@
 """Linear independence certified modulo a prime.
 
-Every ring but Q has a residue map: ``residue_map(N, k)`` is a ring
-homomorphism onto F_p from the elements of Q(zeta_N)(t_1, ..., t_k) that
-have a residue.  p = 1 (mod N) is the largest such prime below
-``RESIDUE_PRIME_BOUND``, z goes to a primitive N-th root r of unity modulo
-p, a root of Phi_N there since p does not divide N, and the parameter t_i
-to a fixed residue.  A constant ``(nums, den)`` goes to
+``residue_map(N, k)`` is a ring homomorphism onto F_p from the elements of
+Q(zeta_N)(t_1, ..., t_k) that have a residue.  p = 1 (mod N) is the largest
+such prime below ``RESIDUE_PRIME_BOUND``, z goes to a primitive N-th root r
+of unity modulo p, a root of Phi_N there since p does not divide N, and the
+parameter t_i to a fixed residue.  A constant ``(nums, den)`` goes to
 ``sum nums_i r^i / den``, or to None when p divides ``den``; a fraction
 num/den to num(t)/den(t), or to None when p divides the denominator of one
 of their coefficients or den(t) = 0 modulo p.  Evaluation followed by
@@ -19,8 +18,9 @@ nichols module docstring says why a candidate it certifies is a complement
 word and how a block that fails the test goes back to the exact
 elimination.
 
-``ScalarRing.residue_map()`` imports this module, so a command that never
-truncates over such a ring never compiles it.
+The truncation certifies on every ring but Q (``nichols._residue_map``
+decides, and says why) and imports this module only there, so a command
+that never truncates over such a ring never compiles it.
 """
 
 from __future__ import annotations

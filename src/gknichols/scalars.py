@@ -39,11 +39,6 @@ and any other pair goes to the polynomial arithmetic and ``_make_frac``.  :data:
 The cyclotomic order is capped at ``MAX_CYCLOTOMIC_ORDER``: the table of
 powers of z costs O(N * phi(N)).
 
-``ScalarRing.residue_map()`` gives, on every ring but Q, the reduction of
-its payloads modulo a prime, each parameter sent to a fixed residue (see
-:mod:`gknichols.residues`), with which the truncation certifies linear
-independence.
-
 An ``"f"`` value is reduced by the monic gcd of its numerator and
 denominator.  In at most one active parameter that gcd is Euclid's algorithm
 over Q(zeta_N), on the remainders of ``_poly_divmod``; in several it is the
@@ -347,21 +342,6 @@ class ScalarRing:
         exps = tuple(1 if j == i else 0 for j in range(len(self.params)))
         den = {(0,) * len(self.params): self._one_cyc}
         return Scalar(self, ({exps: self._one_cyc}, den))
-
-    def residue_map(self):
-        """The reduction modulo a prime with which the truncation certifies
-        linear independence (see :mod:`gknichols.residues`), or None over
-        Q: every ring but Q(zeta_N) with phi(N) = 1 and no parameters has
-        one.  Over Q the exact elimination is cheap, and the blocks that
-        certify candidates and then meet a relation pay for the exact
-        images anyway: with the certificate forced onto Q, a truncation
-        to degree 6 took 4.5 ms instead of 2.7 on cyc1 and 18.3 instead of
-        11.6 on cyc2, about the same on lstr(A2,2) and lstr_-(-1,G), and
-        26 instead of 31 on poseidon (minimum of 7 runs each)."""
-        if self.phi == 1 and not self.params:
-            return None
-        from .residues import residue_map
-        return residue_map(self.cyclotomic_order, len(self.params))
 
     # -- payload operations of a ring with parameters -----------------------
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from gknichols import ScalarRing, catalog, verify_presentation
+from gknichols import ScalarRing, catalog, compute_truncation, \
+    verify_presentation
 
 _REPORTS = {}
 _INSTANCES = {}
@@ -23,7 +24,8 @@ def entry_report(name, params=None, degree=6):
     key = (name, json.dumps(params or {}, sort_keys=True), degree)
     if key not in _REPORTS:
         spec, pres = entry_instance(name, params)
-        _REPORTS[key] = verify_presentation(pres, spec, degree)
+        _REPORTS[key] = verify_presentation(
+            pres, compute_truncation(spec, degree))
     return _REPORTS[key]
 
 

@@ -270,7 +270,7 @@ def test_compose_two_components(items, theta, gk):
     assert isinstance(verdict, FiniteGK)
     assert verdict.gk == pres.gk == gk
     from gknichols import verify_presentation
-    report = verify_presentation(pres, spec, 4)
+    report = verify_presentation(pres, compute_truncation(spec, 4))
     assert report["pass"], report
     # above degree 1 membership is decided on Z^theta-bounded truncations;
     # the degree-24 ztt123^6 of lstr(A(1|0)3;omega) reads no q-data and

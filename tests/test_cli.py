@@ -291,6 +291,19 @@ def test_flourish_with_dot(tmp_path):
     assert "box" in dot_path.read_text()
 
 
+def test_flourish_unwritable_dot_is_one_line_error(tmp_path):
+    """The DOT file is written before the graph JSON, so a path that cannot
+    be opened leaves stdout empty."""
+    spec, _ = entry_instance("lstr(1,G)", {"G": 1})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_to_json(spec)))
+    dot_path = tmp_path / "missing" / "graph.dot"
+    r = run_cli("flourish", str(spec_path), "--dot", str(dot_path))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("gknichols: error: ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_flourish_block_too_long_is_one_line_error(tmp_path):
     """A FlourishedError from the lazily imported ``flourished`` module is
     caught by the package's common error base."""

@@ -13,10 +13,10 @@ from gknichols import (BraidedSpaceSpec, Presentation, ScalarRing,
                        is_zero_in_nichols, mu_sequence, parse_element,
                        pbw_hilbert_coeffs, quantum_symmetrizer_kernel,
                        spec_from_json, verify_presentation, z_element)
-from gknichols.freealgebra import add_into
+from gknichols.freealgebra import SpecMismatch, add_into
 from gknichols.nichols import (BudgetExceeded, NicholsTruncation, NotWeak,
                                mu_rank2, quantum_symmetrizer)
-from gknichols import residues
+from gknichols import nichols, residues
 from gknichols.residues import _is_prime, make_residue_map, residue_prime
 from gknichols.scalars import RingMismatch, Scalar, print_scalar
 from tests.conftest import entry_instance
@@ -170,7 +170,7 @@ def _tables(spec, degree):
     the normal forms are read before that, and the top degree's residues
     are checked against the exact coordinates."""
     trunc = compute_truncation(spec, 0)
-    rmap = spec.ring.residue_map()
+    rmap = nichols._residue_map(spec.ring)
     dcoords = []
     for n in range(1, degree + 1):
         trunc.extend(n)
@@ -248,7 +248,7 @@ def _certificate_runs(specs, degree, monkeypatch):
     agree, and the payloads the last map found no residue for."""
     certified = [_tables(spec, degree) for spec in specs]
     with monkeypatch.context() as m:
-        m.setattr(ScalarRing, "residue_map", lambda self: None)
+        m.setattr(nichols, "_residue_map", lambda ring: None)
         exact = [_tables(spec, degree) for spec in specs]
     small_map, undefined = _smallest_map(specs[0].ring)
     with monkeypatch.context() as m:
@@ -311,7 +311,7 @@ def test_exact_fallback_over_parameters(name, params, small, monkeypatch):
     words through their exact coordinates and blocks through replays."""
     spec, _ = entry_instance(name, params)
     with monkeypatch.context() as m:
-        m.setattr(ScalarRing, "residue_map", lambda self: None)
+        m.setattr(nichols, "_residue_map", lambda ring: None)
         fresh = compute_truncation(spec, 6)
     if small:
         small_map, _ = _smallest_map(spec.ring)
@@ -499,6 +499,22 @@ def test_membership_rejects_another_ring():
     with pytest.raises(RingMismatch):
         is_zero_in_nichols(TensorElement(other, {(0, 1): other.ring.one()}),
                            trunc)
+
+
+def test_membership_rejects_another_spec_over_the_same_ring():
+    """x2 x2 of lstr(1,G) is not zero; a truncation of lstr(-1,G), over the
+    same ring, must not answer for it."""
+    spec, _ = entry_instance("lstr(1,G)", {"G": 1})
+    other, _ = entry_instance("lstr(-1,G)", {"G": 1})
+    assert other.ring == spec.ring
+    e = parse_element("x2 x2", spec)
+    assert not is_zero_in_nichols(e, compute_truncation(spec, 2))[0]
+    trunc = compute_truncation(other, 2)
+    for n in (2, 3):  # within max_degree, and filling blocks above it
+        with pytest.raises(SpecMismatch):
+            trunc.normal_form_vector(e, n)
+    with pytest.raises(SpecMismatch):
+        is_zero_in_nichols(e, trunc)
 
 
 def _zdegree(spec, w):
@@ -762,7 +778,7 @@ def test_verify_presentation_reports_failures():
     spec, pres = entry_instance("jordan")
     bad = Presentation(name="bad", relations=["x1 x1h - x1h x1"],
                        pbw=list(pres.pbw), macros=dict(pres.macros))
-    report = verify_presentation(bad, spec, 4)
+    report = verify_presentation(bad, compute_truncation(spec, 4))
     assert not report["pass"]
     failed = [r for r in report["relations"] if r["zero"] is False]
     assert failed and "witness" in failed[0]
@@ -773,10 +789,27 @@ def test_verify_presentation_skips_deep_relations():
     deep = Presentation(name="deep", relations=list(pres.relations)
                         + ["x1^40"], pbw=list(pres.pbw),
                         macros=dict(pres.macros))
-    report = verify_presentation(deep, spec, 4)
+    report = verify_presentation(deep, compute_truncation(spec, 4))
     skipped = [r for r in report["relations"] if r.get("skipped_degree")]
     assert skipped and skipped[0]["skipped_degree"] == 40
     assert report["pass"]
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_verify_presentation_reads_its_degree_from_the_truncation(degree):
+    """The report covers degrees 0 to the truncation's max_degree: dims and
+    pbw_dims have max_degree + 1 entries, and exactly the relations above
+    max_degree are skipped."""
+    spec, pres = entry_instance("lstr(1,G)", {"G": 1})
+    report = verify_presentation(pres, compute_truncation(spec, degree))
+    assert len(report["dims"]) == len(report["pbw_dims"]) == degree + 1
+    assert report["pass"]
+    degrees = [expression_degree(rel, spec, pres.macros)
+               for rel in pres.relations]
+    assert [r.get("skipped_degree") for r in report["relations"]] == \
+        [d if d > degree else None for d in degrees]
+    assert [r["zero"] for r in report["relations"]] == \
+        [None if d > degree else True for d in degrees]
 
 
 MU_CASES = [
@@ -819,7 +852,7 @@ def test_z_element_requires_weak_interaction():
 
 def test_infinite_probe_report_shape():
     spec, _ = entry_instance("jordan")
-    report = infinite_probe(spec, 0, 1, 3, 4)
+    report = infinite_probe(compute_truncation(spec, 4), 0, 1, 3)
     assert report["evidence"] in ("INFINITE", "INCONCLUSIVE")
     assert set(report) >= {"evidence", "nonzero_y", "products_tested",
                            "dependencies"}
@@ -840,7 +873,7 @@ PROBE_REPORTS = [
 def test_infinite_probe_report_exact(name, i, j, count, nstar, expected):
     spec, _ = entry_instance(name)
     evidence, nonzero, products, dependencies = expected
-    assert infinite_probe(spec, i, j, count, nstar) == {
+    assert infinite_probe(compute_truncation(spec, nstar), i, j, count) == {
         "evidence": evidence, "nonzero_y": nonzero,
         "products_tested": products, "dependencies": dependencies}
 
