@@ -41,33 +41,33 @@ elimination spends most of its time confirming that.  So there the ring's
 ``ResidueMap`` (a ring homomorphism to F_p, p a prime below 2^30, each
 parameter sent to a fixed residue; see :mod:`gknichols.residues`) comes
 first.  ``_dcoords`` holds the residues of the skew-derivation coordinates,
-and each candidate's image is built in F_p, from its prefix's residue
-coordinates, the residues of the braiding coefficients and those of the
-degree n-1 normal forms, then reduced by a ``Certificate`` against the rows
-certified before it in its Z^theta-block.  A nonzero remainder certifies
-the candidate.  This is exact, not probabilistic: the certified rows of a
-block and the candidate have independent images modulo p, so some maximal
-minor of their matrix is nonzero modulo p, hence nonzero over the ring, and
-the rows are independent there too; in the exact elimination each of them
-is a complement word.  When the remainder is zero modulo p, or a residue is
-undefined, the block goes exact: its certified words are replayed into the
-exact echelon in their order, and the rest of the block is reduced exactly.
-The exact coordinates of a prefix are built on demand from those of its own
-prefix, by the recursion that builds an image, and memoised in ``_exact``.
+without zero values, and each candidate's image is built in F_p, from its
+prefix's residue coordinates, the residues of the braiding coefficients and
+those of the degree n-1 normal forms, then reduced by a ``Certificate``
+against the rows certified before it in its Z^theta-block.  A nonzero
+remainder certifies the candidate.  This is exact, not probabilistic: the
+certified rows of a block and the candidate have independent images modulo
+p, so some maximal minor of their matrix is nonzero modulo p, hence nonzero
+over the ring, and the rows are independent there too; in the exact
+elimination each of them is a complement word.  Any residue that cannot be
+used sends the block to the exact elimination: when the remainder is zero
+modulo p, or a residue the image needs is undefined, the block's certified
+words are replayed into the exact echelon in their order, and the rest of
+the block is reduced exactly.  The exact coordinates of a prefix are built
+on demand from those of its own prefix, by the recursion that builds an
+image, and memoised in ``_exact``.
 
-An image built in F_p has the residues of the exact values, so the
-certificate decides as it would on the exact image sent to F_p.  Its keys
-and their order can differ from the exact ones only where a sum vanishes
-modulo p; then the word's residue coordinates are marked unknown, and a
-candidate that extends it uses the residues of its exact coordinates
-instead.  The residue coordinates in use thus have the exact keys, in the
-exact order, and an image built from them reads the normal forms the
-exact image reads, in the same order.  Where a residue is undefined, the
-candidate's exact image is built and sent to F_p instead.  So the exact
+The certified words of a block are its first candidates, so the exact
 echelon of a block sees the rows it would see without the certificate, in
-the same order, and the complement, the normal forms (dict order
-included) and the exact coordinates are those of the exact elimination
-alone.  Over Q (phi(N) = 1 and no parameters) the certificate costs more
+the same order: the complement, every normal form (term order included) and
+the exact coordinates are those of the exact elimination alone.  An image
+built in F_p has the residues of the exact values, so the certificate
+decides as it would on the exact image sent to F_p; a sum that vanishes
+modulo p only drops its key.  The ``nf`` memo then holds no normal form the
+exact elimination would not, and misses one only where p meets such a
+spurious zero; the ``memo``, ``certified`` and ``pivots`` counts are the
+same for every prime but one that meets a spurious zero or an undefined
+residue.  Over Q (phi(N) = 1 and no parameters) the certificate costs more
 than it saves (see ``_residue_map``): the truncation eliminates exactly
 only, and ``_dcoords`` holds exact coordinates.
 
@@ -219,8 +219,7 @@ class NicholsTruncation:
         # derivations in degree n-1) of its complement words, kept while a
         # block above may still need them: the top degree and the blocks
         # filled above it; over a ring with a residue map the coordinates
-        # are residues, with the keys of the exact ones, or None where
-        # those keys are not known or a residue is undefined
+        # are residues without zero values, or None where one is undefined
         self._dcoords = {0: {(): ((0,) * spec.ngroups,
                                   [{}] * spec.nletters)}}
         # over a ring with a residue map: complement word -> its exact
@@ -341,30 +340,20 @@ class NicholsTruncation:
                 if rmap is None:
                     img, coords = image(prefix, last, pd)
                 else:
-                    img = None
                     if certificate.is_open(beta):
                         got = residue_image(prefix, last, pd)
-                        if got is None:  # from the exact image
-                            img, dvecs = image(prefix, last,
-                                               exact_dcoords(prefix))
-                            got = _residues(dvecs, residue)
-                        vec, coords = got
-                        if certificate.certify(w, beta, vec):
+                        if got is not None \
+                                and certificate.certify(w, beta, got[0]):
                             words.append(w)
                             nf_n[w] = {w: one}
-                            new_d[w] = (beta, coords)
-                            if img is not None:
-                                exact[w] = dvecs
+                            new_d[w] = (beta, got[1])
                             continue
                         # the block goes exact, from its certified rows
                         for v in certificate.replay(beta):
                             row, exact[v] = image(v[:-1], v[-1],
                                                   exact_dcoords(v[:-1]))
                             echelon.insert(row, echelon.reduce(row), v)
-                    if img is None:
-                        img, dvecs = image(prefix, last,
-                                           exact_dcoords(prefix))
-                        _, coords = _residues(dvecs, residue)
+                    img, coords = image(prefix, last, exact_dcoords(prefix))
                 expr = echelon.reduce(img)
                 if not img:
                     nf_n[w] = expr  # w is congruent to expr modulo I(n)
@@ -372,9 +361,12 @@ class NicholsTruncation:
                 echelon.insert(img, expr, w)
                 words.append(w)
                 nf_n[w] = {w: one}
-                new_d[w] = (beta, coords)
                 if rmap is not None:
-                    exact[w] = dvecs
+                    exact[w] = coords
+                    coords = [_residues(acc, residue) for acc in coords]
+                    if None in coords:
+                        coords = None
+                new_d[w] = (beta, coords)
         # every candidate, and only a candidate, got an entry in nf_n
         work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
         for i, count in enumerate((
@@ -425,16 +417,12 @@ class NicholsTruncation:
     def _residue_image(self, n, rmap):
         """The image of :meth:`_image` built in F_p, for the candidates of
         degree n: ``image(prefix, last, pd)``, with ``pd`` the residue
-        coordinates of the prefix, gives (image, dvecs) as dicts of ints,
-        the image without zero values, or None where a residue is
-        undefined.  The values are the residues of the exact ones, and
-        dvecs is None unless no sum vanished modulo p: then no exact sum
-        vanished either, so its dicts have the keys of the exact ones, in
-        the same order.  Where ``pd`` is None, the residues of the
-        prefix's exact coordinates take its place."""
+        coordinates of the prefix, gives (image, dvecs) as dicts of ints
+        without zero values, the residues of the exact ones, or None where
+        ``pd`` is None or a residue is undefined."""
         p, residue = rmap.p, rmap.residue
         prev_d = self._dcoords[n - 1]
-        word_nf, exact_dcoords = self._word_nf, self._exact_dcoords
+        word_nf = self._word_nf
         # the braiding expansions in F_p; None where a residue is undefined
         expansions = []
         for group in self._expansions:
@@ -444,34 +432,13 @@ class NicholsTruncation:
                 row.append(None if any(x is None for _, x in terms)
                            else terms)
             expansions.append(row)
-        # word of degree n-1 -> its normal form in F_p, or None
+        # word of degree n-1 -> its normal form in F_p without zero values,
+        # or None
         memo = {}
-        # prefix -> the residues of its exact coordinates, or None
-        derived = {}
-
-        def normal_form(v):
-            if v in prev_d:
-                vec = {v: 1}
-            else:
-                vec = {}
-                for cw, c in word_nf(v).items():
-                    x = residue(c)
-                    if x is None:
-                        vec = None
-                        break
-                    vec[cw] = x
-            memo[v] = vec
-            return vec
 
         def image(prefix, last, pd):
             if pd is None:
-                pd = derived.get(prefix, False)
-                if pd is False:
-                    pd = derived[prefix] = _residues(exact_dcoords(prefix),
-                                                     residue)[1]
-                if pd is None:
-                    return None
-            same_keys = True
+                return None
             dvecs = []
             img = {}
             for d, row in enumerate(expansions):
@@ -484,7 +451,8 @@ class NicholsTruncation:
                         v = u + (tgt,)
                         vec = memo.get(v, False)
                         if vec is False:
-                            vec = normal_form(v)
+                            vec = memo[v] = {v: 1} if v in prev_d \
+                                else _residues(word_nf(v), residue)
                         if vec is None:
                             return None
                         f = alpha * coeff % p
@@ -493,19 +461,17 @@ class NicholsTruncation:
                             if s:
                                 acc[cw] = s
                             else:
-                                same_keys = False
                                 acc.pop(cw, None)
                 if d == last:
                     s = (acc.get(prefix, 0) + 1) % p
                     if s:
                         acc[prefix] = s
                     else:
-                        same_keys = False
                         del acc[prefix]
                 dvecs.append(acc)
                 for cw, x in acc.items():
                     img[(d, cw)] = x
-            return img, dvecs if same_keys else None
+            return img, dvecs
 
         return image
 
@@ -577,22 +543,17 @@ def _residue_map(ring):
     return residue_map(ring.cyclotomic_order, len(ring.params))
 
 
-def _residues(dvecs, residue):
-    """(image, dvecs) in F_p of the exact ``dvecs`` of a word: the image
-    without its zero values, and the dvecs with every key; (None, None)
-    where a value has no residue."""
-    img, out = {}, []
-    for d, acc in enumerate(dvecs):
-        vec = {}
-        for cw, c in acc.items():
-            x = residue(c)
-            if x is None:
-                return None, None
-            if x:
-                img[(d, cw)] = x
-            vec[cw] = x
-        out.append(vec)
-    return img, out
+def _residues(vec, residue):
+    """The residues of the exact coordinates ``vec`` (a dict), without zero
+    values, or None where a value has no residue."""
+    out = {}
+    for cw, c in vec.items():
+        x = residue(c)
+        if x is None:
+            return None
+        if x:
+            out[cw] = x
+    return out
 
 
 def compute_truncation(spec, max_degree: int,
@@ -715,6 +676,8 @@ def pbw_hilbert_coeffs(p: Presentation, nstar: int):
     for _, degree, height in p.pbw:
         if degree < 1:
             raise NicholsError("PBW generator degrees must be >= 1")
+        if height is not None and height < 1:
+            raise NicholsError("PBW generator heights must be >= 1")
         factor = [0] * (nstar + 1)
         k = 0
         while True:

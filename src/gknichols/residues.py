@@ -15,8 +15,8 @@ pickle as before.
 
 :class:`Certificate` is how the truncation uses it, on plain ints: the
 nichols module docstring says why a candidate it certifies is a complement
-word and how a block that fails the test goes back to the exact
-elimination.
+word and how a block goes back to the exact elimination, when the test
+fails or a residue its images need is undefined.
 
 The truncation certifies on every ring but Q (``nichols._residue_map``
 decides, and says why) and imports this module only there, so a command
@@ -149,11 +149,11 @@ class Certificate:
     """Independence modulo p for the candidates of one elimination pass.
 
     ``certify(w, block, vec)`` reduces the image ``vec`` of the candidate w
-    in F_p (a dict key -> nonzero int, consumed; None where a residue is
-    undefined) against the rows certified before it, in an echelon over
-    F_p on plain ints.  A nonzero remainder certifies that w is a
-    complement word.  Otherwise the truncation eliminates the Z^theta-block
-    of w (``block``, its group counts) exactly: ``replay(block)`` closes it
+    in F_p (a dict key -> nonzero int, consumed) against the rows certified
+    before it, in an echelon over F_p on plain ints.  A nonzero remainder
+    certifies that w is a complement word.  Otherwise, or when a residue of
+    the image is undefined, the truncation eliminates the Z^theta-block of
+    w (``block``, its group counts) exactly: ``replay(block)`` closes it
     and returns its certified words in order, to be replayed into the
     exact echelon.  Blocks share no key, so one echelon serves every block
     of the pass.
@@ -175,9 +175,7 @@ class Certificate:
 
     def certify(self, w, block, vec) -> bool:
         """True when w is certified, its row kept; False when its remainder
-        is zero modulo p or ``vec`` is None."""
-        if vec is None:
-            return False
+        is zero modulo p."""
         p, pivots, inverses = self.p, self.pivots, self.inverses
         while vec:
             key = max(vec)

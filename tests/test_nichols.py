@@ -140,6 +140,29 @@ def test_truncation_stats_per_degree():
         assert [mine[k] for k in counts] == [fresh[k] for k in counts]
 
 
+@pytest.mark.parametrize("name,params", [
+    ("lstr(A(1|0)1;r)", {"r": "generic"}), ("lstr(A(1|0)2;omega)", {})])
+def test_certified_degree_builds_no_exact_image(name, params, monkeypatch):
+    """Degree 5 certifies every candidate, so no block goes exact and the
+    pass builds no exact image: the residue coordinates of a prefix are
+    used as they are, whatever sums vanished in them."""
+    spec, _ = entry_instance(name, params)
+    trunc = compute_truncation(spec, 4)
+    calls = []
+    image = NicholsTruncation._image
+
+    def counted(self, *args):
+        calls.append(args[:2])
+        return image(self, *args)
+
+    monkeypatch.setattr(NicholsTruncation, "_image", counted)
+    trunc.extend(5)
+    record = trunc.stats[5]
+    assert record["pivots"] == 0
+    assert record["certified"] == record["candidates"] == record["dim"]
+    assert calls == []
+
+
 def test_truncation_pickles_over_cyclotomic_ring():
     """The residue map lives in a per-N cache, not on the truncation, so a
     truncation over Q(omega), holding blocks above its max_degree, pickles
@@ -160,15 +183,17 @@ def test_truncation_pickles_over_cyclotomic_ring():
 
 
 def _tables(spec, degree):
-    """(stats, tables): the dims, ideal dims, bases and normal forms of a
-    truncation to ``degree`` and the exact skew-derivation coordinates of
-    its complement words, as a repr, which shows the order of every dict.
+    """(trunc, tables, coords): a truncation to ``degree``; its dims, ideal
+    dims, bases and normal forms; and the exact skew-derivation coordinates
+    of its complement words; both as a repr, which shows the order of every
+    dict.
 
     Without a residue map the coordinates are ``_dcoords``, read after each
-    degree.  With one, ``_dcoords`` holds their residues, and the exact ones
-    are built on demand by ``_exact_dcoords`` once the truncation is done;
-    the normal forms are read before that, and the top degree's residues
-    are checked against the exact coordinates."""
+    degree.  With one, ``_dcoords`` holds their residues without zero
+    values, and the exact ones are built on demand by ``_exact_dcoords``
+    once the truncation is done; the normal forms are read before that, and
+    the top degree's residues are checked against the exact coordinates:
+    None exactly where one of them has no residue."""
     trunc = compute_truncation(spec, 0)
     rmap = nichols._residue_map(spec.ring)
     dcoords = []
@@ -183,13 +208,17 @@ def _tables(spec, degree):
             dcoords.append([(w, trunc._exact_dcoords(w))
                             for w in trunc.basis[n]])
         for w, exact in dcoords[-1]:
-            assert trunc._dcoords[degree][w][1] in (
-                None, [{u: rmap.residue(c) for u, c in vec.items()}
-                       for vec in exact]), w
+            vecs = [{u: rmap.residue(c) for u, c in vec.items()}
+                    for vec in exact]
+            if any(None in vec.values() for vec in vecs):
+                assert trunc._dcoords[degree][w][1] is None, w
+            else:
+                assert trunc._dcoords[degree][w][1] == [
+                    {u: x for u, x in vec.items() if x} for vec in vecs], w
         # building them reduced no word again
         assert repr([trunc.dims, trunc.ideal_dims, trunc.basis,
                      trunc.nf]) == tables
-    return trunc.stats, tables + repr(dcoords)
+    return trunc, tables, repr(dcoords)
 
 
 def _scaled_spec(ring, rng, p):
@@ -219,7 +248,7 @@ def _scaled_spec(ring, rng, p):
 
 
 def _total(runs, key):
-    return sum(record[key] for stats, _ in runs for record in stats)
+    return sum(record[key] for trunc, _, _ in runs for record in trunc.stats)
 
 
 def _smallest_map(ring):
@@ -244,8 +273,12 @@ def _smallest_map(ring):
 
 def _certificate_runs(specs, degree, monkeypatch):
     """The _tables of ``specs`` with the ring's residue map, with the exact
-    elimination alone and with the smallest prime's map, which must all
-    agree, and the payloads the last map found no residue for."""
+    elimination alone and with the smallest prime's map, and the payloads
+    the last map found no residue for.  The first two agree in full.  The
+    smallest prime meets spurious zeros, which can leave a word out of the
+    ``nf`` memo, so there the memo's word set may differ; the bases, the
+    dims, the normal form of every word either run memoises and the exact
+    coordinates agree."""
     certified = [_tables(spec, degree) for spec in specs]
     with monkeypatch.context() as m:
         m.setattr(nichols, "_residue_map", lambda ring: None)
@@ -254,9 +287,15 @@ def _certificate_runs(specs, degree, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(residues, "residue_map", lambda n, k: small_map)
         small = [_tables(spec, degree) for spec in specs]
-    for (_, ours), (_, theirs), (_, tiny) in zip(certified, exact, small):
+    for (_, *ours), (fresh, *theirs), (tiny, _, coords) in zip(
+            certified, exact, small):
         assert ours == theirs
-        assert tiny == theirs
+        assert repr(tiny.basis) == repr(fresh.basis)
+        assert tiny.dims == fresh.dims
+        assert coords == theirs[1]
+        for n in range(degree + 1):
+            for w in tiny.nf[n].keys() | fresh.nf[n].keys():
+                assert repr(tiny._word_nf(w)) == repr(fresh._word_nf(w)), w
     assert _total(exact, "certified") == 0
     return certified, exact, small, undefined
 
@@ -264,11 +303,11 @@ def _certificate_runs(specs, degree, monkeypatch):
 @pytest.mark.parametrize("order", [3, 4, 5, 8, 12])
 def test_certificate_leaves_every_table_unchanged(order, monkeypatch):
     """Certifying candidates modulo a prime changes no table, dict order
-    included: the truncation to degree 5 is the same with the certificate,
-    with the exact elimination alone, and with the smallest prime
-    p = 1 (mod N), whose spurious dependencies, spurious zeros and
-    denominators divisible by p send blocks through the replay of their
-    certified rows and words through their exact coordinates."""
+    included: the truncation to degree 5 is the same with the certificate
+    and with the exact elimination alone.  With the smallest prime
+    p = 1 (mod N), whose spurious dependencies and denominators divisible
+    by p send blocks through the replay of their certified rows, only the
+    word set of the ``nf`` memo may differ (see _certificate_runs)."""
     ring = ScalarRing(order)
     p = next(m for m in range(order + 1, 10 ** 4, order)
              if _is_prime(m))
@@ -293,8 +332,8 @@ def test_certificate_over_parameters_leaves_every_table_unchanged(
     certified, exact, small, _ = _certificate_runs([spec], 5, monkeypatch)
     assert 0 < _total(small, "certified") < _total(certified, "certified")
     assert _total(certified, "certified") <= _total(exact, "candidates")
-    assert [record["pivots"] for record in certified[0][0]] \
-        < [record["pivots"] for record in exact[0][0]]
+    assert [record["pivots"] for record in certified[0][0].stats] \
+        < [record["pivots"] for record in exact[0][0].stats]
 
 
 @pytest.mark.parametrize("small", [False, True],
@@ -307,8 +346,8 @@ def test_exact_fallback_over_parameters(name, params, small, monkeypatch):
     the tables of the exact elimination alone: bases, the normal form of
     every word either one memoises, and the exact coordinates of the
     complement words, built on demand, equal to the exact ``_dcoords``,
-    dict order included.  With the smallest prime, spurious zeros send
-    words through their exact coordinates and blocks through replays."""
+    dict order included.  With the smallest prime, spurious dependencies
+    and undefined residues send blocks through replays."""
     spec, _ = entry_instance(name, params)
     with monkeypatch.context() as m:
         m.setattr(nichols, "_residue_map", lambda ring: None)
@@ -772,6 +811,17 @@ def test_pbw_hilbert_coeffs():
     assert p.macros == p2.macros == {} and p.macros is not p2.macros
     assert p.params == p2.params == {} and p.params is not p2.params
     assert p.is_domain is False
+
+
+@pytest.mark.parametrize("degree,height,what", [
+    (0, None, "degrees"), (1, 0, "heights"), (2, -1, "heights")])
+def test_pbw_hilbert_coeffs_rejects_degree_or_height_below_1(
+        degree, height, what):
+    # a height below 1 would drop the generator's factor, even its 1
+    p = Presentation("p", [], [("a", degree, height)])
+    with pytest.raises(nichols.NicholsError,
+                       match=f"PBW generator {what} must be >= 1"):
+        pbw_hilbert_coeffs(p, 3)
 
 
 def test_verify_presentation_reports_failures():
