@@ -226,9 +226,9 @@ class NicholsTruncation:
         # coordinates, for the words of degree >= max_degree - 1 whose
         # exact coordinates were needed
         self._exact = {}
-        # Z^theta-degree -> complement words in lex order, for the blocks
-        # filled above max_degree
-        self._blocks = {}
+        # the Z^theta-degrees of the blocks filled above max_degree, empty
+        # ones too; their complement words are those of _dcoords
+        self._filled = set()
         # degree -> [candidates, pivots, certified, inverses, seconds] of
         # the passes run there until the degree completes
         self._work = {}
@@ -238,15 +238,12 @@ class NicholsTruncation:
         """Fill every block of each degree up to ``max_degree``."""
         while self.max_degree < max_degree:
             n = self.max_degree + 1
-            blocks = self._blocks
-            early = [beta for beta in blocks if sum(beta) == n]
-            basis_n = self._eliminate(n, self.basis[n - 1],
-                                      lambda beta: beta not in early)
-            if early:
-                basis_n = sorted(basis_n + [w for beta in early
-                                            for w in blocks.pop(beta)])
+            self._eliminate(n, self.basis[n - 1],
+                            lambda beta: beta not in self._filled)
+            # the words of the blocks filled early are in _dcoords[n] too
+            self.basis[n] = basis_n = sorted(self._dcoords[n])
+            self._filled = {beta for beta in self._filled if sum(beta) != n}
             self.max_degree = n
-            self.basis[n] = basis_n
             del self._dcoords[n - 1]
             # the exact coordinates below n-1 are rebuilt if ever needed
             self._exact = {w: dvecs for w, dvecs in self._exact.items()
@@ -266,31 +263,22 @@ class NicholsTruncation:
 
     def _fill(self, betas, n):
         """Fill the blocks ``betas`` of degree n > max_degree that are not
-        filled yet, after the blocks below them they need: one elimination
-        pass per degree."""
-        blocks = self._blocks
-        levels = []
-        need = set(betas) - blocks.keys()
-        while need:
-            levels.append(need)
-            if n - len(levels) == self.max_degree:
-                break  # the degree below is complete
-            need = {beta for alpha in need for beta in _below(alpha)} \
-                - blocks.keys()
-        for k, targets in enumerate(reversed(levels), n - len(levels) + 1):
-            below = {beta for alpha in targets for beta in _below(alpha)}
-            if k - 1 == self.max_degree:
-                top = self._dcoords[k - 1]
-                prefixes = [u for u in self.basis[k - 1]
-                            if top[u][0] in below]
-            else:
-                prefixes = sorted(u for beta in below for u in blocks[beta])
-            words = self._eliminate(k, prefixes, targets.__contains__)
-            for beta in targets:
-                blocks[beta] = []
-            new_d = self._dcoords[k]
-            for w in words:
-                blocks[new_d[w][0]].append(w)
+        filled yet, after the blocks below them, filled the same way: one
+        elimination pass per degree, whose prefixes are the complement
+        words of those blocks below.  The recursion is n - max_degree deep,
+        less than that of :meth:`_word_nf` on a word of degree n."""
+        need = set(betas) - self._filled
+        if not need:
+            return
+        # the Z^theta-degrees alpha - e_g, for each group g that alpha counts
+        below = {alpha[:g] + (c - 1,) + alpha[g + 1:]
+                 for alpha in need for g, c in enumerate(alpha) if c}
+        if n - 1 > self.max_degree:
+            self._fill(below, n - 1)
+        prefixes = sorted(u for u, (beta, _) in self._dcoords[n - 1].items()
+                          if beta in below)
+        self._eliminate(n, prefixes, need.__contains__)
+        self._filled |= need
 
     def _eliminate(self, n, prefixes, wanted):
         """One elimination pass at degree n over the candidates u.x, for u
@@ -298,8 +286,7 @@ class NicholsTruncation:
         suffix is a complement word and whose Z^theta-degree ``wanted``
         accepts.  Every candidate gets its normal form in ``nf[n]``, a
         complement word its coordinates in ``_dcoords[n]`` too, and the
-        pass adds its counts to ``_work[n]``.  Returns the complement words
-        in lex order."""
+        pass adds its counts to ``_work[n]``."""
         start = perf_counter()
         spec = self.spec
         L = spec.nletters
@@ -320,7 +307,6 @@ class NicholsTruncation:
             residue_image = self._residue_image(n, rmap)
             exact_dcoords, exact = self._exact_dcoords, self._exact
             residue = rmap.residue
-        words = []
         nf_n = self.nf.setdefault(n, {})
         new_d = self._dcoords.setdefault(n, {})
         before = len(nf_n)
@@ -344,7 +330,6 @@ class NicholsTruncation:
                         got = residue_image(prefix, last, pd)
                         if got is not None \
                                 and certificate.certify(w, beta, got[0]):
-                            words.append(w)
                             nf_n[w] = {w: one}
                             new_d[w] = (beta, got[1])
                             continue
@@ -359,7 +344,6 @@ class NicholsTruncation:
                     nf_n[w] = expr  # w is congruent to expr modulo I(n)
                     continue
                 echelon.insert(img, expr, w)
-                words.append(w)
                 nf_n[w] = {w: one}
                 if rmap is not None:
                     exact[w] = coords
@@ -374,7 +358,6 @@ class NicholsTruncation:
                 0 if rmap is None else certificate.count,
                 len(echelon.inverses), perf_counter() - start)):
             work[i] += count
-        return words
 
     def _image(self, prefix, last, pd):
         """(image, dvecs) of the word prefix.last: ``dvecs[d]`` holds the
@@ -521,12 +504,6 @@ class NicholsTruncation:
         return {w: Scalar(ring, c) for w, c in acc.items()}
 
 
-def _below(beta):
-    """The Z^theta-degrees beta - e_g, for each group g that beta counts."""
-    return [beta[:g] + (c - 1,) + beta[g + 1:]
-            for g, c in enumerate(beta) if c]
-
-
 def _residue_map(ring):
     """The reduction modulo a prime with which the truncation certifies
     linear independence (see :mod:`gknichols.residues`), or None over Q:
@@ -600,14 +577,16 @@ def quantum_symmetrizer(spec, n: int) -> dict:
     Built by the Matsumoto recursion
     S_m = (1 + c_1 + c_2 c_1 + ... + c_{m-1}...c_1) (id (x) S_{m-1}),
     where the right-to-left operator products apply c_1 first, so each
-    shuffle term extends the previous one by a single braiding.
+    shuffle term extends the previous one by a single braiding, from
+    S_0 = id on T^0.
     """
+    if n < 0:
+        raise NicholsError(f"symmetrizer degree {n} is negative")
     if n > 4:
         raise DegreeTooLarge("symmetrizer oracle capped at degree 4")
     L = spec.nletters
-    one = spec.ring.one()
-    table = {(l,): {(l,): one} for l in range(L)}
-    for m in range(2, n + 1):
+    table = {(): {(): spec.ring.one()}}
+    for m in range(1, n + 1):
         new = {}
         for w in product(range(L), repeat=m):
             # apply id (x) S_{m-1}
@@ -626,8 +605,6 @@ def quantum_symmetrizer(spec, n: int) -> dict:
 
 def quantum_symmetrizer_kernel(spec, n: int):
     """Echelon basis of ker S_n in T^n (one vector per dependent word)."""
-    if n == 1:
-        return []
     table = quantum_symmetrizer(spec, n)
     echelon = _Echelon()
     kernel = []
@@ -672,6 +649,8 @@ class Presentation:
 
 def pbw_hilbert_coeffs(p: Presentation, nstar: int):
     """Coefficients up to t^nstar of the PBW generating function."""
+    if nstar < 0:
+        raise NicholsError(f"PBW series degree {nstar} is negative")
     series = [1] + [0] * nstar
     for _, degree, height in p.pbw:
         if degree < 1:
@@ -765,8 +744,15 @@ def z_element(spec, k: int, j: int, n: int, budget: int = DEFAULT_BUDGET):
 
     The cross-check verifies, in B(V), that the point derivation of the
     result equals mu_n times x_k^{n mod 2} x_{(k+1/2)k}^{floor(n/2)}.
-    Returns (element, check_ok).
+    Returns (element, check_ok).  k is a block index, j a point index.
     """
+    if not spec.is_block(k):
+        raise NicholsError(f"k = {k} is not a block index (1..{spec.t})")
+    if not spec.t < j <= spec.theta:
+        raise NicholsError(f"j = {j} is not a point index "
+                           f"({spec.t + 1}..{spec.theta})")
+    if n < 0:
+        raise NicholsError(f"n = {n} is negative")
     if interaction(spec, k, j) is not Interaction.WEAK:
         raise NotWeak(f"interaction between block {k} and point {j} not weak")
     half = f"x{k}h"

@@ -100,7 +100,7 @@ def test_truncation_stats_per_degree():
                               _word_of(omega, (1, 1, 2), rng)])
     assert partial._work.keys() == {3, 4} and partial.max_degree == 2
     partial.extend(4)
-    assert partial._work == {} and partial._blocks == {}
+    assert partial._work == {} and partial._filled == set()
     for t in (trunc, certified, partial):
         assert len(t.stats) == 5
         assert t.stats[0] == {"n": 0, "dim": 1, "ideal_dim": 0,
@@ -170,9 +170,9 @@ def test_truncation_pickles_over_cyclotomic_ring():
     spec, _ = entry_instance("lstr(D(2|1);omega)")
     trunc = compute_truncation(spec, 3)
     _fill_on_demand(trunc, [_word_of(spec, (2, 2, 1), random.Random(5))])
-    assert trunc._blocks and trunc._work
+    assert trunc._filled and trunc._work
     copy = pickle.loads(pickle.dumps(trunc))
-    assert repr(copy._blocks) == repr(trunc._blocks)
+    assert copy._filled == trunc._filled
     trunc.extend(5)
     copy.extend(5)
     assert copy.stats[4]["certified"] > 0
@@ -360,7 +360,7 @@ def test_exact_fallback_over_parameters(name, params, small, monkeypatch):
     for n in (3, 4, 5, 6):
         _fill_on_demand(ours, [tuple(rng.randrange(spec.nletters)
                                      for _ in range(n)) for _ in range(2)])
-    assert ours._blocks and ours.max_degree == 2
+    assert ours._filled and ours.max_degree == 2
     copy = pickle.loads(pickle.dumps(ours))
     for trunc in (ours, copy):
         trunc.extend(6)
@@ -434,7 +434,7 @@ def test_symmetrizer_kernel_equals_ideal():
     for name in ("jordan", "super_jordan", "cyc1"):
         spec, _ = entry_instance(name)
         trunc = compute_truncation(spec, 4)
-        for n in range(2, 5):
+        for n in range(5):
             kernel = quantum_symmetrizer_kernel(spec, n)
             assert len(kernel) == trunc.ideal_dims[n]
             for vec in kernel:
@@ -442,6 +442,21 @@ def test_symmetrizer_kernel_equals_ideal():
                     else TensorElement(spec, vec)
                 zero, _ = is_zero_in_nichols(e, trunc)
                 assert zero
+
+
+def test_symmetrizer_starts_from_degree_zero():
+    """S_0 is the identity of T^0 and S_1 that of T^1; a negative degree is
+    an error."""
+    spec, _ = entry_instance("jordan")
+    one = spec.ring.one()
+    assert quantum_symmetrizer(spec, 0) == {(): {(): one}}
+    assert quantum_symmetrizer(spec, 1) == {(0,): {(0,): one},
+                                            (1,): {(1,): one}}
+    for oracle in (quantum_symmetrizer, quantum_symmetrizer_kernel):
+        for n in (-1, -2):
+            with pytest.raises(nichols.NicholsError,
+                               match=f"symmetrizer degree {n} is negative"):
+                oracle(spec, n)
 
 
 # (entry, degree): 3-5 letters, the symmetrizer oracle to its degree cap
@@ -585,8 +600,10 @@ def test_blocks_filled_on_demand_are_the_full_ones(name):
         low = compute_truncation(spec, 1)
         _fill_on_demand(low, [_word_of(spec, beta, rng)])
         assert low.max_degree == 1
-        assert low._blocks.keys() == _downset(beta, 2), beta
-        for gamma, words in low._blocks.items():
+        assert low._filled == _downset(beta, 2), beta
+        for gamma in low._filled:
+            words = sorted(w for w, (delta, _) in
+                           low._dcoords[sum(gamma)].items() if delta == gamma)
             assert words == [w for w in full.basis[sum(gamma)]
                              if _zdegree(spec, w) == gamma], (beta, gamma)
         for n in range(2, degree + 1):
@@ -681,7 +698,7 @@ def _assert_same_tables(ours, fresh):
         for key in ("n", "dim", "ideal_dim", "candidates", "pivots",
                     "certified", "inverses"):
             assert mine[key] == theirs[key], (mine["n"], key)
-    assert ours._blocks == ours._work == {}
+    assert ours._filled == set() and ours._work == {}
 
 
 @pytest.mark.parametrize("name,params", [
@@ -705,6 +722,25 @@ def test_extend_over_blocks_filled_on_demand(name, params):
     assert ours.max_degree == 4 and ours._work.keys() == {5, 6, 7}
     ours.extend(7)
     _assert_same_tables(ours, compute_truncation(spec, 7))
+
+
+def test_budget_error_during_a_fill_leaves_the_truncation_usable():
+    """A pass that exceeds the budget in the middle of an on-demand fill
+    keeps the blocks filled below it: with a larger budget the same call
+    gives the verdict and witness of a full truncation, and ``extend``
+    its tables."""
+    spec, _ = entry_instance("jordan")
+    e = parse_element("x1^12", spec)
+    ours = compute_truncation(spec, 1, budget=20)
+    with pytest.raises(BudgetExceeded) as info:
+        is_zero_in_nichols(e, ours)
+    assert (info.value.degree, info.value.count) == (11, 22)
+    ours.budget = 100
+    fresh = compute_truncation(spec, 12)
+    assert repr(is_zero_in_nichols(e, ours)) \
+        == repr(is_zero_in_nichols(e, fresh))
+    ours.extend(12)
+    _assert_same_tables(ours, fresh)
 
 
 def _fresh_membership(e, degree):
@@ -764,9 +800,8 @@ def test_a_block_is_eliminated_once(monkeypatch):
         # a pass adds the normal forms of its candidates, and only those,
         # to nf[n]
         before = set(self.nf.get(n, ()))
-        words = eliminate(self, n, *args)
+        eliminate(self, n, *args)
         passes.append((n, self.nf[n].keys() - before))
-        return words
 
     monkeypatch.setattr(NicholsTruncation, "_eliminate", counting)
     one = spec.ring.one()
@@ -775,7 +810,7 @@ def test_a_block_is_eliminated_once(monkeypatch):
                                (2, 2, 3, 3, 0, 1): one})
     is_zero_in_nichols(big, trunc)
     assert [n for n, _ in passes] == [3, 4, 5, 6]
-    assert trunc._blocks.keys() == \
+    assert trunc._filled == \
         (_downset((4, 2, 0), 3) | _downset((2, 2, 2), 3))
     count = len(passes)
     # words of those blocks and of blocks below them
@@ -822,6 +857,16 @@ def test_pbw_hilbert_coeffs_rejects_degree_or_height_below_1(
     with pytest.raises(nichols.NicholsError,
                        match=f"PBW generator {what} must be >= 1"):
         pbw_hilbert_coeffs(p, 3)
+
+
+@pytest.mark.parametrize("pbw", [[], [("a", 1, None)]])
+def test_pbw_hilbert_coeffs_rejects_a_negative_degree(pbw):
+    # with or without generators, as for a degree or height below 1
+    p = Presentation("p", [], pbw)
+    assert pbw_hilbert_coeffs(p, 0) == [1]
+    with pytest.raises(nichols.NicholsError,
+                       match="PBW series degree -1 is negative"):
+        pbw_hilbert_coeffs(p, -1)
 
 
 def test_verify_presentation_reports_failures():
@@ -892,6 +937,18 @@ def test_mu_rank2_vanishing():
     # factor (1 - q11^i qt) vanishes first at i = 2
     assert not mu_rank2(q11, qt, 2).is_zero()
     assert mu_rank2(q11, qt, 3).is_zero()
+
+
+@pytest.mark.parametrize("k,j,n,message", [
+    (1, 5, 1, "j = 5 is not a point index"),
+    (1, 1, 1, "j = 1 is not a point index"),
+    (2, 1, 1, "k = 2 is not a block index"),
+    (0, 2, 1, "k = 0 is not a block index"),
+    (1, 2, -1, "n = -1 is negative")])
+def test_z_element_validates_its_arguments(k, j, n, message):
+    spec, _ = entry_instance("lstr(1,G)", {"G": 1})
+    with pytest.raises(nichols.NicholsError, match=message):
+        z_element(spec, k, j, n)
 
 
 def test_z_element_requires_weak_interaction():
