@@ -165,6 +165,9 @@ class TensorElement:
         return NotImplemented
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ElementError(f"exponent {n} is negative: T(V) has no "
+                               f"inverses")
         out = TensorElement.unit(self.spec)
         for _ in range(n):
             out = out * self

@@ -40,36 +40,33 @@ On every ring but Q, most candidates are complement words, and an exact
 elimination spends most of its time confirming that.  So there the ring's
 ``ResidueMap`` (a ring homomorphism to F_p, p a prime below 2^30, each
 parameter sent to a fixed residue; see :mod:`gknichols.residues`) comes
-first.  ``_dcoords`` holds the residues of the skew-derivation coordinates,
-without zero values, and each candidate's image is built in F_p, from its
-prefix's residue coordinates, the residues of the braiding coefficients and
-those of the degree n-1 normal forms, then reduced by a ``Certificate``
-against the rows certified before it in its Z^theta-block.  A nonzero
-remainder certifies the candidate.  This is exact, not probabilistic: the
-certified rows of a block and the candidate have independent images modulo
-p, so some maximal minor of their matrix is nonzero modulo p, hence nonzero
-over the ring, and the rows are independent there too; in the exact
-elimination each of them is a complement word.  Any residue that cannot be
-used sends the block to the exact elimination: when the remainder is zero
-modulo p, or a residue the image needs is undefined, the block's certified
-words are replayed into the exact echelon in their order, and the rest of
-the block is reduced exactly.  The exact coordinates of a prefix are built
-on demand from those of its own prefix, by the recursion that builds an
-image, and memoised in ``_exact``.
+first, one Z^theta-block at a time.  ``_dcoords`` holds the residues of the
+skew-derivation coordinates, without zero values, and the images of a
+block's candidates are built in F_p in their order, from the prefix's
+residue coordinates, the residues of the braiding coefficients and those of
+the degree n-1 normal forms, each reduced by ``residues.independent``
+against the rows before it.  When every remainder is nonzero, the block is
+certified: its candidates are its complement words.  This is exact, not
+probabilistic: the rows have independent images modulo p, so some maximal
+minor of their matrix is nonzero modulo p, hence nonzero over the ring, and
+the rows are independent there too.  At the first remainder that is zero
+modulo p, or the first image that needs an undefined residue, the whole
+block is eliminated exactly instead, from its first candidate, as over Q.
+The exact coordinates of a prefix are built on demand from those of its own
+prefix, by the recursion that builds an image, and memoised in ``_exact``.
 
-The certified words of a block are its first candidates, so the exact
-echelon of a block sees the rows it would see without the certificate, in
-the same order: the complement, every normal form (term order included) and
-the exact coordinates are those of the exact elimination alone.  An image
-built in F_p has the residues of the exact values, so the certificate
-decides as it would on the exact image sent to F_p; a sum that vanishes
-modulo p only drops its key.  The ``nf`` memo then holds no normal form the
-exact elimination would not, and misses one only where p meets such a
-spurious zero; the ``memo``, ``certified`` and ``pivots`` counts are the
-same for every prime but one that meets a spurious zero or an undefined
-residue.  Over Q (phi(N) = 1 and no parameters) the certificate costs more
-than it saves (see ``_residue_map``): the truncation eliminates exactly
-only, and ``_dcoords`` holds exact coordinates.
+A block is certified or eliminated exactly as a whole, so the complement,
+every normal form (term order included) and the exact coordinates are those
+of the exact elimination alone.  An image built in F_p has the residues of
+the exact values, so the test decides as it would on the exact images sent
+to F_p; a sum that vanishes modulo p only drops its key.  The ``nf`` memo
+then holds no normal form the exact elimination would not, and misses one
+only where p meets such a spurious zero; the ``memo``, ``certified`` and
+``pivots`` counts are the same for every prime but one that meets a
+spurious zero or an undefined residue.  Over Q (phi(N) = 1 and no
+parameters) the certificate costs more than it saves (see
+``_residue_map``): the truncation eliminates exactly only, and
+``_dcoords`` holds exact coordinates.
 
 The normal forms ``nf``, the exact coordinates, the echelon rows and the
 braiding expansion hold ``Scalar`` payloads, on which ``ScalarRing.ops``
@@ -182,9 +179,10 @@ class NicholsTruncation:
     ``stats[n]`` records how degree n was computed: ``dim`` and
     ``ideal_dim``, the ``candidates`` eliminated (the words left by the
     suffix filter), the candidates ``certified`` independent modulo a
-    prime, the exact echelon's ``pivots`` (its complement words and the
-    certified rows replayed into it, so ``dim <= pivots + certified``), the
-    ``inverses`` of pivot leads it took, the normal forms held in ``nf[0]``
+    prime (those before the failure in a block that went exact included),
+    the ``pivots`` of the exact eliminations (the complement words of the
+    blocks eliminated exactly, so ``dim <= pivots + certified``), the
+    ``inverses`` of pivot leads they took, the normal forms held in ``nf[0]``
     to ``nf[n]`` once degree n was done (``memo``), and the ``seconds``
     its elimination passes took.  The blocks of degree n filled on demand
     before ``extend`` reached n count in the record written when degree n
@@ -198,6 +196,8 @@ class NicholsTruncation:
     """
 
     def __init__(self, spec, max_degree: int, budget: int = DEFAULT_BUDGET):
+        if max_degree < 0:
+            raise NicholsError(f"truncation degree {max_degree} is negative")
         self.spec = spec
         self.budget = budget
         self._ops = ops = spec.ring.ops
@@ -284,9 +284,12 @@ class NicholsTruncation:
         """One elimination pass at degree n over the candidates u.x, for u
         in ``prefixes`` (complement words of degree n-1 in lex order), whose
         suffix is a complement word and whose Z^theta-degree ``wanted``
-        accepts.  Every candidate gets its normal form in ``nf[n]``, a
-        complement word its coordinates in ``_dcoords[n]`` too, and the
-        pass adds its counts to ``_work[n]``."""
+        accepts, grouped by Z^theta-block in lex order.  Each block is
+        certified when the images of its candidates in F_p are defined and
+        independent, or else, and always over Q, eliminated exactly in an
+        echelon of its own.  Every candidate gets its normal form in
+        ``nf[n]``, a complement word its coordinates in ``_dcoords[n]`` too,
+        and the pass adds its counts to ``_work[n]``."""
         start = perf_counter()
         spec = self.spec
         L = spec.nletters
@@ -297,21 +300,10 @@ class NicholsTruncation:
         groups = [spec.group_of(x) - 1 for x in range(L)]
         # Z^theta-degree -> those of its words times a letter, per group
         ups = {}
-        image = self._image
-        one = self._ops.one
-        echelon = _Echelon(self._ops)
-        rmap = _residue_map(spec.ring)
-        if rmap is not None:
-            from .residues import Certificate
-            certificate = Certificate(rmap.p)
-            residue_image = self._residue_image(n, rmap)
-            exact_dcoords, exact = self._exact_dcoords, self._exact
-            residue = rmap.residue
-        nf_n = self.nf.setdefault(n, {})
-        new_d = self._dcoords.setdefault(n, {})
-        before = len(nf_n)
+        # Z^theta-degree -> its candidates in lex order
+        blocks = {}
         for prefix in prefixes:
-            counts, pd = prev_d[prefix]
+            counts = prev_d[prefix][0]
             up = ups.get(counts)
             if up is None:
                 up = ups[counts] = [counts[:g] + (c + 1,) + counts[g + 1:]
@@ -321,24 +313,39 @@ class NicholsTruncation:
                 if w[1:] not in prev_d:
                     continue  # the suffix is not a complement word
                 beta = up[groups[last]]
-                if not wanted(beta):
-                    continue  # w lies in a block this pass does not fill
-                if rmap is None:
-                    img, coords = image(prefix, last, pd)
-                else:
-                    if certificate.is_open(beta):
-                        got = residue_image(prefix, last, pd)
-                        if got is not None \
-                                and certificate.certify(w, beta, got[0]):
-                            nf_n[w] = {w: one}
-                            new_d[w] = (beta, got[1])
-                            continue
-                        # the block goes exact, from its certified rows
-                        for v in certificate.replay(beta):
-                            row, exact[v] = image(v[:-1], v[-1],
-                                                  exact_dcoords(v[:-1]))
-                            echelon.insert(row, echelon.reduce(row), v)
-                    img, coords = image(prefix, last, exact_dcoords(prefix))
+                if wanted(beta):
+                    blocks.setdefault(beta, []).append(w)
+        one = self._ops.one
+        image = self._image
+        rmap = _residue_map(spec.ring)
+        if rmap is not None:
+            from .residues import independent
+            residue_image = self._residue_image(n, rmap)
+            exact_dcoords, exact = self._exact_dcoords, self._exact
+            p, residue = rmap.p, rmap.residue
+        nf_n = self.nf.setdefault(n, {})
+        new_d = self._dcoords.setdefault(n, {})
+        work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
+        for beta, words in blocks.items():
+            work[0] += len(words)
+            if rmap is not None:
+                rows = {}  # one per candidate certified so far
+                for w in words:
+                    got = residue_image(w[:-1], w[-1], prev_d[w[:-1]][1])
+                    if got is None or not independent(got[0], rows, p):
+                        break
+                    # a complement word: the exact elimination, if the
+                    # block goes exact, writes the same entries again
+                    nf_n[w] = {w: one}
+                    new_d[w] = (beta, got[1])
+                work[2] += len(rows)
+                if len(rows) == len(words):
+                    continue
+            echelon = _Echelon(self._ops)
+            for w in words:
+                prefix = w[:-1]
+                img, coords = image(prefix, w[-1], prev_d[prefix][1]
+                                    if rmap is None else exact_dcoords(prefix))
                 expr = echelon.reduce(img)
                 if not img:
                     nf_n[w] = expr  # w is congruent to expr modulo I(n)
@@ -351,13 +358,9 @@ class NicholsTruncation:
                     if None in coords:
                         coords = None
                 new_d[w] = (beta, coords)
-        # every candidate, and only a candidate, got an entry in nf_n
-        work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
-        for i, count in enumerate((
-                len(nf_n) - before, len(echelon.pivots),
-                0 if rmap is None else certificate.count,
-                len(echelon.inverses), perf_counter() - start)):
-            work[i] += count
+            work[1] += len(echelon.pivots)
+            work[3] += len(echelon.inverses)
+        work[4] += perf_counter() - start
 
     def _image(self, prefix, last, pd):
         """(image, dvecs) of the word prefix.last: ``dvecs[d]`` holds the
@@ -513,7 +516,10 @@ def _residue_map(ring):
     with the certificate forced onto Q, a truncation to degree 6 took
     4.5 ms instead of 2.7 on cyc1 and 18.3 instead of 11.6 on cyc2, about
     the same on lstr(A2,2) and lstr_-(-1,G), and 26 instead of 31 on
-    poseidon (minimum of 7 runs each)."""
+    poseidon (minimum of 7 runs each).  Membership loses more than poseidon
+    gains: on the bench's member-overshoot workload the median relation
+    took 1.58 ms instead of 0.98 (+61%), while poseidon to degree 6 took
+    33 ms instead of 41."""
     if ring.phi == 1 and not ring.params:
         return None
     from .residues import residue_map

@@ -13,10 +13,9 @@ residue is nonzero is nonzero.  The map is built on first use and cached per
 (N, k), never stored on the ring, so a ``ScalarRing`` and a truncation
 pickle as before.
 
-:class:`Certificate` is how the truncation uses it, on plain ints: the
-nichols module docstring says why a candidate it certifies is a complement
-word and how a block goes back to the exact elimination, when the test
-fails or a residue its images need is undefined.
+:func:`independent` reduces a vector over F_p against an echelon on plain
+ints.  The nichols module docstring says how the truncation certifies a
+Z^theta-block with it, and why that is exact.
 
 The truncation certifies on every ring but Q (``nichols._residue_map``
 decides, and says why) and imports this module only there, so a command
@@ -145,63 +144,29 @@ def residue_map(n: int, nparams: int) -> ResidueMap:
     return make_residue_map(n, *residue_prime(n), nparams)
 
 
-class Certificate:
-    """Independence modulo p for the candidates of one elimination pass.
-
-    ``certify(w, block, vec)`` reduces the image ``vec`` of the candidate w
-    in F_p (a dict key -> nonzero int, consumed) against the rows certified
-    before it, in an echelon over F_p on plain ints.  A nonzero remainder
-    certifies that w is a complement word.  Otherwise, or when a residue of
-    the image is undefined, the truncation eliminates the Z^theta-block of
-    w (``block``, its group counts) exactly: ``replay(block)`` closes it
-    and returns its certified words in order, to be replayed into the
-    exact echelon.  Blocks share no key, so one echelon serves every block
-    of the pass.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        # lead key -> (lead value, row without its lead), unscaled
-        self.pivots = {}
-        # lead key -> inverse of the lead value, for the pivots used so far
-        self.inverses = {}
-        # block -> its certified words in order, or None once it is exact
-        self.words = {}
-        self.count = 0
-
-    def is_open(self, block) -> bool:
-        """False once ``block`` is eliminated exactly."""
-        return self.words.get(block, ()) is not None
-
-    def certify(self, w, block, vec) -> bool:
-        """True when w is certified, its row kept; False when its remainder
-        is zero modulo p."""
-        p, pivots, inverses = self.p, self.pivots, self.inverses
-        while vec:
-            key = max(vec)
-            hit = pivots.get(key)
-            if hit is None:
-                pivots[key] = (vec.pop(key), vec)
-                self.words.setdefault(block, []).append(w)
-                self.count += 1
-                return True
-            lead, row = hit
-            inv = inverses.get(key)
-            if inv is None:
-                inv = inverses[key] = pow(lead, -1, p)
-            f = vec.pop(key) * inv % p
-            for k, x in row.items():
-                # f and x are nonzero modulo the prime p, so a zero sum
-                # means k was in vec
-                s = (vec.get(k, 0) - f * x) % p
-                if s:
-                    vec[k] = s
-                else:
-                    del vec[k]
-        return False
-
-    def replay(self, block) -> list:
-        """Close ``block``: the words certified in it, in order."""
-        words = self.words.get(block, [])
-        self.words[block] = None
-        return words
+def independent(vec: dict, rows: dict, p: int) -> bool:
+    """Reduce ``vec``, a vector over F_p (key -> nonzero int, consumed),
+    against ``rows``, an echelon over F_p on plain ints: True when its
+    remainder is nonzero and becomes a row of ``rows``, False when it is
+    zero.  A row is kept unscaled as ``[lead value, row without its lead,
+    inverse of the lead]``, the inverse taken on the first reduction step
+    that uses the row."""
+    while vec:
+        key = max(vec)
+        hit = rows.get(key)
+        if hit is None:
+            rows[key] = [vec.pop(key), vec, None]
+            return True
+        lead, row, inv = hit
+        if inv is None:
+            inv = hit[2] = pow(lead, -1, p)
+        f = vec.pop(key) * inv % p
+        for k, x in row.items():
+            # f and x are nonzero modulo the prime p, so a zero sum means k
+            # was in vec
+            s = (vec.get(k, 0) - f * x) % p
+            if s:
+                vec[k] = s
+            else:
+                del vec[k]
+    return False

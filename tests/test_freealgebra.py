@@ -67,6 +67,14 @@ def test_product_concatenates_with_coefficients(u, v):
     assert len(p.terms) == 1
 
 
+def test_power_rejects_a_negative_exponent():
+    x = TensorElement.letter(SPEC, "x1")
+    assert x ** 0 == TensorElement.unit(SPEC)
+    assert x ** 2 == x * x
+    with pytest.raises(ElementError, match="exponent -1 is negative"):
+        x ** -1
+
+
 def test_commutator_of_points():
     # on two diagonal points [x, y] = xy - q_xy yx
     spec = BraidedSpaceSpec(RING, [], ["z", "-1"],

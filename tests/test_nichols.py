@@ -118,8 +118,8 @@ def test_truncation_stats_per_degree():
             assert record["dim"] + record["ideal_dim"] \
                 == t.spec.nletters ** n
             # a complement word is certified or an exact pivot, and the
-            # exact pivots are complement words, the certified rows of a
-            # replayed block among them
+            # exact pivots are complement words, the candidates certified in
+            # a block that then went exact among them
             assert record["pivots"] <= record["dim"] \
                 <= record["pivots"] + record["certified"]
             assert record["inverses"] <= record["pivots"]
@@ -306,8 +306,8 @@ def test_certificate_leaves_every_table_unchanged(order, monkeypatch):
     included: the truncation to degree 5 is the same with the certificate
     and with the exact elimination alone.  With the smallest prime
     p = 1 (mod N), whose spurious dependencies and denominators divisible
-    by p send blocks through the replay of their certified rows, only the
-    word set of the ``nf`` memo may differ (see _certificate_runs)."""
+    by p send blocks to the exact elimination, only the word set of the
+    ``nf`` memo may differ (see _certificate_runs)."""
     ring = ScalarRing(order)
     p = next(m for m in range(order + 1, 10 ** 4, order)
              if _is_prime(m))
@@ -347,7 +347,7 @@ def test_exact_fallback_over_parameters(name, params, small, monkeypatch):
     every word either one memoises, and the exact coordinates of the
     complement words, built on demand, equal to the exact ``_dcoords``,
     dict order included.  With the smallest prime, spurious dependencies
-    and undefined residues send blocks through replays."""
+    and undefined residues send more blocks to the exact elimination."""
     spec, _ = entry_instance(name, params)
     with monkeypatch.context() as m:
         m.setattr(nichols, "_residue_map", lambda ring: None)
@@ -374,6 +374,29 @@ def test_exact_fallback_over_parameters(name, params, small, monkeypatch):
         assert sum(record["certified"] for record in trunc.stats) > 0
         # some blocks went exact, from their certified rows
         assert sum(record["pivots"] for record in trunc.stats) > 0
+
+
+def test_braiding_coefficient_without_residue(monkeypatch):
+    """Over Q(omega) modulo p = 7, the braiding coefficients 7 and 1/7 have
+    no residue, so every block whose images need them is eliminated
+    exactly: only the letter x1 is certified, and the tables are those of
+    the exact elimination alone."""
+    spec = BraidedSpaceSpec(ScalarRing(3), [], ["-1", "z"],
+                            [["-1", "1/7"], ["7", "z"]])
+    with monkeypatch.context() as m:
+        m.setattr(nichols, "_residue_map", lambda ring: None)
+        fresh = compute_truncation(spec, 5)
+    rmap = make_residue_map(3, *residue_prime(3, 8))
+    assert rmap.p == 7
+    monkeypatch.setattr(residues, "residue_map", lambda n, k: rmap)
+    trunc = compute_truncation(spec, 5)
+    assert trunc.dims == fresh.dims == [1, 2, 2, 1, 0, 0]
+    assert [record["certified"] for record in trunc.stats] \
+        == [0, 1, 0, 0, 0, 0]
+    assert repr(trunc.basis) == repr(fresh.basis)
+    for n in range(6):
+        for w in trunc.nf[n].keys() | fresh.nf[n].keys():
+            assert repr(trunc._word_nf(w)) == repr(fresh._word_nf(w)), w
 
 
 def test_budget_is_enforced():
@@ -867,6 +890,14 @@ def test_pbw_hilbert_coeffs_rejects_a_negative_degree(pbw):
     with pytest.raises(nichols.NicholsError,
                        match="PBW series degree -1 is negative"):
         pbw_hilbert_coeffs(p, -1)
+
+
+def test_truncation_rejects_a_negative_degree():
+    spec, _ = entry_instance("jordan")
+    assert compute_truncation(spec, 0).dims == [1]
+    with pytest.raises(nichols.NicholsError,
+                       match="truncation degree -2 is negative"):
+        compute_truncation(spec, -2)
 
 
 def test_verify_presentation_reports_failures():

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from gknichols import (DiagonalBraiding, DynkinDiagram, ScalarRing,
                        cartan_coeff, cartan_data, classify_cartan, dynkin,
                        match_table_pattern, reflect)
-from gknichols.weyl import (UNDEFINED, AffineType, FiniteType, OTHER,
-                            ReflectionUndefined, WeylError, detect_cartan)
+from gknichols.weyl import (UNDEFINED, AffineType, CartanData, FiniteType,
+                            OTHER, ReflectionUndefined, WeylError,
+                            detect_cartan)
 
 
 def triangle():
@@ -81,6 +82,29 @@ def test_classify_cartan_affine_a1():
     data = cartan_data(d)
     verdict = classify_cartan(data)
     assert verdict == AffineType("A1(1)") or isinstance(verdict, AffineType)
+
+
+def _simply_laced(rank, edges):
+    """The Cartan data with c_ij = c_ji = -1 on ``edges`` and 0 off them."""
+    matrix = {(i, j): 0 for i in range(1, rank + 1)
+              for j in range(1, rank + 1) if i != j}
+    for i, j in edges:
+        matrix[(i, j)] = matrix[(j, i)] = -1
+    return CartanData(rank, matrix)
+
+
+@pytest.mark.parametrize("rank,edges,expected", [
+    (4, [(1, 2), (2, 3), (2, 4)], FiniteType("D4")),
+    (5, [(1, 2), (2, 3), (3, 4), (3, 5)], FiniteType("D5")),
+    (3, [(1, 2), (2, 3), (3, 1)], AffineType("A2(1)")),
+    (4, [(1, 2), (2, 3), (3, 4), (4, 1)], AffineType("A3(1)")),
+    (5, [(1, 2), (1, 3), (1, 4), (1, 5)], AffineType("D4(1)")),
+    (6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)], AffineType("D5(1)")),
+    (6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)], OTHER),  # E6-shaped
+    (5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)], OTHER),  # a 5-cycle
+], ids=["D4", "D5", "A2(1)", "A3(1)", "D4(1)", "D5(1)", "E6", "5-cycle"])
+def test_classify_cartan_d_and_affine(rank, edges, expected):
+    assert classify_cartan(_simply_laced(rank, edges)) == expected
 
 
 def test_cartan_coeff_rejects_equal_indices():
