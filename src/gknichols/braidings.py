@@ -432,11 +432,14 @@ def spec_from_json(obj) -> BraidedSpaceSpec | PaleBlockPointSpec:
         j, k = _index_pair(key)
         if not 1 <= k <= len(blocks):
             raise SpecError(f"ghost ({j},{k}): {k} is not a block index")
+        eps = blocks[k - 1][0]
+        if eps != ring.one() and eps != -ring.one():
+            raise SpecError(f"ghost ({j},{k}): block {k} has epsilon "
+                            f"{print_scalar(eps)}, not +-1, so no ghost")
         if f"{j},{k}" in avals:
             continue
         g = _norm_scalar(ring, gval)
-        avals[f"{j},{k}"] = g / ring.from_int(-2) \
-            if blocks[k - 1][0] == ring.one() else g
+        avals[f"{j},{k}"] = g / ring.from_int(-2) if eps == ring.one() else g
     return BraidedSpaceSpec(ring, blocks, obj.get("points", []), obj["q"],
                             avals)
 

@@ -13,6 +13,12 @@ ghost (``_attachment``).  One assembler, ``_assemble``, turns a block sign
 and its components into the spec and the presentation: the Jordan and super
 Jordan planes have no component, the single-component entries have one, and
 a composition has several, for which it adds the cross q-commutation family.
+
+Each entry is one declaration in the registry at the end of the module.  A
+single-component entry is ``_single(name, make, **defaults)``: the keys of
+``defaults`` are the entry's parameter keys, and ``make`` gets the
+parameters merged over them as keywords, for ``instantiate`` and
+``compose`` alike.
 """
 
 import re
@@ -137,27 +143,33 @@ def _assemble(name, eps, comps, params):
 
     The components' points follow the block in order.  Components reuse
     macro names (z0, z1, ...), so with more than one each component's are
-    qualified ``c{i}_``.
+    qualified ``c{i}_``.  The ring's order M is the lcm of the components'
+    orders; a component's scalar texts write ``z`` for its own zeta_N,
+    which is zeta_M^(M/N) there.
     """
-    ring = ScalarRing(lcm(*(c.ring_order for c in comps)),
-                      params=tuple(sorted({p for c in comps
-                                           for p in c.ring_params})))
-    offsets, labels, qbp, avals, bounds = [], [], [], {}, []
+    order = lcm(*(c.ring_order for c in comps))
+    ring = ScalarRing(order, params=tuple(sorted({p for c in comps
+                                                  for p in c.ring_params})))
+    offsets, labels, qbp, qpp, avals, bounds = [], [], [], [], {}, []
     for c in comps:
+        ren = {"z": f"(z^{order // c.ring_order})"} \
+            if order > c.ring_order else {}
         a, bound = _attachment(eps, c.ghost)
         if a is not None:
             avals[(2 + len(labels), 1)] = a
         offsets.append(len(labels))
         bounds += [bound] + [0] * (len(c.labels) - 1)
-        labels += c.labels
-        qbp += c.qmat_bp or [("1", "1")] * len(c.labels)
+        labels += [_rename(lbl, ren) for lbl in c.labels]
+        qbp += [(_rename(qb, ren), _rename(pb, ren))
+                for qb, pb in c.qmat_bp or [("1", "1")] * len(c.labels)]
+        qpp.append({ij: _rename(val, ren) for ij, val in c.qmat_pp.items()})
     theta = 1 + len(labels)
     qm = [["1"] * theta for _ in range(theta)]
     qm[0][0] = str(eps)
     for j, (qb, pb) in enumerate(qbp, start=1):
         qm[0][j], qm[j][0], qm[j][j] = qb, pb, labels[j - 1]
-    for off, c in zip(offsets, comps):
-        for (i, j), val in c.qmat_pp.items():
+    for off, edges in zip(offsets, qpp):
+        for (i, j), val in edges.items():
             qm[off + i][off + j] = val
     spec = BraidedSpaceSpec(ring, [(eps, 2)], labels, qm, avals)
 
@@ -219,6 +231,7 @@ def _ghost_one(pts):
 
 
 def _lstr_component(eps, point, G, q12):
+    G = _integer("G", G)
     if G < 1:
         raise BadParams("ghost must be a positive integer")
     _, bound = _attachment(eps, G)
@@ -504,12 +517,8 @@ def _d21_component():
                  f"{p3}^3", "x34^3", "x334^3", f"{p4}^3",
                  f"[x1h23, {p2}]^3",
                  f"[[ztt1234, {p3}], {p3}]^3",
-                 f"[[[x1h23, x24], {p3}], {p3}]^3",
                  "ztt1234^3",
                  "[ztt1234, x334]^3"]
-        # the second and third entries above coincide once the macros are
-        # expanded; keep the proposition's list but drop the duplicate
-        del rels[18]
         kpbw = [("x1h2", 2), ("ztt12", 2), ("ztt123", 3),
                 ("ztt1234", 3), (f"[ztt1234, {p3}]", 3),
                 (f"[[ztt1234, {p3}], {p3}]", 3),
@@ -586,6 +595,7 @@ def _simply_laced_positive_roots(adj, n):
 
 def _a_chain_component(theta):
     """A chain of theta-1 points, all labels -1, ghost 1 on the first."""
+    theta = _integer("theta", theta)
     if theta < 3:
         raise BadParams("theta must be >= 3")
     if theta > 6:
@@ -637,26 +647,26 @@ def _a_chain_component(theta):
         | {(i + 1, i): "1" for i in range(1, npts)})
 
 
-def _point_component(label, ring_order=1):
+def _point_component(label, order):
     """A ghost-0 point disconnected from everything else."""
-    ring_order = _integer("order", ring_order)
-    if not 1 <= ring_order <= MAX_CYCLOTOMIC_ORDER:
+    order = _integer("order", order)
+    if not 1 <= order <= MAX_CYCLOTOMIC_ORDER:
         raise BadParams(f"parameter 'order' must be in "
-                        f"1..{MAX_CYCLOTOMIC_ORDER}, got {ring_order}")
-    lab = _scalar("label", label, ScalarRing(ring_order))
-    order = lab.mult_order()
+                        f"1..{MAX_CYCLOTOMIC_ORDER}, got {order}")
+    lab = _scalar("label", label, ScalarRing(order))
+    height = lab.mult_order()
 
     def build(spec, pts):
         p = pts[0]
         rels = [f"[{p}, x1]", f"[{p}, x1h]"]
-        if order is not None and order > 1:
-            rels.append(f"{p}^{order}")
-            kpbw = [(p, order)]
+        if height is not None and height > 1:
+            rels.append(f"{p}^{height}")
+            kpbw = [(p, height)]
         else:
             kpbw = [(p, INF)]
         return rels, {}, kpbw
 
-    return _Component([str(label)], build, ring_order=ring_order,
+    return _Component([str(label)], build, ring_order=order,
                       domain_k=lab.is_one())
 
 
@@ -840,9 +850,8 @@ def _eny(kind, params):
 
 
 class CatalogEntry:
-    def __init__(self, name, signature, builder, keys=(), component=None):
+    def __init__(self, name, builder, keys=(), component=None):
         self.name = name
-        self.signature = signature
         self.builder = builder
         self.keys = keys            # the parameter keys the builder reads
         self.component = component  # fn(params) -> _Component, when composable
@@ -856,72 +865,46 @@ class CatalogEntry:
                 f"{self.name} (known: {known})")
 
 
-def _single(name, signature, keys, comp_fn):
-    def builder(params):
-        comp = comp_fn(params)
-        return _assemble(name, comp.eps, [comp], params)
-    return CatalogEntry(name, signature, builder, keys, comp_fn)
-
-
 _REGISTRY = {}
 
 
-def _register(entry):
-    _REGISTRY[entry.name] = entry
+def _register(name, builder, keys=(), component=None):
+    _REGISTRY[name] = CatalogEntry(name, builder, keys, component)
 
 
-_register(CatalogEntry("jordan", "no parameters",
-                       partial(_assemble, "jordan", 1, [])))
-_register(CatalogEntry("super_jordan", "no parameters",
-                       partial(_assemble, "super_jordan", -1, [])))
+def _single(name, make, **defaults):
+    """Register the one-component entry ``name``: its component is
+    ``make(**params)``, the parameters merged over ``defaults``, whose keys
+    are the entry's keys."""
+    def component(params):
+        return make(**{**defaults, **params})
+
+    def builder(params):
+        comp = component(params)
+        return _assemble(name, comp.eps, [comp], params)
+    _register(name, builder, tuple(defaults), component)
 
 
-def _mk_lstr(name, eps, point):
-    def comp(params):
-        G = _integer("G", params.get("G", 1))
-        q12 = params.get("q12", 1)
-        return _lstr_component(eps, point, G, q12)
-    _register(_single(name, "G in N; optional q12", ("G", "q12"), comp))
-
-
-_mk_lstr("lstr(1,G)", 1, 1)
-_mk_lstr("lstr(-1,G)", 1, -1)
-_mk_lstr("lstr_-(1,G)", -1, 1)
-_mk_lstr("lstr_-(-1,G)", -1, -1)
-_register(_single("lstr(omega,1)", "optional q12", ("q12",),
-                  lambda params: _lstr_component(
-                      1, "omega", 1, params.get("q12", 1))))
-_register(_single("cyc1", "optional q12", ("q12",),
-                  lambda params: _cyc1_component(params.get("q12", 1))))
-_register(_single("cyc2", "no parameters", (),
-                  lambda params: _cyc2_component()))
-_register(_single("lstr(A(1|0)1;r)", "r: root order N >= 3 or 'generic'",
-                  ("r",),
-                  lambda params: _a10_1_component(params.get("r", 4))))
-_register(_single("lstr(A(1|0)2;omega)", "no parameters", (),
-                  lambda params: _a10_2_component()))
-_register(_single("lstr(A(1|0)3;omega)", "no parameters", (),
-                  lambda params: _a10_3_component()))
-_register(_single("lstr(A(2|0)1;omega)", "no parameters", (),
-                  lambda params: _a20_1_component()))
-_register(_single("lstr(D(2|1);omega)", "no parameters", (),
-                  lambda params: _d21_component()))
-_register(_single("lstr(A2,2)", "no parameters", (),
-                  lambda params: _a2_2_component()))
-_register(_single("lstr(A_theta-1)", "theta in 3..6", ("theta",),
-                  lambda params: _a_chain_component(
-                      _integer("theta", params.get("theta", 3)))))
-_register(_single("point", "label: scalar (ghost-0 disconnected point)",
-                  ("label", "order"),
-                  lambda params: _point_component(
-                      params.get("label", 1), params.get("order", 1))))
-_register(CatalogEntry("poseidon",
-                       "t, signs, ghosts, label, optional q", _poseidon,
-                       ("t", "signs", "ghosts", "label", "q")))
+_register("jordan", partial(_assemble, "jordan", 1, []))
+_register("super_jordan", partial(_assemble, "super_jordan", -1, []))
+_single("lstr(1,G)", partial(_lstr_component, 1, 1), G=1, q12=1)
+_single("lstr(-1,G)", partial(_lstr_component, 1, -1), G=1, q12=1)
+_single("lstr_-(1,G)", partial(_lstr_component, -1, 1), G=1, q12=1)
+_single("lstr_-(-1,G)", partial(_lstr_component, -1, -1), G=1, q12=1)
+_single("lstr(omega,1)", partial(_lstr_component, 1, "omega", 1), q12=1)
+_single("cyc1", _cyc1_component, q12=1)
+_single("cyc2", _cyc2_component)
+_single("lstr(A(1|0)1;r)", _a10_1_component, r=4)
+_single("lstr(A(1|0)2;omega)", _a10_2_component)
+_single("lstr(A(1|0)3;omega)", _a10_3_component)
+_single("lstr(A(2|0)1;omega)", _a20_1_component)
+_single("lstr(D(2|1);omega)", _d21_component)
+_single("lstr(A2,2)", _a2_2_component)
+_single("lstr(A_theta-1)", _a_chain_component, theta=3)
+_single("point", _point_component, label=1, order=1)
+_register("poseidon", _poseidon, ("t", "signs", "ghosts", "label", "q"))
 for _kind in ("eny_plus", "eny_minus", "eny_star"):
-    _register(CatalogEntry(
-        _kind, "q: nonzero scalar (default transcendental)",
-        (lambda k: lambda params: _eny(k, params))(_kind), ("q",)))
+    _register(_kind, partial(_eny, _kind), ("q",))
 
 
 def list_entries():

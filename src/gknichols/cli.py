@@ -260,6 +260,9 @@ def _cmd_member(args):
 
 def _cmd_verify(args):
     if args.name:
+        if args.spec or args.presentation:
+            raise ValueError("verify --name takes no spec file and no "
+                             "--presentation")
         from . import catalog
         params = _parse_params(args.params or [])
         spec, pres = catalog.instantiate(args.name, params)
@@ -267,6 +270,8 @@ def _cmd_verify(args):
         if not args.spec or not args.presentation:
             raise ValueError(
                 "verify needs --name <entry> or <spec.json> --presentation")
+        if args.params:
+            raise ValueError("verify --params needs --name")
         spec = _load_spec(args.spec)
         pres = _presentation_from_json(_load_json(args.presentation))
     report = verify_presentation(pres, _truncation(spec, args),

@@ -222,11 +222,14 @@ def _jordan_point_json(**changes):
     _jordan_point_json(a={"2,1": False}),
     _jordan_point_json(ghost={"2,1": True}),
     {"pale": {"epsilon": "-1", "q12": True, "q21": "1", "q22": "1"}},
+    _jordan_point_json(ring={"cyclotomic_order": 3},
+                       blocks=[{"epsilon": "z", "length": 2}],
+                       q=[["z", "1"], ["1", "-1"]], ghost={"2,1": "1"}),
 ], ids=["list", "small-q", "ragged-q", "ghost-block", "a-vertex", "a-key",
         "no-epsilon", "str-length", "no-point-q", "str-order", "no-q",
         "pale-list", "pale-missing", "pale-extra", "pale-zero",
         "pale-list-scalar", "bool-point", "bool-q",
-        "bool-epsilon", "bool-a", "bool-ghost", "bool-pale"])
+        "bool-epsilon", "bool-a", "bool-ghost", "bool-pale", "ghost-epsilon"])
 def test_malformed_spec_json_raises_spec_error(obj):
     with pytest.raises(SpecError):
         spec_from_json(obj)

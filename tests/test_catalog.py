@@ -119,12 +119,30 @@ def test_unknown_entry_raises():
         catalog.instantiate("lstr(A_theta-1)", {"theta": 7})
 
 
-@pytest.mark.parametrize("name,key", [
-    ("lstr(1,G)", "g"), ("cyc2", "G"), ("point", "lable"), ("poseidon", "T"),
-    ("eny_plus", "r")])
+# the parameter keys of each entry, as its unknown-key error lists them
+_KNOWN_KEYS = {
+    "jordan": "none", "super_jordan": "none",
+    "lstr(1,G)": "G, q12", "lstr(-1,G)": "G, q12", "lstr_-(1,G)": "G, q12",
+    "lstr_-(-1,G)": "G, q12", "lstr(omega,1)": "q12", "cyc1": "q12",
+    "cyc2": "none", "lstr(A(1|0)1;r)": "r", "lstr(A(1|0)2;omega)": "none",
+    "lstr(A(1|0)3;omega)": "none", "lstr(A(2|0)1;omega)": "none",
+    "lstr(D(2|1);omega)": "none", "lstr(A2,2)": "none",
+    "lstr(A_theta-1)": "theta", "point": "label, order",
+    "poseidon": "t, signs, ghosts, label, q", "eny_plus": "q",
+    "eny_minus": "q", "eny_star": "q"}
+_KEY_CASES = [("lstr(1,G)", "g"), ("cyc2", "G"), ("point", "lable"),
+              ("poseidon", "T"), ("eny_plus", "r")]
+
+
+@pytest.mark.parametrize("name,key", _KEY_CASES + [
+    (name, "nonsense") for name in catalog.list_entries()
+    if name != "compose" and name not in dict(_KEY_CASES)])
 def test_unknown_parameter_key_raises(name, key):
-    with pytest.raises(catalog.BadParams, match=f"unknown parameter '{key}'"):
+    with pytest.raises(catalog.BadParams,
+                       match=f"unknown parameter '{key}'") as err:
         catalog.instantiate(name, {key: 1})
+    assert str(err.value) == (f"unknown parameter '{key}' for {name} "
+                              f"(known: {_KNOWN_KEYS[name]})")
 
 
 @pytest.mark.parametrize("name,params,message", [
@@ -177,6 +195,24 @@ def test_bad_parameter_value_raises(name, params, message):
     key."""
     with pytest.raises(catalog.BadParams, match=message):
         catalog.instantiate(name, params)
+
+
+@pytest.mark.parametrize("items, message", [
+    ([], "nothing to compose"),
+    ([("poseidon", {}), ("lstr(1,G)", {})],
+     "'poseidon' is not a single-block component entry"),
+    ([("lstr(1,G)", {}), ("lstr_-(1,G)", {})], "component block signs differ"),
+], ids=["empty", "not-a-component", "signs-differ"])
+def test_compose_rejects_bad_items(items, message):
+    with pytest.raises(catalog.IncompatibleComponents) as err:
+        catalog.compose(items)
+    assert str(err.value) == message
+
+
+def test_instantiate_refers_compositions_to_compose():
+    with pytest.raises(catalog.BadParams,
+                       match="use catalog.compose for compositions"):
+        catalog.instantiate("compose")
 
 
 def test_compose_rejects_unknown_parameter_key():
@@ -259,9 +295,13 @@ def test_lookup_agrees_with_classify():
     ([("lstr(1,G)", {"G": 1}), ("lstr(1,G)", {"G": 1, "q12": 2})], 3, 6),
     ([("lstr(1,G)", {"G": 1}), ("lstr(omega,1)", {})], 3, 4),
     ([("lstr(1,G)", {"G": 1}), ("lstr(A(1|0)3;omega)", {})], 4, 4),
-], ids=["plus-minus", "second-q12", "second-omega", "second-a10-3"])
+    ([("lstr(A(1|0)1;r)", {"r": 3}), ("lstr(A(1|0)1;r)", {"r": 4})], 5, 2),
+    ([("lstr(omega,1)", {}), ("point", {"label": "z", "order": 4})], 3, 2),
+], ids=["plus-minus", "second-q12", "second-omega", "second-a10-3",
+        "orders-3-4", "omega-and-i"])
 def test_compose_two_components(items, theta, gk):
-    """Each component reads the q-data of its own first point."""
+    """Each component reads the q-data of its own first point, and its
+    roots of unity keep their orders in the composed ring."""
     spec, pres = catalog.compose(items)
     assert isinstance(spec, BraidedSpaceSpec)
     # one shared block, the components' points after it

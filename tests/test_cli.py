@@ -369,16 +369,24 @@ def test_probe_stops_at_a_zero_y(tmp_path):
     assert out["evidence"] == "INCONCLUSIVE" and out["nonzero_y"] == [0]
 
 
-def test_usage_errors_exit_1(jordan_spec_file):
+def test_usage_errors_exit_1(jordan_spec_file, tmp_path):
     """Each usage error exits 1 with one ``gknichols: error:`` line on
     stderr and no usage block."""
     spec = jordan_spec_file
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"relations": [], "pbw": []}))
     cases = [("frobnicate",),
              ("dims", "/nonexistent.json", "--max-degree", "2"),
              ("verify", "--max-degree", "3"),
              ("dims", spec, "--max-degree", "-3"),
              ("probe", spec, "--i", "x1", "--j", "x1h", "--count", "-1",
               "--max-degree", "3"),
+             # each of these would otherwise run, ignoring an argument
+             ("verify", spec, "--name", "jordan", "--max-degree", "2"),
+             ("verify", "--name", "jordan", "--presentation", str(pres),
+              "--max-degree", "2"),
+             ("verify", spec, "--presentation", str(pres), "--params", "G=1",
+              "--max-degree", "2"),
              ("dims", spec, "--max-degree", "2", "--budget", "-1")]
     for args in cases:
         r = run_cli(*args)
