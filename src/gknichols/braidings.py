@@ -474,6 +474,8 @@ def diagonal_from_json(obj) -> DiagonalBraiding:
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise SpecError("diagonal braiding must be a JSON object")
+    if obj.get("blocks") or "pale" in obj:
+        raise SpecError("a diagonal braiding has no blocks and no pale block")
     if not obj.get("q"):
         raise SpecError("diagonal braiding needs a nonempty 'q' matrix")
     ring = ring_from_json(obj.get("ring", {}))

@@ -14,8 +14,8 @@ whose names here are the spec's letters and a macro table's keys;
 from __future__ import annotations
 
 from .braidings import SpecError
-from .scalars import SCALAR_OPS, GKNicholsError, Scalar, join_terms, \
-    parse_tree, scalar_value
+from .scalars import SCALAR_OPS, GKNicholsError, Scalar, evaluate, \
+    join_terms, parse_tree, scalar_value
 
 
 class ElementError(GKNicholsError):
@@ -294,36 +294,21 @@ def parse_element(text: str, spec, macros=None) -> TensorElement:
 
 
 def _element(node, spec, macros) -> TensorElement:
-    kind = node[0]
-    if kind == "sum":
-        terms = node[1]
-        value = _element(terms[0][1], spec, macros)
-        for negate, term in terms[1:]:
-            other = _element(term, spec, macros)
-            value = value - other if negate else value + other
-        return value
-    if kind == "prod":
-        factors = node[1]
-        value = _element(factors[0], spec, macros)
-        for factor in factors[1:]:
-            value = value * _element(factor, spec, macros)
-        return value
-    if kind == "pow":
-        return _element(node[1], spec, macros) ** node[2]
-    if kind == "neg":
-        return -_element(node[1], spec, macros)
-    if kind == "comm":
-        return braided_commutator(_element(node[1], spec, macros),
-                                  _element(node[2], spec, macros))
-    if kind == "letter":
-        return TensorElement.letter(spec, node[1])
-    if kind == "macro":
-        value = macros[node[1]]
-        if isinstance(value, str):
-            value = parse_element(value, spec, macros)
-            macros[node[1]] = value
-        return value
-    return TensorElement.unit(spec).scale(scalar_value(node, spec.ring))
+    def leaf(node):
+        kind = node[0]
+        if kind == "comm":
+            return braided_commutator(evaluate(node[1], leaf),
+                                      evaluate(node[2], leaf))
+        if kind == "letter":
+            return TensorElement.letter(spec, node[1])
+        if kind == "macro":
+            value = macros[node[1]]
+            if isinstance(value, str):
+                value = parse_element(value, spec, macros)
+                macros[node[1]] = value
+            return value
+        return TensorElement.unit(spec).scale(scalar_value(node, spec.ring))
+    return evaluate(node, leaf)
 
 
 def expression_degree(text: str, spec, macros=None) -> int:

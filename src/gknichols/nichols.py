@@ -5,9 +5,11 @@ I(1) = 0,  I(n) = { t in T^n : partial_i(t) in I(n-1) for every letter i },
 so B^n = T^n / I(n).  Degree n is obtained by incremental sparse elimination:
 candidate words are processed in increasing (length, lex) order and each
 either joins the monomial complement spanning B^n or yields a reduced ideal
-element whose leading (largest) monomial is that word.  The coordinates of
-all skew derivations of each complement word in the previous complement are
-kept, so that degree n only needs degree n-1 data.
+element whose leading (largest) monomial is that word: the image of w gets a
+label coordinate (-1, w), below its keys (d, cw), and reduces to the label
+coordinates of w - nf(w).  The coordinates of all skew derivations of each
+complement word in the previous complement are kept, so that degree n only
+needs degree n-1 data.
 
 The complement is factor-closed, so the candidates of degree n are only the
 words u.x with u in the degree n-1 complement, x a letter and the suffix of
@@ -115,61 +117,46 @@ class NotWeak(NicholsError):
 
 
 class _Echelon:
-    """Incremental sparse echelon form, tracking expressions.
+    """Incremental sparse echelon form.
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
     values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``.
-    A pivot row is stored as it was reduced, unscaled: its lead value, the
-    rest of the row, and its label with the combination ``expr`` of earlier
-    labels, the row being the image of ``label - expr``.  The inverse of
-    the lead is taken on the first reduction step that uses the pivot and
-    kept, so a pivot that never reduces anything costs no inverse.  A step
-    cancelling the entry c at a pivot's lead costs one factor
-    ``f = -c / lead`` and adds ``f * row`` to the vector and
-    ``f * (expr - label)`` to the combination.
+    A pivot row is kept as it was reduced, unscaled, and the inverse of its
+    lead is taken on the first reduction step that uses it, so a pivot that
+    never reduces anything costs no inverse.  A step cancelling the entry c
+    at a lead adds ``-c / lead`` times the row.  To track combinations, a
+    caller gives each vector a label coordinate of value one, keyed below
+    every key it can pivot on: a vector is dependent when it reduces to its
+    label coordinates, which then hold a combination of labels whose
+    vectors sum to zero.
     """
 
     def __init__(self, ops=SCALAR_OPS):
         self.ops = ops
-        # lead key -> (lead value, row without its lead, label, expr)
+        # lead key -> (lead value, row without its lead)
         self.pivots = {}
         # lead key -> inverse of the lead value, for the pivots used so far
         self.inverses = {}
 
-    def reduce(self, img):
-        """Reduce ``img`` in place until its leading key is not a pivot.
-
-        Returns ``expr`` with ``img_before == img_after + image(expr)``,
-        where image(label) is the vector inserted under that label.
-        """
+    def reduce(self, vec):
+        """Reduce ``vec`` in place until its leading key is not a pivot;
+        return that key, or None when ``vec`` reduces to zero."""
         pivots, inverses, ops = self.pivots, self.inverses, self.ops
         mul, neg = ops.mul, ops.neg
-        expr = {}
-        while img:
-            key = max(img)
+        while vec:
+            key = max(vec)
             hit = pivots.get(key)
             if hit is None:
-                break
-            lead, row, label, row_expr = hit
+                return key
             inv = inverses.get(key)
             if inv is None:
-                inv = inverses[key] = ops.inv(lead)
-            step = mul(img.pop(key), inv)  # c / lead
-            f = neg(step)
-            add_into(img, row, f, ops)
-            add_term(expr, label, step, ops)
-            add_into(expr, row_expr, f, ops)
-        return expr
+                inv = inverses[key] = ops.inv(hit[0])
+            add_into(vec, hit[1], neg(mul(vec.pop(key), inv)), ops)
 
-    def insert(self, img, expr, label):
-        """Make the reduced, nonzero ``img`` a pivot row.
-
-        ``img`` and ``expr`` are the outcome of :meth:`reduce` on the
-        vector inserted under ``label``, so ``img`` is the image of
-        ``label - expr``; both are kept, not copied.
-        """
-        key = max(img)
-        self.pivots[key] = (img.pop(key), img, label, expr)
+    def insert(self, vec, key):
+        """Make ``vec``, which :meth:`reduce` left at the leading key
+        ``key``, a pivot row; it is kept, not copied."""
+        self.pivots[key] = (vec.pop(key), vec)
 
 
 class NicholsTruncation:
@@ -315,7 +302,7 @@ class NicholsTruncation:
                 beta = up[groups[last]]
                 if wanted(beta):
                     blocks.setdefault(beta, []).append(w)
-        one = self._ops.one
+        one, neg = self._ops.one, self._ops.neg
         image = self._image
         rmap = _residue_map(spec.ring)
         if rmap is not None:
@@ -346,11 +333,13 @@ class NicholsTruncation:
                 prefix = w[:-1]
                 img, coords = image(prefix, w[-1], prev_d[prefix][1]
                                     if rmap is None else exact_dcoords(prefix))
-                expr = echelon.reduce(img)
-                if not img:
-                    nf_n[w] = expr  # w is congruent to expr modulo I(n)
+                img[(-1, w)] = one  # the label coordinate of w
+                key = echelon.reduce(img)
+                if key[0] == -1:  # img is w - nf(w), an element of I(n)
+                    del img[key]
+                    nf_n[w] = {u: neg(c) for (_, u), c in img.items()}
                     continue
-                echelon.insert(img, expr, w)
+                echelon.insert(img, key)
                 nf_n[w] = {w: one}
                 if rmap is not None:
                     exact[w] = coords
@@ -612,16 +601,19 @@ def quantum_symmetrizer(spec, n: int) -> dict:
 def quantum_symmetrizer_kernel(spec, n: int):
     """Echelon basis of ker S_n in T^n (one vector per dependent word)."""
     table = quantum_symmetrizer(spec, n)
+    if n == 0:
+        return []  # S_0 is the identity
     echelon = _Echelon()
     kernel = []
     for w in product(range(spec.nletters), repeat=n):
         img = dict(table[w])
-        expr = echelon.reduce(img)
-        if img:
-            echelon.insert(img, expr, w)
+        img[(-1,) + w] = spec.ring.one()  # w's label, below every word
+        key = echelon.reduce(img)
+        if key[0] == -1:
+            kernel.append(TensorElement(spec, {u[1:]: c
+                                               for u, c in img.items()}))
         else:
-            kernel.append(TensorElement(spec, {w: spec.ring.one()})
-                          - TensorElement(spec, expr))
+            echelon.insert(img, key)
     return kernel
 
 
@@ -663,21 +655,12 @@ def pbw_hilbert_coeffs(p: Presentation, nstar: int):
             raise NicholsError("PBW generator degrees must be >= 1")
         if height is not None and height < 1:
             raise NicholsError("PBW generator heights must be >= 1")
-        factor = [0] * (nstar + 1)
-        k = 0
-        while True:
-            d = k * degree
-            if d > nstar or (height is not None and k >= height):
-                break
-            factor[d] = 1
-            k += 1
-        out = [0] * (nstar + 1)
-        for i, a in enumerate(series):
-            if a:
-                for j, b in enumerate(factor):
-                    if b and i + j <= nstar:
-                        out[i + j] += a * b
-        series = out
+        for i in range(degree, nstar + 1):  # times 1 / (1 - t^degree)
+            series[i] += series[i - degree]
+        if height is not None:  # times 1 - t^(height * degree)
+            top = height * degree
+            for i in range(nstar, top - 1, -1):
+                series[i] -= series[i - top]
     return series
 
 
@@ -826,16 +809,14 @@ def infinite_probe(trunc: NicholsTruncation, i, j, count: int) -> dict:
     build(0, None, 0)
     # independence by elimination; words are keyed (degree, word)
     echelon = _Echelon()
-    dependent = 0
-    for label, prod in enumerate(products):
+    for prod in products:
         n = prod.degree()
         img = {(n,) + w: c
                for w, c in trunc.normal_form_vector(prod, n).items()}
-        expr = echelon.reduce(img)
-        if img:
-            echelon.insert(img, expr, label)
-        else:
-            dependent += 1
+        key = echelon.reduce(img)
+        if key is not None:
+            echelon.insert(img, key)
+    dependent = len(products) - len(echelon.pivots)
     evidence = "INFINITE" if (dependent == 0 and len(nonzero) >= 2
                               and len(products) > len(nonzero)) \
         else "INCONCLUSIVE"

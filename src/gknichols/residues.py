@@ -150,7 +150,9 @@ def independent(vec: dict, rows: dict, p: int) -> bool:
     remainder is nonzero and becomes a row of ``rows``, False when it is
     zero.  A row is kept unscaled as ``[lead value, row without its lead,
     inverse of the lead]``, the inverse taken on the first reduction step
-    that uses the row."""
+    that uses the row.  It is ``nichols._Echelon``'s loop on plain ints:
+    routing the certificate through ``_Echelon`` with F_p ops cost about
+    15% on the bench's sweep specs."""
     while vec:
         key = max(vec)
         hit = rows.get(key)

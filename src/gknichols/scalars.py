@@ -753,6 +753,8 @@ class Scalar:
 
     def __pow__(self, n: int):
         if n < 0:
+            if self.is_zero():
+                raise DivisionByZero("division by zero")
             return self.inverse() ** (-n)
         result = self.ring.one()
         base = self
@@ -1010,36 +1012,41 @@ def parse_scalar(text: str, ring: ScalarRing) -> Scalar:
     return scalar_value(parse_tree(text, ring, None), ring)
 
 
-def scalar_value(node, ring: ScalarRing) -> Scalar:
-    """The value over ``ring`` of a scalar tree of :func:`parse_tree`."""
+def evaluate(node, leaf):
+    """The value of a tree of :func:`parse_tree`: ``sum``, ``prod``, ``pow``
+    and ``neg`` nodes by Python's operators, every other node by
+    ``leaf(node)``."""
     kind = node[0]
-    if kind == "num":
-        return ring.from_rational(node[1], node[2])
-    if kind == "name":
-        return ring.zeta() if node[1] == "z" else ring.param(node[1])
-    if kind == "prod":
-        factors = node[1]
-        value = scalar_value(factors[0], ring)
-        for factor in factors[1:]:
-            value = value * scalar_value(factor, ring)
-        return value
-    if kind == "pow":
-        value, n = scalar_value(node[1], ring), node[2]
-        if n < 0:
-            if value.is_zero():
-                raise DivisionByZero("division by zero in scalar expression")
-            value, n = value.inverse(), -n
-        return value if n == 1 else value ** n
     if kind == "sum":
         terms = node[1]
-        value = scalar_value(terms[0][1], ring)
+        value = evaluate(terms[0][1], leaf)
         for negate, term in terms[1:]:
-            other = scalar_value(term, ring)
+            other = evaluate(term, leaf)
             value = value - other if negate else value + other
         return value
+    if kind == "prod":
+        factors = node[1]
+        value = evaluate(factors[0], leaf)
+        for factor in factors[1:]:
+            value = value * evaluate(factor, leaf)
+        return value
+    if kind == "pow":
+        return evaluate(node[1], leaf) ** node[2]
     if kind == "neg":
-        return -scalar_value(node[1], ring)
-    return scalar_value(node[1], ring)  # "scalar"
+        return -evaluate(node[1], leaf)
+    return leaf(node)
+
+
+def scalar_value(node, ring: ScalarRing) -> Scalar:
+    """The value over ``ring`` of a scalar tree of :func:`parse_tree`."""
+    def leaf(node):
+        kind = node[0]
+        if kind == "num":
+            return ring.from_rational(node[1], node[2])
+        if kind == "name":
+            return ring.zeta() if node[1] == "z" else ring.param(node[1])
+        return evaluate(node[1], leaf)  # "scalar"
+    return evaluate(node, leaf)
 
 
 def join_terms(parts) -> str:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gknichols import (BraidedSpaceSpec, DiagonalBraiding, PaleBlockPointSpec,
                        ScalarRing, braid_letters, diagonalize, ghost,
                        interaction, spec_from_json, spec_to_json)
-from gknichols.braidings import Interaction, SpecError, natural_ghost
+from gknichols.braidings import (Interaction, SpecError, diagonal_from_json,
+                                 natural_ghost)
 
 RING = ScalarRing(12)
 
@@ -188,6 +189,21 @@ def test_pale_spec_json_roundtrip():
     again = spec_from_json(json.loads(json.dumps(obj)))
     assert isinstance(again, PaleBlockPointSpec)
     assert spec_to_json(again) == obj
+
+
+def test_diagonal_from_json_refuses_blocks_and_pale():
+    """The q-matrix of a spec with blocks, or of a pale spec, is not a
+    diagonal braiding; a spec of points only reads as its own diagonal."""
+    spec = _spec([("1", 2)], ["1"], [["1", "1"], ["1", "1"]],
+                 {(2, 1): "-1/2"})
+    pale = spec_to_json(PaleBlockPointSpec(ScalarRing(1), "-1", "1", "1",
+                                           "1"))
+    for obj in (spec_to_json(spec), dict(pale, q=[["-1"]])):
+        with pytest.raises(SpecError, match="no blocks and no pale block"):
+            diagonal_from_json(obj)
+    points = spec_to_json(_spec([], ["z", "-1"], [["z", "1"], ["z^2", "-1"]]))
+    assert diagonal_from_json(points) == DiagonalBraiding(
+        RING, [["z", "1"], ["z^2", "-1"]])
 
 
 def _jordan_point_json(**changes):

@@ -330,6 +330,8 @@ def test_reflect(tmp_path):
 
 
 _DIAG2 = {"q": [["-1", "-1"], ["-1", "-1"]]}
+# a spec with blocks: its q-matrix is not a diagonal braiding
+_POSEIDON = spec_to_json(entry_instance("poseidon")[0])
 
 
 @pytest.mark.parametrize("obj,vertex", [
@@ -339,7 +341,13 @@ _DIAG2 = {"q": [["-1", "-1"], ["-1", "-1"]]}
     (_DIAG2, "5"),
     (_DIAG2, "0"),
     (_DIAG2, "-1"),
-], ids=["list", "q-int", "q-empty", "vertex-5", "vertex-0", "vertex-neg"])
+    (_POSEIDON, "1"),
+    ({"pale": {"epsilon": "-1", "q12": "1", "q21": "1", "q22": "1"},
+      "q": [["-1"]]}, "1"),
+    ({"ring": {"cyclotomic_order": 1, "params": ["q"]},
+      "q": [["q", "2"], ["1", "-1"]]}, "1"),
+], ids=["list", "q-int", "q-empty", "vertex-5", "vertex-0", "vertex-neg",
+        "blocks", "pale", "undefined"])
 def test_reflect_bad_input_is_one_line_error(obj, vertex, tmp_path):
     path = tmp_path / "diag.json"
     path.write_text(json.dumps(obj))
@@ -444,6 +452,15 @@ def test_malformed_presentation_is_one_line_error(obj, field,
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr.startswith("gknichols: error: presentation: " + field)
     assert r.stderr.count("\n") == 1
+
+
+def test_scalar_division_by_zero_is_one_line_error(tmp_path):
+    """1/0 in a scalar text raises DivisionByZero: one error line."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"points": [{"q": "1/0"}], "q": [["1/0"]]}))
+    r = run_cli("classify", str(path))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "gknichols: error: division by zero\n"
 
 
 def test_member_bad_rational_is_one_line_error(jordan_spec_file):

@@ -147,6 +147,40 @@ def test_two_block_attached_pair_is_conjectural():
     assert any(r.code == "d" for r in v.reasons)
 
 
+def _g3_point_on_two_blocks(ring):
+    """A point z on two + blocks, each edge a discrete ghost 1."""
+    return _spec(ring, [("1", 2), ("1", 2)], ["z"],
+                 [["1", "1", "1"], ["1", "1", "1"], ["1", "1", "z"]],
+                 {(3, 1): "-1/2", (3, 2): "-1/2"})
+
+
+@pytest.mark.parametrize("spec,code,detail", [
+    (_g3_point_on_two_blocks(R3), "e", "G'3 point 3 attached to blocks"),
+    (_spec(R1, [("-1", 2)], ["-1", "1"],
+           [["-1", "1", "1"], ["-1", "-1", "1"], ["1", "1", "1"]],
+           {(2, 1): "1", (3, 1): "1"}),
+     "f", "mild edge at block 1 is not isolated"),
+    (_g3_point_on_two_blocks(ScalarRing(4)), "b",
+     "component (3,) attached to several blocks")],
+    ids=["e-g3-point", "f-mild-not-isolated", "b-several-blocks"])
+def test_conjectural_component_violations(spec, code, detail):
+    """Each of these components is ruled out by one conjectural code."""
+    v = classify(spec)
+    assert isinstance(v, InfiniteGK) and v.conjecture_dependent
+    assert [r.code for r in v.reasons] == [code]
+    assert v.reasons[0].detail.startswith(detail)
+
+
+def test_symbolic_ghost_gives_unknown():
+    ring = ScalarRing(1, params=("q",))
+    spec = _spec(ring, [("1", 2)], ["1"], [["1", "1"], ["1", "1"]],
+                 {(2, 1): "q"})
+    v = classify(spec)
+    assert isinstance(v, Unknown)
+    assert v.reason == ("ghost between block 1 and point 2 depends on a "
+                        "free parameter")
+
+
 def test_symbolic_interaction_gives_unknown():
     ring = ScalarRing(1, params=("q",))
     spec = _spec(ring, [("1", 2)], ["1"], [["1", "q"], ["1", "1"]])

@@ -468,8 +468,8 @@ def test_symmetrizer_kernel_equals_ideal():
 
 
 def test_symmetrizer_starts_from_degree_zero():
-    """S_0 is the identity of T^0 and S_1 that of T^1; a negative degree is
-    an error."""
+    """S_0 is the identity of T^0 and S_1 that of T^1; a negative degree and
+    one above the cap 4 are errors."""
     spec, _ = entry_instance("jordan")
     one = spec.ring.one()
     assert quantum_symmetrizer(spec, 0) == {(): {(): one}}
@@ -480,6 +480,9 @@ def test_symmetrizer_starts_from_degree_zero():
             with pytest.raises(nichols.NicholsError,
                                match=f"symmetrizer degree {n} is negative"):
                 oracle(spec, n)
+        with pytest.raises(nichols.DegreeTooLarge, match="capped at degree 4"):
+            oracle(spec, 5)
+    assert quantum_symmetrizer_kernel(spec, 0) == []
 
 
 # (entry, degree): 3-5 letters, the symmetrizer oracle to its degree cap
@@ -982,10 +985,24 @@ def test_z_element_validates_its_arguments(k, j, n, message):
         z_element(spec, k, j, n)
 
 
+def test_z_element_of_degree_zero_is_the_point():
+    spec, _ = entry_instance("lstr(1,G)")
+    assert z_element(spec, 1, 2, 0) == (TensorElement.letter(spec, "x2"),
+                                        True)
+
+
 def test_z_element_requires_weak_interaction():
     spec, _ = entry_instance("cyc1")
     with pytest.raises(NotWeak):
         z_element(spec, 1, 2, 1)
+
+
+def test_infinite_probe_stops_at_a_zero_y():
+    """y_1 = ad(x_2) x_2 is zero in T(V) for lstr(1,G): one product, y_0."""
+    spec, _ = entry_instance("lstr(1,G)")
+    assert infinite_probe(compute_truncation(spec, 4), 2, 2, 3) == {
+        "evidence": "INCONCLUSIVE", "nonzero_y": [0], "products_tested": 1,
+        "dependencies": 0}
 
 
 def test_infinite_probe_report_shape():
@@ -1017,6 +1034,9 @@ def test_infinite_probe_report_exact(name, i, j, count, nstar, expected):
 
 
 def test_echelon_tracks_dependencies():
+    """A vector with a label coordinate (-1, label) below its keys reduces
+    to its label part alone when dependent, and that part is a combination
+    of labels whose vectors sum to zero."""
     from gknichols.nichols import _Echelon
     q = RING.from_int
     vectors = [{(0,): q(1), (1,): q(2)}, {(1,): q(3), (2,): q(1)},
@@ -1025,16 +1045,18 @@ def test_echelon_tracks_dependencies():
     dependent = []
     for label, vec in enumerate(vectors):
         img = dict(vec)
-        expr = echelon.reduce(img)
-        if img:
-            echelon.insert(img, expr, label)
+        img[(-1, label)] = RING.one()
+        key = echelon.reduce(img)
+        if key[0] != -1:
+            echelon.insert(img, key)
             continue
-        # vec is the combination expr of the inserted vectors
+        assert key == (-1, label) and img[key].is_one()
+        # vec is the combination -img of the inserted vectors
         combo = {}
-        for lab, c in expr.items():
-            for k, v in vectors[lab].items():
-                combo[k] = combo.get(k, RING.zero()) + c * v
-        assert {k: v for k, v in combo.items() if not v.is_zero()} == vec
+        for (_, lab), c in img.items():
+            if lab != label:
+                add_into(combo, vectors[lab], -c)
+        assert combo == vec
         dependent.append(label)
     assert dependent == [2]
     assert len(echelon.pivots) == 3
@@ -1047,7 +1069,8 @@ def test_echelon_tracks_dependencies():
 def test_echelon_inverts_pivot_leads_lazily(raw, ring):
     """Over Q(zeta_12), and over Q(q) with z = q, a pivot takes the inverse
     of its lead only when a reduction first uses it, and every reduction
-    keeps img_before == img_after + image(expr)."""
+    keeps the vector minus the label part's combination of the inserted
+    vectors equal to its label's vector."""
     from gknichols.nichols import _Echelon
     from gknichols.scalars import SCALAR_OPS
     z = ring.param("q") if ring.params else ring.zeta(1)
@@ -1073,14 +1096,19 @@ def test_echelon_inverts_pivot_leads_lazily(raw, ring):
     dependent, inverse_counts = [], []
     for label, vec in enumerate(vectors):
         img = {k: v.payload if raw else v for k, v in vec.items()}
-        expr = echelon.reduce(img)
-        after = {k: wrap(v) for k, v in img.items()}
-        for lab, c in expr.items():
-            add_into(after, vectors[lab], wrap(c))
+        # label coordinates below the keys 0..3, increasing with the label
+        own = label - len(vectors)
+        img[own] = ring.one().payload if raw else ring.one()
+        key = echelon.reduce(img)
+        after = {k: wrap(v) for k, v in img.items() if k >= 0}
+        for k, c in img.items():
+            if k < 0 and k != own:
+                add_into(after, vectors[k + len(vectors)], -wrap(c))
         assert after == vec
-        if img:
-            echelon.insert(img, expr, label)
+        if key >= 0:
+            echelon.insert(img, key)
         else:
+            assert key == own
             dependent.append(label)
         inverse_counts.append(len(inverted))
     assert dependent == [4, 5]

@@ -97,6 +97,17 @@ def test_parse_rejects_unknown_parameter():
         parse_scalar("q + r", RING)
 
 
+@pytest.mark.parametrize("ring", [ScalarRing(1), ScalarRing(12),
+                                  ScalarRing(1, ("q",))],
+                         ids=["q", "c12", "f"])
+def test_parse_division_by_zero_raises(ring):
+    """A zero divisor or a zero to a negative power in a scalar text raises
+    DivisionByZero, over every kind of ring."""
+    for text in ("1/0", "z/(z - z)", "(1 - 1)^-2", "2/(3 - 3)^3"):
+        with pytest.raises(DivisionByZero, match="division by zero"):
+            parse_scalar(text, ring)
+
+
 def test_parse_caps_exponents():
     ring = ScalarRing(12)
     z = ring.zeta(1)

@@ -43,6 +43,16 @@ def test_reflection_of_triangle():
     assert r.qtilde(2, 3) == q.inverse()
 
 
+def test_reflection_undefined_names_vertex_and_failing():
+    """q_11 = q is of infinite order and q_12 q_21 = 2 is no power of it,
+    so c_12 is undefined: vertex 1 cannot be reflected."""
+    ring = ScalarRing(1, params=("q",))
+    d = DiagonalBraiding(ring, [["q", "2"], ["1", "-1"]])
+    with pytest.raises(ReflectionUndefined) as info:
+        reflect(d, 1)
+    assert info.value.vertex == 1 and info.value.failing == [2]
+
+
 def test_reflection_is_involutive():
     d = triangle()
     assert reflect(reflect(d, 3), 3) == d
