@@ -940,14 +940,16 @@ def compose(items):
 
     ``items`` is a list of (name, params) pairs.  All components must share
     the same block sign and must not be mild (the cross commutation family
-    that ``_assemble`` adds needs weak interactions).  Returns (spec, Presentation).
+    that ``_assemble`` adds needs weak interactions).  Returns (spec,
+    Presentation); the presentation's ``params`` are
+    ``{"entries": [{"name": name, "params": params}, ...]}``, one per item.
     """
     if not items:
         raise IncompatibleComponents("nothing to compose")
     if len(items) == 1:
         return instantiate(*items[0])
     comps = []
-    names = []
+    entries = []
     for name, params in items:
         entry = get_entry(name)
         if entry.component is None:
@@ -960,12 +962,12 @@ def compose(items):
             raise IncompatibleComponents(
                 f"{name!r} has mild interaction; it cannot be composed")
         comps.append(comp)
-        names.append(name)
+        entries.append({"name": name, "params": params})
     eps = comps[0].eps
     if any(c.eps != eps for c in comps):
         raise IncompatibleComponents("component block signs differ")
-    return _assemble("compose(" + ", ".join(names) + ")", eps, comps,
-                     {"entries": names})
+    name = "compose(" + ", ".join(e["name"] for e in entries) + ")"
+    return _assemble(name, eps, comps, {"entries": entries})
 
 
 def _rename(text, ren):

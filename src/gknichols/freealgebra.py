@@ -50,14 +50,10 @@ def add_term(acc, key, value, ops=SCALAR_OPS):
 
 def add_into(acc, vec, coeff=None, ops=SCALAR_OPS):
     """acc += coeff * vec for sparse dicts (coeff None means 1), values as
-    in :func:`add_term`."""
-    if coeff is None:
-        for k, v in vec.items():
-            add_term(acc, k, v, ops)
-    else:
-        mul = ops.mul
-        for k, v in vec.items():
-            add_term(acc, k, mul(v, coeff), ops)
+    in :func:`add_term`: the ring's ``ops.axpy``, which keeps the keys,
+    values and insertion order of :func:`add_term` applied entry by entry.
+    A hot loop calls ``ops.axpy`` itself."""
+    ops.axpy(acc, vec, coeff)
 
 
 class TensorElement:
@@ -308,7 +304,10 @@ def _element(node, spec, macros) -> TensorElement:
                 macros[node[1]] = value
             return value
         return TensorElement.unit(spec).scale(scalar_value(node, spec.ring))
-    return evaluate(node, leaf)
+    try:
+        return evaluate(node, leaf)
+    finally:
+        del leaf  # it calls itself through a cell: a cycle
 
 
 def expression_degree(text: str, spec, macros=None) -> int:

@@ -5,11 +5,17 @@ I(1) = 0,  I(n) = { t in T^n : partial_i(t) in I(n-1) for every letter i },
 so B^n = T^n / I(n).  Degree n is obtained by incremental sparse elimination:
 candidate words are processed in increasing (length, lex) order and each
 either joins the monomial complement spanning B^n or yields a reduced ideal
-element whose leading (largest) monomial is that word: the image of w gets a
-label coordinate (-1, w), below its keys (d, cw), and reduces to the label
-coordinates of w - nf(w).  The coordinates of all skew derivations of each
-complement word in the previous complement are kept, so that degree n only
-needs degree n-1 data.
+element whose leading (largest) monomial is that word: the image of w maps
+each (d, cw), a letter d and a complement word cw of degree n-1, to the
+coordinate of cw in the skew derivation of w by d, gets a label coordinate
+below those keys, and reduces to the label coordinates of w - nf(w).  The
+keys are ints, so the elimination hashes and compares no word: (d, cw) is
+d * M + the lex rank of cw among the M complement words the pass reads,
+and the label of the i-th of a block's k candidates is i - k, negative and
+increasing with i.  Both orders are those of the pairs (d, cw) and (-1, w),
+so the pivots, the inverses and every term order are too.  The coordinates
+of all skew derivations of each complement word in the previous complement
+are kept, so that degree n only needs degree n-1 data.
 
 The complement is factor-closed, so the candidates of degree n are only the
 words u.x with u in the degree n-1 complement, x a letter and the suffix of
@@ -124,11 +130,12 @@ class _Echelon:
     A pivot row is kept as it was reduced, unscaled, and the inverse of its
     lead is taken on the first reduction step that uses it, so a pivot that
     never reduces anything costs no inverse.  A step cancelling the entry c
-    at a lead adds ``-c / lead`` times the row.  To track combinations, a
-    caller gives each vector a label coordinate of value one, keyed below
-    every key it can pivot on: a vector is dependent when it reduces to its
-    label coordinates, which then hold a combination of labels whose
-    vectors sum to zero.
+    at a lead adds ``-c / lead`` times the row, by one ``ops.axpy``.  To
+    track combinations, a caller gives each vector a label coordinate of
+    value one, keyed below every key it can pivot on: a vector is dependent
+    when it reduces to its label coordinates, which then hold a combination
+    of labels whose vectors sum to zero.  The truncation keys by ints, its
+    labels negative (see the module docstring); any ordered keys work.
     """
 
     def __init__(self, ops=SCALAR_OPS):
@@ -142,7 +149,7 @@ class _Echelon:
         """Reduce ``vec`` in place until its leading key is not a pivot;
         return that key, or None when ``vec`` reduces to zero."""
         pivots, inverses, ops = self.pivots, self.inverses, self.ops
-        mul, neg = ops.mul, ops.neg
+        mul, neg, invert, axpy = ops.mul, ops.neg, ops.inv, ops.axpy
         while vec:
             key = max(vec)
             hit = pivots.get(key)
@@ -150,8 +157,8 @@ class _Echelon:
                 return key
             inv = inverses.get(key)
             if inv is None:
-                inv = inverses[key] = ops.inv(hit[0])
-            add_into(vec, hit[1], neg(mul(vec.pop(key), inv)), ops)
+                inv = inverses[key] = invert(hit[0])
+            axpy(vec, hit[1], neg(mul(vec.pop(key), inv)))
 
     def insert(self, vec, key):
         """Make ``vec``, which :meth:`reduce` left at the leading key
@@ -193,6 +200,15 @@ class NicholsTruncation:
                 for expansion in group] for group in spec._act]
         self._expansions = [act[spec.group_of(d) - 1]
                             for d in range(spec.nletters)]
+        # over a ring with a residue map, the same in F_p, None where a
+        # residue is undefined: taken once, as every pass certifies with
+        # that map
+        rmap = _residue_map(spec.ring)
+        if rmap is not None:
+            residue = rmap.residue
+            self._residue_expansions = [
+                [_residue_terms(expansion, residue) for expansion in row]
+                for row in self._expansions]
         self.max_degree = 0
         self.basis = {0: [()]}
         # normal forms and _dcoords hold payloads (see ops)
@@ -302,6 +318,17 @@ class NicholsTruncation:
                 beta = up[groups[last]]
                 if wanted(beta):
                     blocks.setdefault(beta, []).append(w)
+        # an image's key of (d, cw) is d * M + the rank of cw among the
+        # prefixes, which hold every cw of the blocks wanted: the order of
+        # (d, cw) on ints
+        M = len(prefixes)
+        rank = {u: i for i, u in enumerate(prefixes)}
+        starts = [d * M for d in range(L)]
+
+        def keyed(dvecs):
+            return {start + rank[cw]: c for start, acc in zip(starts, dvecs)
+                    for cw, c in acc.items()}
+
         one, neg = self._ops.one, self._ops.neg
         image = self._image
         rmap = _residue_map(spec.ring)
@@ -319,25 +346,27 @@ class NicholsTruncation:
                 rows = {}  # one per candidate certified so far
                 for w in words:
                     got = residue_image(w[:-1], w[-1], prev_d[w[:-1]][1])
-                    if got is None or not independent(got[0], rows, p):
+                    if got is None or not independent(keyed(got), rows, p):
                         break
                     # a complement word: the exact elimination, if the
                     # block goes exact, writes the same entries again
                     nf_n[w] = {w: one}
-                    new_d[w] = (beta, got[1])
+                    new_d[w] = (beta, got)
                 work[2] += len(rows)
                 if len(rows) == len(words):
                     continue
             echelon = _Echelon(self._ops)
-            for w in words:
+            for label, w in enumerate(words, -len(words)):
                 prefix = w[:-1]
-                img, coords = image(prefix, w[-1], prev_d[prefix][1]
-                                    if rmap is None else exact_dcoords(prefix))
-                img[(-1, w)] = one  # the label coordinate of w
+                coords = image(prefix, w[-1], prev_d[prefix][1]
+                               if rmap is None else exact_dcoords(prefix))
+                img = keyed(coords)
+                # the label coordinate of w: words[label] is w
+                img[label] = one
                 key = echelon.reduce(img)
-                if key[0] == -1:  # img is w - nf(w), an element of I(n)
+                if key < 0:  # img is w - nf(w), an element of I(n)
                     del img[key]
-                    nf_n[w] = {u: neg(c) for (_, u), c in img.items()}
+                    nf_n[w] = {words[k]: neg(c) for k, c in img.items()}
                     continue
                 echelon.insert(img, key)
                 nf_n[w] = {w: one}
@@ -352,30 +381,42 @@ class NicholsTruncation:
         work[4] += perf_counter() - start
 
     def _image(self, prefix, last, pd):
-        """(image, dvecs) of the word prefix.last: ``dvecs[d]`` holds the
+        """The ``dvecs`` of the word prefix.last: ``dvecs[d]`` holds the
         coordinates of its skew derivation by the letter d in the
         complement of its degree less one, computed from those of the
-        prefix, ``pd``; the image maps each (d, complement word) to its
-        coordinate.  Exact, on payloads."""
+        prefix, ``pd``.  Exact, on payloads."""
         ops = self._ops
-        one, mul = ops.one, ops.mul
+        mul, add, is_zero, axpy = ops.mul, ops.add, ops.is_zero, ops.axpy
+        nf_k = self.nf[len(prefix)]
         word_nf = self._word_nf
         dvecs = []
-        img = {}
         for d, expansions in enumerate(self._expansions):
             acc = {}
             expansion = expansions[last]
             for u, alpha in pd[d].items():
                 for tgt, coeff in expansion:
-                    vec = word_nf(u + (tgt,))
-                    if vec:
-                        add_into(acc, vec, mul(alpha, coeff), ops)
+                    v = u + (tgt,)
+                    vec = nf_k.get(v)
+                    if vec is None:
+                        vec = word_nf(v)
+                    if v in vec:  # a complement word: nf(v) = v
+                        v, = vec  # the tables' own tuple, not a copy
+                        f = mul(alpha, coeff)
+                        cur = acc.get(v)
+                        if cur is None:
+                            acc[v] = f
+                        else:
+                            f = add(cur, f)
+                            if is_zero(f):
+                                del acc[v]
+                            else:
+                                acc[v] = f
+                    elif vec:
+                        axpy(acc, vec, mul(alpha, coeff))
             if d == last:
-                add_term(acc, prefix, one, ops)
+                add_term(acc, prefix, ops.one, ops)
             dvecs.append(acc)
-            for cw, cc in acc.items():
-                img[(d, cw)] = cc
-        return img, dvecs
+        return dvecs
 
     def _exact_dcoords(self, u):
         """The exact ``dvecs`` of the complement word u over a ring with a
@@ -385,28 +426,20 @@ class NicholsTruncation:
             return [{}] * self.spec.nletters
         dvecs = self._exact.get(u)
         if dvecs is None:
-            _, dvecs = self._image(u[:-1], u[-1], self._exact_dcoords(u[:-1]))
+            dvecs = self._image(u[:-1], u[-1], self._exact_dcoords(u[:-1]))
             self._exact[u] = dvecs
         return dvecs
 
     def _residue_image(self, n, rmap):
-        """The image of :meth:`_image` built in F_p, for the candidates of
-        degree n: ``image(prefix, last, pd)``, with ``pd`` the residue
-        coordinates of the prefix, gives (image, dvecs) as dicts of ints
-        without zero values, the residues of the exact ones, or None where
-        ``pd`` is None or a residue is undefined."""
+        """:meth:`_image` in F_p, for the candidates of degree n:
+        ``image(prefix, last, pd)``, with ``pd`` the residue coordinates of
+        the prefix, gives the ``dvecs`` as dicts of ints without zero
+        values, the residues of the exact ones, or None where ``pd`` is None
+        or a residue is undefined."""
         p, residue = rmap.p, rmap.residue
         prev_d = self._dcoords[n - 1]
         word_nf = self._word_nf
-        # the braiding expansions in F_p; None where a residue is undefined
-        expansions = []
-        for group in self._expansions:
-            row = []
-            for expansion in group:
-                terms = tuple((tgt, residue(c)) for tgt, c in expansion)
-                row.append(None if any(x is None for _, x in terms)
-                           else terms)
-            expansions.append(row)
+        expansions = self._residue_expansions
         # word of degree n-1 -> its normal form in F_p without zero values,
         # or None
         memo = {}
@@ -415,7 +448,6 @@ class NicholsTruncation:
             if pd is None:
                 return None
             dvecs = []
-            img = {}
             for d, row in enumerate(expansions):
                 expansion = row[last]
                 if expansion is None:
@@ -444,9 +476,7 @@ class NicholsTruncation:
                     else:
                         del acc[prefix]
                 dvecs.append(acc)
-                for cw, x in acc.items():
-                    img[(d, cw)] = x
-            return img, dvecs
+            return dvecs
 
         return image
 
@@ -464,17 +494,17 @@ class NicholsTruncation:
         vec = nf_n.get(w)
         if vec is None:
             vec = {}
-            ops = self._ops
+            axpy = self._ops.axpy
             prefix = w[:-1]
             prefix_nf = self._word_nf(prefix)
             if prefix in prefix_nf:
                 first = w[:1]
                 for v, c in self._word_nf(w[1:]).items():
-                    add_into(vec, self._word_nf(first + v), c, ops)
+                    axpy(vec, self._word_nf(first + v), c)
             else:
                 last = w[-1:]
                 for u, c in prefix_nf.items():
-                    add_into(vec, self._word_nf(u + last), c, ops)
+                    axpy(vec, self._word_nf(u + last), c)
             nf_n[w] = vec
         return vec
 
@@ -503,16 +533,24 @@ def _residue_map(ring):
     Over Q the exact elimination is cheap, and the blocks that certify
     candidates and then meet a relation pay for the exact images anyway:
     with the certificate forced onto Q, a truncation to degree 6 took
-    4.5 ms instead of 2.7 on cyc1 and 18.3 instead of 11.6 on cyc2, about
-    the same on lstr(A2,2) and lstr_-(-1,G), and 26 instead of 31 on
-    poseidon (minimum of 7 runs each).  Membership loses more than poseidon
-    gains: on the bench's member-overshoot workload the median relation
-    took 1.58 ms instead of 0.98 (+61%), while poseidon to degree 6 took
-    33 ms instead of 41."""
+    3.3 ms instead of 2.4 on cyc1, 11.4 instead of 8.3 on cyc2, 6.9
+    instead of 6.0 on lstr(A2,2), 4.0 instead of 2.5 on lstr_-(-1,G) with
+    G = 2, and 18.6 instead of 20.7 on poseidon (in-process, the least of
+    three minima of 7 runs each, on a shared 2-core VM).  Membership loses
+    more than poseidon gains: on the bench's member-overshoot workload the
+    median relation took 1.27 ms instead of 0.85 (+49%)."""
     if ring.phi == 1 and not ring.params:
         return None
     from .residues import residue_map
     return residue_map(ring.cyclotomic_order, len(ring.params))
+
+
+def _residue_terms(expansion, residue):
+    """The braiding expansion ``expansion`` ((target letter, payload)
+    pairs) with its coefficients in F_p, or None where one has no
+    residue."""
+    terms = tuple((tgt, residue(c)) for tgt, c in expansion)
+    return None if any(x is None for _, x in terms) else terms
 
 
 def _residues(vec, residue):

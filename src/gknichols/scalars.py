@@ -29,7 +29,8 @@ coefficients up by k modulo N (through the reduced powers of z) and keeps its
 denominator, and the inverse of w^e is w^-e with no Galois-norm walk.
 
 ``ScalarRing.ops`` is a :class:`RingOps` record of the ring's operations on
-payloads (``one``, ``mul``, ``add``, ``neg``, ``inv``, ``is_zero``):
+payloads (``one``, ``mul``, ``add``, ``neg``, ``inv``, ``is_zero``, and
+``axpy``, acc += coeff * vec on sparse dicts, from :mod:`gknichols.sparse`):
 ``Scalar`` arithmetic is one call to them, and hot loops call them on raw
 payloads, building ``Scalar(ring, payload)`` only for what they return.  A
 payload's kind is read off its denominator: an int for a constant, a dict
@@ -54,10 +55,12 @@ grammar; :func:`scalar_value` evaluates a scalar tree, and
 from __future__ import annotations
 
 from fractions import Fraction as _Q
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd as _igcd, lcm as _lcm
 from operator import add as _add, methodcaller, mul as _mul, neg as _neg
 from typing import Any, Callable, NamedTuple
+
+from . import sparse
 
 
 MAX_CYCLOTOMIC_ORDER = 1024
@@ -248,7 +251,7 @@ def _rat_inv(a):
         return (d,), x
     if x < 0:
         return (-d,), -x
-    raise DivisionByZero("cyclotomic inverse of zero")
+    raise DivisionByZero("rational inverse of zero")
 
 
 def _is_const(payload):
@@ -269,6 +272,7 @@ class RingOps(NamedTuple):
     neg: Callable
     inv: Callable
     is_zero: Callable
+    axpy: Callable
 
 
 class ScalarRing:
@@ -307,11 +311,16 @@ class ScalarRing:
             self.cyc_neg, self.cyc_inv = _cyc_neg, self._norm_inv
             cyc_is_zero = _cyc_is_zero
         if params:
-            self.ops = RingOps(self._one_cyc, self._frac_mul, self._frac_add,
-                               self._frac_neg, self._frac_inv, _frac_is_zero)
+            mul, add, neg, inv, is_zero = (self._frac_mul, self._frac_add,
+                                           self._frac_neg, self._frac_inv,
+                                           _frac_is_zero)
         else:
-            self.ops = RingOps(self._one_cyc, self.cyc_mul, self.cyc_add,
-                               self.cyc_neg, self.cyc_inv, cyc_is_zero)
+            mul, add, neg, inv, is_zero = (self.cyc_mul, self.cyc_add,
+                                           self.cyc_neg, self.cyc_inv,
+                                           cyc_is_zero)
+        axpy = sparse.rational_axpy if phi == 1 and not params \
+            else partial(sparse.axpy, add, mul, is_zero)
+        self.ops = RingOps(self._one_cyc, mul, add, neg, inv, is_zero, axpy)
 
     # -- constructors -------------------------------------------------------
 
@@ -381,6 +390,8 @@ class ScalarRing:
 
     def _frac_inv(self, a):
         if _is_const(a):
+            if _cyc_is_zero(a):
+                raise DivisionByZero("rational-function inverse of zero")
             return self.cyc_inv(a)
         return _make_frac(self, a[1], a[0])
 
@@ -814,7 +825,9 @@ class Scalar:
 # the operations on Scalar values, the same in every ring (so ``one`` is
 # left None): the values of TensorElement terms and of the oracles' echelons
 SCALAR_OPS = RingOps(None, _mul, _add, _neg, methodcaller("inverse"),
-                     methodcaller("is_zero"))
+                     methodcaller("is_zero"),
+                     partial(sparse.axpy, _add, _mul,
+                             methodcaller("is_zero")))
 
 
 def _freeze_poly(p):
@@ -1000,11 +1013,17 @@ def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
             return ("scalar", node)
         raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end", pos)
 
-    skip(0)
-    node = parse_sum(resolve is None)
-    if pos < end:
-        raise ParseError(f"unexpected {text[pos]!r}", pos)
-    return node
+    try:
+        skip(0)
+        node = parse_sum(resolve is None)
+        if pos < end:
+            raise ParseError(f"unexpected {text[pos]!r}", pos)
+        return node
+    finally:
+        # the parsers call each other (parse_power itself) through cells of
+        # this frame: emptying these two breaks every cycle, so a parse
+        # leaves no garbage for the cyclic collector
+        del parse_sum, parse_power
 
 
 def parse_scalar(text: str, ring: ScalarRing) -> Scalar:
@@ -1046,7 +1065,10 @@ def scalar_value(node, ring: ScalarRing) -> Scalar:
         if kind == "name":
             return ring.zeta() if node[1] == "z" else ring.param(node[1])
         return evaluate(node[1], leaf)  # "scalar"
-    return evaluate(node, leaf)
+    try:
+        return evaluate(node, leaf)
+    finally:
+        del leaf  # it calls itself through a cell: a cycle
 
 
 def join_terms(parts) -> str:

@@ -324,6 +324,22 @@ def test_compose_two_components(items, theta, gk):
         assert zero, rel
 
 
+def test_compose_keeps_each_component_params():
+    """A composition's params name each component with its own params, so
+    compositions that differ only in a component's parameter tell apart."""
+    from gknichols.cli import _presentation_json
+    a10 = "lstr(A(1|0)1;r)"
+    pairs = [(3, 4), (4, 3), (3, 3), (4, 4)]
+    shown = []
+    for r1, r2 in pairs:
+        _, pres = catalog.compose([(a10, {"r": r1}), (a10, {"r": r2})])
+        assert pres.params == {"entries": [
+            {"name": a10, "params": {"r": r1}},
+            {"name": a10, "params": {"r": r2}}]}
+        shown.append(json.dumps(_presentation_json(pres)))
+    assert len(set(shown)) == len(pairs)
+
+
 def test_compose_single_item_passthrough():
     spec, pres = catalog.compose([("jordan", {})])
     direct_spec, direct_pres = entry_instance("jordan")

@@ -130,6 +130,29 @@ def test_expression_degree_without_expansion():
     assert expression_degree("x1^1024", SPEC) == 1024  # the largest exponent
 
 
+def test_parsing_leaves_no_cyclic_garbage():
+    """The nested parsers and leaf evaluators call themselves through
+    closure cells; they empty those cells when they return or raise, so a
+    parse, an evaluation or a parse error leaves nothing for the cyclic
+    garbage collector."""
+    import gc
+    from gknichols.scalars import ParseError
+    ring = ScalarRing(4, ("q",))
+    gc.collect()
+    gc.disable()
+    try:
+        parse_scalar("1 + z^2 * (3 - q)/2 - (-z)^-3", ring)
+        parse_element("{1/2} [x1, x12]^2 - {z - 1} x1 x1h x2", SPEC,
+                      {"x12": "[x1, x2]"})
+        for text in ("1/(", "q^"):
+            with pytest.raises(ParseError):
+                parse_scalar(text, ring)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
+
+
 def test_macros_expand_recursively():
     macros = {"x12": "[x1, x2]", "w": "[x1, x12]"}
     e = parse_element("w", SPEC, macros)

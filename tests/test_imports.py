@@ -61,7 +61,7 @@ def test_dims_loads_only_the_truncation_engine():
     loaded = _loaded(_RUN_CLI, "dims", POSEIDON, "--max-degree", "2")
     assert {m for m in loaded if m.startswith("gknichols")} == {
         "gknichols", "gknichols.braidings", "gknichols.freealgebra",
-        "gknichols.nichols", "gknichols.scalars"}
+        "gknichols.nichols", "gknichols.scalars", "gknichols.sparse"}
     assert not loaded & _HEAVY
 
 
@@ -74,7 +74,8 @@ def test_dims_over_q_omega_adds_the_residues_only(tmp_path):
     loaded = _loaded(_RUN_CLI, "dims", str(path), "--max-degree", "2")
     assert {m for m in loaded if m.startswith("gknichols")} == {
         "gknichols", "gknichols.braidings", "gknichols.freealgebra",
-        "gknichols.nichols", "gknichols.residues", "gknichols.scalars"}
+        "gknichols.nichols", "gknichols.residues", "gknichols.scalars",
+        "gknichols.sparse"}
 
 
 def test_verify_by_name_loads_the_catalog_only():

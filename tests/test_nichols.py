@@ -140,6 +140,72 @@ def test_truncation_stats_per_degree():
         assert [mine[k] for k in counts] == [fresh[k] for k in counts]
 
 
+# per degree: candidates, pivots, certified, inverses, memo of ``stats``
+# (of ``_work`` for the blocks filled above max_degree, which has no memo),
+# and the first 16 hex digits of the sha256 of the repr of
+# [(word, list(nf[n][word])) for word in nf[n]], the normal forms' term
+# order; captured from the engine before image keys became ints
+_PINNED = {
+    "poseidon": (
+        [[0, 0, 0, 0, 1], [5, 5, 0, 0, 6], [25, 17, 0, 12, 31],
+         [51, 46, 0, 20, 82], [110, 108, 0, 48, 249], [229, 228, 0, 94, 650],
+         [445, 445, 0, 227, 1534]],
+        ["466dc23a1fa1470b", "5a7f0c0f2915dd2a", "f11c2f95d3e2f464",
+         "255aec01d1395d87", "e39924605c197629", "9935a5de015be01e",
+         "a669c4d333c9c9d5"]),
+    "lstr(A2,2)": (
+        [[0, 0, 0, 0, 1], [4, 4, 0, 0, 5], [16, 10, 0, 7, 21],
+         [22, 22, 0, 9, 43], [46, 43, 0, 24, 115], [77, 77, 0, 40, 252],
+         [103, 101, 0, 70], [129, 129, 0, 87], [142, 140, 0, 105],
+         [121, 120, 0, 111], [68, 67, 0, 65]],
+        ["466dc23a1fa1470b", "83ca1bcd39ef254b", "2c02c59e15e8919f",
+         "7e60bd11ed586cc1", "f9366c5391e8d7f9", "9069107de56407f4",
+         "9d45eb5c22d49086", "32f642f1a552c7c6", "b089a43dc9dc43d5",
+         "e65988c0237efa7f", "24d01bc803e71326"]),
+    "zeta12": (
+        [[0, 0, 0, 0, 1], [3, 0, 3, 0, 4], [9, 0, 9, 0, 13],
+         [27, 0, 25, 0, 40], [71, 5, 70, 5, 111]],
+        ["466dc23a1fa1470b", "734405e893e159b8", "d3f1365f5aa93319",
+         "8fcdcd54f384481e", "215ca875ec71b386"]),
+}
+
+
+def _pinned_truncation(name):
+    if name == "poseidon":
+        return compute_truncation(entry_instance("poseidon")[0], 6)
+    if name == "zeta12":
+        return compute_truncation(zeta12_specs()[0], 4)
+    # degree 5, then the five relations of degree 6 to 10 of the bench's
+    # member-overshoot workload, which fill blocks of degrees 6 to 10
+    spec, pres = entry_instance(name)
+    trunc = compute_truncation(spec, 5)
+    relations = [rel for rel in pres.relations
+                 if 6 <= expression_degree(rel, spec, pres.macros) <= 10]
+    assert len(relations) == 5
+    for rel in relations:
+        assert is_zero_in_nichols(parse_element(rel, spec, pres.macros),
+                                  trunc)[0]
+    return trunc
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_elimination_counts_and_term_order_are_pinned(name):
+    """The elimination counts and the normal forms' term order per degree
+    are those of the engine that keyed image coordinates by (d, word):
+    the ``inverses`` follow the pivot order and the term order the order
+    of the reduction, so an elimination that reorders its keys shows."""
+    import hashlib
+    trunc = _pinned_truncation(name)
+    counts = [[record[k] for k in ("candidates", "pivots", "certified",
+                                   "inverses", "memo")]
+              for record in trunc.stats]
+    counts += [work[:4] for _, work in sorted(trunc._work.items())]
+    orders = [hashlib.sha256(repr([(w, list(vec)) for w, vec
+                                   in trunc.nf[n].items()]).encode())
+              .hexdigest()[:16] for n in sorted(trunc.nf)]
+    assert (counts, orders) == _PINNED[name]
+
+
 @pytest.mark.parametrize("name,params", [
     ("lstr(A(1|0)1;r)", {"r": "generic"}), ("lstr(A(1|0)2;omega)", {})])
 def test_certified_degree_builds_no_exact_image(name, params, monkeypatch):

@@ -65,6 +65,87 @@ def test_multiplicative_inverse(a):
         assert (a * a.inverse()).is_one()
 
 
+@pytest.mark.parametrize("ring, kind", [
+    (ScalarRing(1), "rational"), (ScalarRing(12), "cyclotomic"),
+    (ScalarRing(1, ("q",)), "rational-function"),
+    (ScalarRing(12, ("q",)), "rational-function")],
+    ids=["q", "c12", "f", "f12"])
+def test_inverse_of_zero_names_the_ring_kind(ring, kind):
+    """The inverse of zero, and a division by zero, name the kind of the
+    ring: rational over Q, cyclotomic over Q(zeta_N), rational-function
+    over a ring with parameters."""
+    zero, one = ring.zero(), ring.one()
+    message = f"^{kind} inverse of zero$"
+    for fail in (zero.inverse, lambda: one / zero, lambda: 2 / zero,
+                 lambda: ring.ops.inv(zero.payload)):
+        with pytest.raises(DivisionByZero, match=message):
+            fail()
+
+
+def _axpy_atoms(ring):
+    """Nonzero scalars of ``ring``: rationals, one included, roots of unity
+    and, with a parameter, fractions in it."""
+    q = ring.from_rational
+    atoms = [q(1), q(-1), q(2), q(-3), q(1, 2), q(-2, 3), q(5, 6)]
+    if ring.phi > 1:
+        z = ring.zeta(1)
+        atoms += [z, -z ** 5, z + 1, (z ** 2 - 3) / 4]
+    if ring.params:
+        r = ring.param(ring.params[0])
+        atoms += [r, r / 2 + 1, 1 / (r + 1), (r - 1) / (2 * r + 3)]
+    return atoms
+
+
+_AXPY_CASES = {"q": (ScalarRing(1), True), "c12": (ScalarRing(12), True),
+               "r": (ScalarRing(1, ("r",)), True),
+               "scalar-ops": (ScalarRing(12, ("r",)), False)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_AXPY_CASES)), st.data())
+def test_axpy_matches_the_add_term_loop(case, data):
+    """``axpy(acc, vec, coeff)`` of a ring's ops, and of SCALAR_OPS on
+    Scalars, leaves ``acc`` with the keys, values and insertion order of
+    ``add_term`` applied to each entry of coeff * vec (coeff None means 1),
+    zero sums dropped; an entry of vec added to a new key unscaled is
+    stored as it is."""
+    from gknichols.freealgebra import add_term
+    ring, raw = _AXPY_CASES[case]
+    ops = ring.ops if raw else scalars_module.SCALAR_OPS
+    atom = st.sampled_from(_axpy_atoms(ring))
+    acc = data.draw(st.dictionaries(st.integers(0, 6), atom, max_size=6))
+    coeff = data.draw(st.none() | atom)
+    vec = {}
+    for k in data.draw(st.lists(st.integers(0, 9), unique=True,
+                                max_size=7)):
+        if k in acc and data.draw(st.booleans()):  # cancels acc[k]
+            vec[k] = -acc[k] if coeff is None else -acc[k] / coeff
+        else:
+            vec[k] = data.draw(atom)
+    if raw:
+        acc, vec = ({k: v.payload for k, v in d.items()} for d in (acc, vec))
+        coeff = None if coeff is None else coeff.payload
+    expected = dict(acc)
+    for k, v in vec.items():
+        add_term(expected, k, v if coeff is None else ops.mul(v, coeff),
+                 ops)
+    fresh = [k for k in vec if k not in acc]
+    ops.axpy(acc, vec, coeff)
+    assert list(acc.items()) == list(expected.items())
+    if coeff is None:
+        assert all(acc[k] is vec[k] for k in fresh)
+
+
+def test_rational_axpy_is_the_inlined_kernel():
+    """Q alone, as Q(zeta_N) with phi(N) = 1, gets the kernel with the
+    rational arithmetic inlined."""
+    from gknichols.sparse import rational_axpy
+    for ring in (ScalarRing(1), ScalarRing(2)):
+        assert ring.ops.axpy is rational_axpy
+    for ring in (ScalarRing(3), ScalarRing(12), ScalarRing(1, ("q",))):
+        assert ring.ops.axpy is not rational_axpy
+
+
 @settings(max_examples=80, deadline=None)
 @given(scalars)
 def test_parse_print_roundtrip(a):
