@@ -908,8 +908,9 @@ for _kind in ("eny_plus", "eny_minus", "eny_star"):
 
 
 def list_entries():
-    names = [n for n in _REGISTRY if n != "point"]
-    return names + ["compose"]
+    """The entries ``catalog list`` prints, in registry order: every name
+    that ``instantiate`` builds but the ``point`` component."""
+    return [n for n in _REGISTRY if n != "point"]
 
 
 def get_entry(name) -> CatalogEntry:

@@ -48,18 +48,20 @@ On every ring but Q, most candidates are complement words, and an exact
 elimination spends most of its time confirming that.  So there the ring's
 ``ResidueMap`` (a ring homomorphism to F_p, p a prime below 2^30, each
 parameter sent to a fixed residue; see :mod:`gknichols.residues`) comes
-first, one Z^theta-block at a time.  ``_dcoords`` holds the residues of the
-skew-derivation coordinates, without zero values, and the images of a
-block's candidates are built in F_p in their order, from the prefix's
-residue coordinates, the residues of the braiding coefficients and those of
-the degree n-1 normal forms, each reduced by ``residues.independent``
-against the rows before it.  When every remainder is nonzero, the block is
-certified: its candidates are its complement words.  This is exact, not
-probabilistic: the rows have independent images modulo p, so some maximal
-minor of their matrix is nonzero modulo p, hence nonzero over the ring, and
-the rows are independent there too.  At the first remainder that is zero
-modulo p, or the first image that needs an undefined residue, the whole
-block is eliminated exactly instead, from its first candidate, as over Q.
+first, one Z^theta-block at a time.  F_p is one more ring
+(``residues.modular_ops``): ``_dcoords`` holds the residues of the
+skew-derivation coordinates, without zero values, and :func:`_image`, the
+builder of the exact images, builds those of a block's candidates in F_p in
+their order, from the prefix's residue coordinates, the nonzero residues of
+the braiding coefficients and those of the degree n-1 normal forms; an
+``_Echelon`` over F_p reduces each against the rows before it.  When every
+remainder is nonzero, the block is certified: its candidates are its
+complement words.  This is exact, not probabilistic: the rows have
+independent images modulo p, so some maximal minor of their matrix is
+nonzero modulo p, hence nonzero over the ring, and the rows are independent
+there too.  At the first remainder that is zero modulo p, or the first image
+that needs an undefined residue, the whole block is eliminated exactly
+instead, from its first candidate, as over Q.
 The exact coordinates of a prefix are built on demand from those of its own
 prefix, by the recursion that builds an image, and memoised in ``_exact``.
 
@@ -78,17 +80,18 @@ parameters) the certificate costs more than it saves (see
 
 The normal forms ``nf``, the exact coordinates, the echelon rows and the
 braiding expansion hold ``Scalar`` payloads, on which ``ScalarRing.ops``
-act, on every ring, with parameters or not, and the images in F_p are
-dicts of ints, so the hot loop builds no ``Scalar``.  ``Scalar`` values
-appear only at ``normal_form_vector``, which builds one per coordinate it
-returns, so membership, verification and the probe see ``Scalar``s as
-before.
+act, on every ring, with parameters or not, and the images and rows in
+F_p are dicts of ints, so the hot loop builds no ``Scalar``.  ``Scalar``
+values appear only at ``normal_form_vector``, which builds one per
+coordinate it returns, so membership, verification and the probe see
+``Scalar``s as before.
 
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from time import perf_counter
 
@@ -126,7 +129,8 @@ class _Echelon:
     """Incremental sparse echelon form.
 
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
-    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``.
+    values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``,
+    F_p's ints (``residues.modular_ops``) included.
     A pivot row is kept as it was reduced, unscaled, and the inverse of its
     lead is taken on the first reduction step that uses it, so a pivot that
     never reduces anything costs no inverse.  A step cancelling the entry c
@@ -201,14 +205,17 @@ class NicholsTruncation:
         self._expansions = [act[spec.group_of(d) - 1]
                             for d in range(spec.nletters)]
         # over a ring with a residue map, the same in F_p, None where a
-        # residue is undefined: taken once, as every pass certifies with
-        # that map
+        # residue is undefined, and the last letters whose images need such
+        # an expansion: taken once, as every pass certifies with that map
         rmap = _residue_map(spec.ring)
         if rmap is not None:
             residue = rmap.residue
             self._residue_expansions = [
                 [_residue_terms(expansion, residue) for expansion in row]
                 for row in self._expansions]
+            self._no_residue = {last for row in self._residue_expansions
+                                for last, terms in enumerate(row)
+                                if terms is None}
         self.max_degree = 0
         self.basis = {0: [()]}
         # normal forms and _dcoords hold payloads (see ops)
@@ -289,8 +296,11 @@ class NicholsTruncation:
         suffix is a complement word and whose Z^theta-degree ``wanted``
         accepts, grouped by Z^theta-block in lex order.  Each block is
         certified when the images of its candidates in F_p are defined and
-        independent, or else, and always over Q, eliminated exactly in an
-        echelon of its own.  Every candidate gets its normal form in
+        reduce to nonzero rows of an ``_Echelon`` over F_p, or else, and
+        always over Q, eliminated exactly in an echelon of its own.  An
+        image is undefined where its prefix's residue coordinates are, where
+        its last letter is in ``_no_residue`` or where a normal form has no
+        residue (``_NoResidue``).  Every candidate gets its normal form in
         ``nf[n]``, a complement word its coordinates in ``_dcoords[n]`` too,
         and the pass adds its counts to ``_work[n]``."""
         start = perf_counter()
@@ -329,33 +339,60 @@ class NicholsTruncation:
             return {start + rank[cw]: c for start, acc in zip(starts, dvecs)
                     for cw, c in acc.items()}
 
-        one, neg = self._ops.one, self._ops.neg
-        image = self._image
+        ops = self._ops
+        one, neg = ops.one, ops.neg
+        image = partial(_image, ops, self._expansions, self.nf[n - 1],
+                        self._word_nf)
         rmap = _residue_map(spec.ring)
         if rmap is not None:
-            from .residues import independent
-            residue_image = self._residue_image(n, rmap)
+            from .residues import modular_ops
+            fp = modular_ops(rmap.p)
+            residue, word_nf = rmap.residue, self._word_nf
+            # word of degree n-1 -> its normal form in F_p, without zero
+            # values
+            memo = {}
+
+            def residue_nf(v):
+                vec = {v: 1} if v in prev_d \
+                    else _residues(word_nf(v), residue)
+                if vec is None:
+                    raise _NoResidue
+                memo[v] = vec
+                return vec
+
+            residue_image = partial(_image, fp, self._residue_expansions,
+                                    memo, residue_nf)
             exact_dcoords, exact = self._exact_dcoords, self._exact
-            p, residue = rmap.p, rmap.residue
+            no_residue = self._no_residue
         nf_n = self.nf.setdefault(n, {})
         new_d = self._dcoords.setdefault(n, {})
         work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
         for beta, words in blocks.items():
             work[0] += len(words)
             if rmap is not None:
-                rows = {}  # one per candidate certified so far
+                rows = _Echelon(fp)  # one per candidate certified so far
                 for w in words:
-                    got = residue_image(w[:-1], w[-1], prev_d[w[:-1]][1])
-                    if got is None or not independent(keyed(got), rows, p):
+                    prefix, last = w[:-1], w[-1]
+                    pd = prev_d[prefix][1]
+                    if pd is None or last in no_residue:
                         break
+                    try:
+                        got = residue_image(prefix, last, pd)
+                    except _NoResidue:
+                        break
+                    vec = keyed(got)
+                    key = rows.reduce(vec)
+                    if key is None:
+                        break
+                    rows.insert(vec, key)
                     # a complement word: the exact elimination, if the
                     # block goes exact, writes the same entries again
                     nf_n[w] = {w: one}
                     new_d[w] = (beta, got)
-                work[2] += len(rows)
-                if len(rows) == len(words):
+                work[2] += len(rows.pivots)
+                if len(rows.pivots) == len(words):
                     continue
-            echelon = _Echelon(self._ops)
+            echelon = _Echelon(ops)
             for label, w in enumerate(words, -len(words)):
                 prefix = w[:-1]
                 coords = image(prefix, w[-1], prev_d[prefix][1]
@@ -380,105 +417,19 @@ class NicholsTruncation:
             work[3] += len(echelon.inverses)
         work[4] += perf_counter() - start
 
-    def _image(self, prefix, last, pd):
-        """The ``dvecs`` of the word prefix.last: ``dvecs[d]`` holds the
-        coordinates of its skew derivation by the letter d in the
-        complement of its degree less one, computed from those of the
-        prefix, ``pd``.  Exact, on payloads."""
-        ops = self._ops
-        mul, add, is_zero, axpy = ops.mul, ops.add, ops.is_zero, ops.axpy
-        nf_k = self.nf[len(prefix)]
-        word_nf = self._word_nf
-        dvecs = []
-        for d, expansions in enumerate(self._expansions):
-            acc = {}
-            expansion = expansions[last]
-            for u, alpha in pd[d].items():
-                for tgt, coeff in expansion:
-                    v = u + (tgt,)
-                    vec = nf_k.get(v)
-                    if vec is None:
-                        vec = word_nf(v)
-                    if v in vec:  # a complement word: nf(v) = v
-                        v, = vec  # the tables' own tuple, not a copy
-                        f = mul(alpha, coeff)
-                        cur = acc.get(v)
-                        if cur is None:
-                            acc[v] = f
-                        else:
-                            f = add(cur, f)
-                            if is_zero(f):
-                                del acc[v]
-                            else:
-                                acc[v] = f
-                    elif vec:
-                        axpy(acc, vec, mul(alpha, coeff))
-            if d == last:
-                add_term(acc, prefix, ops.one, ops)
-            dvecs.append(acc)
-        return dvecs
-
     def _exact_dcoords(self, u):
         """The exact ``dvecs`` of the complement word u over a ring with a
-        residue map, built from those of its prefix by :meth:`_image` and
+        residue map, built from those of its prefix by :func:`_image` and
         memoised in ``_exact``."""
         if not u:
             return [{}] * self.spec.nletters
         dvecs = self._exact.get(u)
         if dvecs is None:
-            dvecs = self._image(u[:-1], u[-1], self._exact_dcoords(u[:-1]))
-            self._exact[u] = dvecs
+            prefix = u[:-1]
+            dvecs = self._exact[u] = _image(
+                self._ops, self._expansions, self.nf[len(prefix)],
+                self._word_nf, prefix, u[-1], self._exact_dcoords(prefix))
         return dvecs
-
-    def _residue_image(self, n, rmap):
-        """:meth:`_image` in F_p, for the candidates of degree n:
-        ``image(prefix, last, pd)``, with ``pd`` the residue coordinates of
-        the prefix, gives the ``dvecs`` as dicts of ints without zero
-        values, the residues of the exact ones, or None where ``pd`` is None
-        or a residue is undefined."""
-        p, residue = rmap.p, rmap.residue
-        prev_d = self._dcoords[n - 1]
-        word_nf = self._word_nf
-        expansions = self._residue_expansions
-        # word of degree n-1 -> its normal form in F_p without zero values,
-        # or None
-        memo = {}
-
-        def image(prefix, last, pd):
-            if pd is None:
-                return None
-            dvecs = []
-            for d, row in enumerate(expansions):
-                expansion = row[last]
-                if expansion is None:
-                    return None
-                acc = {}
-                for u, alpha in pd[d].items():
-                    for tgt, coeff in expansion:
-                        v = u + (tgt,)
-                        vec = memo.get(v, False)
-                        if vec is False:
-                            vec = memo[v] = {v: 1} if v in prev_d \
-                                else _residues(word_nf(v), residue)
-                        if vec is None:
-                            return None
-                        f = alpha * coeff % p
-                        for cw, x in vec.items():
-                            s = (acc.get(cw, 0) + f * x) % p
-                            if s:
-                                acc[cw] = s
-                            else:
-                                acc.pop(cw, None)
-                if d == last:
-                    s = (acc.get(prefix, 0) + 1) % p
-                    if s:
-                        acc[prefix] = s
-                    else:
-                        del acc[prefix]
-                dvecs.append(acc)
-            return dvecs
-
-        return image
 
     # ------------------------------------------------------------------
 
@@ -526,6 +477,50 @@ class NicholsTruncation:
         return {w: Scalar(ring, c) for w, c in acc.items()}
 
 
+def _image(ops, expansions, nf_k, word_nf, prefix, last, pd):
+    """The ``dvecs`` of the word prefix.last over the ring of ``ops``:
+    ``dvecs[d]`` holds the coordinates of its skew derivation by the letter
+    d in the complement of its degree less one, from those of the prefix,
+    ``pd``, the braiding expansions ``expansions[d][last]`` and the normal
+    forms of degree len(prefix), read from ``nf_k`` or built by
+    ``word_nf``.  A new key takes ``mul(alpha, coeff)`` with no zero test:
+    the ring has no zero divisors, and no value or coefficient is zero."""
+    mul, add, is_zero, axpy = ops.mul, ops.add, ops.is_zero, ops.axpy
+    dvecs = []
+    for d, row in enumerate(expansions):
+        acc = {}
+        expansion = row[last]
+        for u, alpha in pd[d].items():
+            for tgt, coeff in expansion:
+                v = u + (tgt,)
+                vec = nf_k.get(v)
+                if vec is None:
+                    vec = word_nf(v)
+                if v in vec:  # a complement word: nf(v) = v
+                    v, = vec  # the tables' own tuple, not a copy
+                    f = mul(alpha, coeff)
+                    cur = acc.get(v)
+                    if cur is None:
+                        acc[v] = f
+                    else:
+                        f = add(cur, f)
+                        if is_zero(f):
+                            del acc[v]
+                        else:
+                            acc[v] = f
+                elif vec:
+                    axpy(acc, vec, mul(alpha, coeff))
+        if d == last:
+            add_term(acc, prefix, ops.one, ops)
+        dvecs.append(acc)
+    return dvecs
+
+
+class _NoResidue(Exception):
+    """A normal form in F_p needs a residue that is undefined: the block
+    is eliminated exactly."""
+
+
 def _residue_map(ring):
     """The reduction modulo a prime with which the truncation certifies
     linear independence (see :mod:`gknichols.residues`), or None over Q:
@@ -547,10 +542,12 @@ def _residue_map(ring):
 
 def _residue_terms(expansion, residue):
     """The braiding expansion ``expansion`` ((target letter, payload)
-    pairs) with its coefficients in F_p, or None where one has no
-    residue."""
-    terms = tuple((tgt, residue(c)) for tgt, c in expansion)
-    return None if any(x is None for _, x in terms) else terms
+    pairs) with its coefficients in F_p, without the terms whose residue is
+    zero, or None where one has no residue."""
+    terms = [(tgt, residue(c)) for tgt, c in expansion]
+    if any(x is None for _, x in terms):
+        return None
+    return tuple((tgt, x) for tgt, x in terms if x)
 
 
 def _residues(vec, residue):

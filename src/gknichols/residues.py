@@ -13,9 +13,10 @@ residue is nonzero is nonzero.  The map is built on first use and cached per
 (N, k), never stored on the ring, so a ``ScalarRing`` and a truncation
 pickle as before.
 
-:func:`independent` reduces a vector over F_p against an echelon on plain
-ints.  The nichols module docstring says how the truncation certifies a
-Z^theta-block with it, and why that is exact.
+:func:`modular_ops` is the ``RingOps`` of F_p on plain ints, with which the
+truncation builds a block's images in F_p and reduces them in a
+``nichols._Echelon``.  The nichols module docstring says how that
+certifies a Z^theta-block, and why it is exact.
 
 The truncation certifies on every ring but Q (``nichols._residue_map``
 decides, and says why) and imports this module only there, so a command
@@ -25,10 +26,10 @@ that never truncates over such a ring never compiles it.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import mul, not_
 from typing import Callable, NamedTuple
 
-from .scalars import ScalarError, euler_phi
+from .scalars import RingOps, ScalarError, euler_phi
 
 RESIDUE_PRIME_BOUND = 2 ** 30  # products of residues stay below 2^60
 # the i-th parameter goes to (i + 1) * _PARAMETER_SEED modulo p.  The roots
@@ -144,31 +145,24 @@ def residue_map(n: int, nparams: int) -> ResidueMap:
     return make_residue_map(n, *residue_prime(n), nparams)
 
 
-def independent(vec: dict, rows: dict, p: int) -> bool:
-    """Reduce ``vec``, a vector over F_p (key -> nonzero int, consumed),
-    against ``rows``, an echelon over F_p on plain ints: True when its
-    remainder is nonzero and becomes a row of ``rows``, False when it is
-    zero.  A row is kept unscaled as ``[lead value, row without its lead,
-    inverse of the lead]``, the inverse taken on the first reduction step
-    that uses the row.  It is ``nichols._Echelon``'s loop on plain ints:
-    routing the certificate through ``_Echelon`` with F_p ops cost about
-    15% on the bench's sweep specs."""
-    while vec:
-        key = max(vec)
-        hit = rows.get(key)
-        if hit is None:
-            rows[key] = [vec.pop(key), vec, None]
-            return True
-        lead, row, inv = hit
-        if inv is None:
-            inv = hit[2] = pow(lead, -1, p)
-        f = vec.pop(key) * inv % p
-        for k, x in row.items():
-            # f and x are nonzero modulo the prime p, so a zero sum means k
-            # was in vec
-            s = (vec.get(k, 0) - f * x) % p
+@lru_cache(maxsize=None)
+def modular_ops(p: int) -> RingOps:
+    """The ``RingOps`` of F_p on ints 0 <= x < p, p a prime.  Its closures
+    do not pickle, so it is built here, once per p, and never stored on a
+    ring or a truncation."""
+
+    def axpy(acc, vec, coeff):
+        # the values of vec and coeff are nonzero modulo the prime p, so
+        # their product is too and a zero sum means the key was in acc
+        get = acc.get
+        if coeff is None:
+            coeff = 1
+        for k, x in vec.items():
+            s = (get(k, 0) + coeff * x) % p
             if s:
-                vec[k] = s
+                acc[k] = s
             else:
-                del vec[k]
-    return False
+                del acc[k]
+
+    return RingOps(1, lambda a, b: a * b % p, lambda a, b: (a + b) % p,
+                   lambda a: -a % p, lambda a: pow(a, -1, p), not_, axpy)

@@ -7,9 +7,8 @@ Two fixtures are written, each summarising a truncation per degree n by
     order through ``normal_form_vector``, each printed as its sorted
     ``word:coefficient`` terms.
 
-``truncation_golden.json`` covers every named catalog entry (default
-parameters; ``compose`` builds composites and is skipped) to degree
-``DEGREE``.  ``truncation_golden_zeta12.json`` covers ``ZETA12_COUNT``
+``truncation_golden.json`` covers every entry of ``catalog.list_entries``
+(default parameters) to degree ``DEGREE``.  ``truncation_golden_zeta12.json`` covers ``ZETA12_COUNT``
 random block+point specs over Q(zeta_12) (``test_acceptance._random_spec``
 drawn from one rng seeded with ``ZETA12_SEED``) to degree ``ZETA12_DEGREE``,
 so that cyclotomic coefficients with phi = 4 are pinned too.
@@ -34,7 +33,7 @@ from gknichols.scalars import print_scalar
 from tests.test_acceptance import _random_spec
 
 DEGREE = 6
-ENTRIES = [n for n in catalog.list_entries() if n != "compose"]
+ENTRIES = catalog.list_entries()
 FIXTURE = Path(__file__).with_name("truncation_golden.json")
 
 ZETA12_DEGREE = 4

@@ -105,8 +105,7 @@ def test_pale_spec_from_catalog_show_runs_dims(name, tmp_path):
                         "BraidedSpaceSpec\n")
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in catalog.list_entries() if n != "compose"])
+@pytest.mark.parametrize("name", catalog.list_entries())
 def test_catalog_show_every_entry(name, capsys):
     assert run(["catalog", "show", name]) == 0
     out = json.loads(capsys.readouterr().out)

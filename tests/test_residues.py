@@ -1,5 +1,5 @@
 """Reduction modulo a prime: the primes, the ring homomorphism onto F_p,
-and the rings that have one."""
+the rings that have one, and the echelon over F_p."""
 
 import pickle
 import random
@@ -7,9 +7,9 @@ import random
 import pytest
 
 from gknichols import ScalarRing
-from gknichols.nichols import _residue_map
+from gknichols.nichols import _Echelon, _residue_map
 from gknichols.residues import (RESIDUE_PRIME_BOUND, _is_prime,
-                                make_residue_map, residue_map,
+                                make_residue_map, modular_ops, residue_map,
                                 residue_prime)
 from tests.test_scalars import _draw, _scalar
 
@@ -175,3 +175,49 @@ def test_every_ring_but_q_has_a_residue_map():
                           (3, ("q", "s"))):
         rmap = _residue_map(ScalarRing(order, params))
         assert rmap.p % order == 1 % order and len(rmap.t) == len(params)
+
+
+def test_echelon_over_f_p_matches_sympy_rank():
+    """``_Echelon`` over ``modular_ops(7)``, the certificate's kernel, on
+    seeded random int matrices whose entries and sums often vanish modulo
+    7: it keeps as many pivots as the rank of sympy's ``DomainMatrix`` over
+    GF(7), and a dependent row reduces to its label part, whose combination
+    of the inserted rows is zero modulo 7."""
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    p = 7
+    ops = modular_ops(p)
+    assert modular_ops(p) is ops  # built once per p
+    rng = random.Random(7)
+    dependent = full = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(2, 9), rng.randint(2, 6)
+        rows = [[rng.choice([0, rng.randint(-20, 20)]) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 2:  # a row that is a combination of two others
+            a, b = rng.sample(rows[:-1], 2)
+            c = rng.randint(1, 6)
+            rows[-1] = [x + c * y for x, y in zip(a, b)]
+        echelon = _Echelon(ops)
+        for label, row in enumerate(rows):
+            # label coordinates below the keys 0..ncols-1
+            own = label - nrows
+            vec = {k: x % p for k, x in enumerate(row) if x % p}
+            vec[own] = ops.one
+            key = echelon.reduce(vec)
+            assert all(0 < x < p for x in vec.values())
+            if key >= 0:
+                echelon.insert(vec, key)
+                continue
+            assert key == own and vec[own] == 1
+            total = [sum(c * rows[k + nrows][j] for k, c in vec.items())
+                     for j in range(ncols)]
+            assert all(x % p == 0 for x in total), (rows, vec)
+            dependent += 1
+        field = GF(p)
+        matrix = DomainMatrix([[field(x) for x in row] for row in rows],
+                              (nrows, ncols), field)
+        assert len(echelon.pivots) == matrix.rank()
+        full += len(echelon.pivots) == min(nrows, ncols)
+    assert dependent and full
