@@ -15,6 +15,10 @@ from enum import Enum
 from .scalars import (GKNicholsError, Scalar, ScalarRing, parse_scalar,
                       print_scalar)
 
+# a block of length L gives L letters, and a truncation's work grows as a
+# power of the letter count; the catalog uses lengths 2 and 3
+MAX_BLOCK_LENGTH = 64
+
 
 class SpecError(GKNicholsError):
     pass
@@ -126,6 +130,9 @@ def _block(ring, b):
         raise SpecError(f"block length must be an integer, not {length!r}")
     if length < 2:
         raise SpecError("block length must be >= 2")
+    if length > MAX_BLOCK_LENGTH:
+        raise SpecError(f"block length {length} is above the maximum "
+                        f"{MAX_BLOCK_LENGTH}")
     return eps, length
 
 
@@ -193,7 +200,10 @@ class BraidedSpaceSpec(_BraidedBase):
                     raise SpecError(f"a_({i},{k}): {k} is not a block index")
                 self.avals[(i, k)] = _norm_scalar(ring, val)
         for k in range(1, self.t + 1):
-            self.avals[(k, k)] = self.blocks[k - 1][0]  # normalization a_kk = eps_k
+            eps = self.blocks[k - 1][0]  # normalization a_kk = eps_k
+            if self.avals.setdefault((k, k), eps) != eps:
+                raise SpecError(f"a_({k},{k}) must equal block epsilon "
+                                f"{print_scalar(eps)}")
 
         letters = []
         for k, (eps, length) in enumerate(self.blocks, start=1):
@@ -360,28 +370,14 @@ def natural_ghost(g: Scalar) -> int | None:
 
 
 def diagonalize(spec) -> DiagonalBraiding:
-    """Diagonal braiding of gr V along the flag refining blocks in order."""
+    """Diagonal braiding of gr V along the flag refining blocks in order:
+    q_uv is the coefficient of x_v in g_u . x_v, as the action table holds
+    it (the Jordan tails point down the flag)."""
     if isinstance(spec, DiagonalBraiding):
         return spec
-    ring = spec.ring
-    n = spec.nletters
-    matrix = []
-    for u in spec.letters:
-        row = []
-        for v in spec.letters:
-            if isinstance(spec, PaleBlockPointSpec):
-                if u.group == v.group:
-                    row.append(spec.epsilon if u.group == 1 else spec.q22)
-                elif u.group == 1:
-                    row.append(spec.q12)
-                else:
-                    row.append(spec.q21)
-            elif u.group == v.group and spec.is_block(u.group):
-                row.append(spec.epsilon(u.group))
-            else:
-                row.append(spec.q(u.group, v.group))
-        matrix.append(row)
-    return DiagonalBraiding(ring, matrix)
+    return DiagonalBraiding(spec.ring, [
+        [dict(spec.act_letter(u.group, v))[v.idx] for v in spec.letters]
+        for u in spec.letters])
 
 
 # ---------------------------------------------------------------------------

@@ -206,14 +206,14 @@ class NicholsTruncation:
                             for d in range(spec.nletters)]
         # over a ring with a residue map, the same in F_p, None where a
         # residue is undefined, and the last letters whose images need such
-        # an expansion: taken once, as every pass certifies with that map
+        # an expansion: a row per group, as every pass certifies with it
         rmap = _residue_map(spec.ring)
         if rmap is not None:
-            residue = rmap.residue
-            self._residue_expansions = [
-                [_residue_terms(expansion, residue) for expansion in row]
-                for row in self._expansions]
-            self._no_residue = {last for row in self._residue_expansions
+            rows = [[_residue_terms(expansion, rmap.residue)
+                     for expansion in group] for group in act]
+            self._residue_expansions = [rows[spec.group_of(d) - 1]
+                                        for d in range(spec.nletters)]
+            self._no_residue = {last for row in rows
                                 for last, terms in enumerate(row)
                                 if terms is None}
         self.max_degree = 0
@@ -528,12 +528,14 @@ def _residue_map(ring):
     Over Q the exact elimination is cheap, and the blocks that certify
     candidates and then meet a relation pay for the exact images anyway:
     with the certificate forced onto Q, a truncation to degree 6 took
-    3.3 ms instead of 2.4 on cyc1, 11.4 instead of 8.3 on cyc2, 6.9
-    instead of 6.0 on lstr(A2,2), 4.0 instead of 2.5 on lstr_-(-1,G) with
-    G = 2, and 18.6 instead of 20.7 on poseidon (in-process, the least of
-    three minima of 7 runs each, on a shared 2-core VM).  Membership loses
-    more than poseidon gains: on the bench's member-overshoot workload the
-    median relation took 1.27 ms instead of 0.85 (+49%)."""
+    3.4 ms instead of 2.1 on cyc1, 11.7 instead of 7.6 on cyc2, 7.3
+    instead of 5.8 on lstr(A2,2), 4.2 instead of 2.2 on lstr_-(-1,G) with
+    G = 2, and 20.3 instead of 21.1 on poseidon (in-process, the least of
+    three minima of 7 runs each, Python 3.11, on a shared 2-core VM).
+    Membership loses more than poseidon gains: the five relations of the
+    bench's member-overshoot workload on a fresh degree-5 truncation of
+    lstr(A2,2) took 43.5 ms instead of 31.3, the median relation 1.15 ms
+    instead of 0.71 (+62%)."""
     if ring.phi == 1 and not ring.params:
         return None
     from .residues import residue_map
@@ -797,7 +799,8 @@ def z_element(spec, k: int, j: int, n: int, budget: int = DEFAULT_BUDGET):
         expect = xk * expect
     expect = expect.scale(mus[n])
     got = skew_derivation(spec, f"x{j}", e)
-    trunc = compute_truncation(spec, n, budget)
+    # is_zero_in_nichols fills the blocks of degree n on demand
+    trunc = compute_truncation(spec, 0, budget)
     ok, _ = is_zero_in_nichols(got - expect, trunc)
     return e, ok
 

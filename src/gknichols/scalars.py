@@ -287,6 +287,11 @@ class ScalarRing:
         params = tuple(params)
         if len(set(params)) != len(params):
             raise ScalarError("parameter names must be distinct")
+        for name in params:
+            # z reads as zeta_N, and no text reads what is not a name
+            if name == "z" or not _is_name(name):
+                raise ScalarError(f"parameter name {name!r} must be a name "
+                                  f"other than z")
         n = cyclotomic_order
         self.cyclotomic_order = n
         self.params = params
@@ -872,6 +877,13 @@ def qnum(n: int, q: Scalar) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # parsing and printing
+
+
+def _is_name(text) -> bool:
+    """Whether ``text`` is one name token of :func:`parse_tree`: a letter or
+    ``_``, then letters, digits or ``_``."""
+    return isinstance(text, str) and (text[:1].isalpha() or text[:1] == "_") \
+        and all(ch.isalnum() or ch == "_" for ch in text)
 
 
 def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:

@@ -237,64 +237,53 @@ def detect_cartan(d):
     return data
 
 
+def _shape(rank, edges):
+    """The shape of a simple graph on vertices 1..rank: each vertex's degree
+    with the sorted degrees of its neighbours, sorted.  On at most 6
+    vertices it tells each diagram of ``_CARTAN_TYPES`` from every other
+    graph."""
+    adj = {v: [] for v in range(1, rank + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return tuple(sorted((len(nbrs), tuple(sorted(len(adj[u]) for u in nbrs)))
+                        for nbrs in adj.values()))
+
+
+def _path(rank):
+    return [(i, i + 1) for i in range(1, rank)]
+
+
+# the simply-laced types of rank <= 6, by the shape of one diagram each
+_CARTAN_TYPES = {_shape(rank, edges): kind for rank, edges, kind in [
+    *((n, _path(n), FiniteType(f"A{n}")) for n in range(1, 7)),
+    *((n, _path(n - 1) + [(n - 2, n)], FiniteType(f"D{n}"))
+      for n in range(4, 7)),
+    (3, _path(3) + [(3, 1)], AffineType("A2(1)")),
+    (4, _path(4) + [(4, 1)], AffineType("A3(1)")),
+    (5, [(1, 2), (1, 3), (1, 4), (1, 5)], AffineType("D4(1)")),
+    (6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)], AffineType("D5(1)")),
+]}
+
+
 def classify_cartan(data: CartanData):
-    """A_n / D_n finite, A_1..3^(1) and D_4..5^(1) affine; everything else
-    reported as Other."""
+    """A_n / D_n finite, A_1..3^(1) and D_4..5^(1) affine, named by the
+    shape of their diagram; everything else reported as Other."""
     n = data.rank
     if n > 6 or not data.all_defined():
         return OTHER
-    adj = {i: set() for i in range(1, n + 1)}
-    double = False
+    edges = []
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            cij = data.c(i, j)
-            cji = data.c(j, i)
+        for j in range(i + 1, n + 1):
+            cij, cji = data.c(i, j), data.c(j, i)
             if (cij < 0) != (cji < 0):
                 return OTHER
+            if cij < -1 or cji < -1:  # only the double edge of A1(1)
+                double = n == 2 and cij == cji == -2
+                return AffineType("A1(1)") if double else OTHER
             if cij < 0:
-                adj[i].add(j)
-                if cij < -1 or cji < -1:
-                    if n == 2 and cij == -2 and cji == -2:
-                        double = True
-                    else:
-                        return OTHER
-    if double:
-        return AffineType("A1(1)")
-    # connected?
-    seen = {1}
-    stack = [1]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != n:
-        return OTHER
-    degs = sorted(len(adj[i]) for i in range(1, n + 1))
-    nedges = sum(degs) // 2
-    if nedges == n - 1:  # tree
-        if degs[-1] <= 2:
-            return FiniteType(f"A{n}")
-        if n >= 4 and degs[-1] == 3 and degs.count(3) == 1:
-            # D_n: the degree-3 vertex has two leaf neighbors
-            center = next(i for i in range(1, n + 1) if len(adj[i]) == 3)
-            leaves = [v for v in adj[center] if len(adj[v]) == 1]
-            if len(leaves) >= 2:
-                return FiniteType(f"D{n}")
-            return OTHER
-        if n == 5 and degs[-1] == 4:
-            return AffineType("D4(1)")
-        if n == 6 and degs.count(3) == 2:
-            a, b = [i for i in range(1, 7) if len(adj[i]) == 3]
-            if b in adj[a]:
-                return AffineType("D5(1)")
-            return OTHER
-        return OTHER
-    if nedges == n and degs[0] == 2 and degs[-1] == 2 and 3 <= n <= 4:
-        return AffineType(f"A{n - 1}(1)")
-    return OTHER
+                edges.append((i, j))
+    return _CARTAN_TYPES.get(_shape(n, edges), OTHER)
 
 
 # ---------------------------------------------------------------------------

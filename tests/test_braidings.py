@@ -1,6 +1,7 @@
 """Braided space specs: braiding axioms, decorations, JSON round trips."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from gknichols import (BraidedSpaceSpec, DiagonalBraiding, PaleBlockPointSpec,
                        ScalarRing, braid_letters, diagonalize, ghost,
                        interaction, spec_from_json, spec_to_json)
-from gknichols.braidings import (Interaction, SpecError, diagonal_from_json,
-                                 natural_ghost)
+from gknichols.braidings import (MAX_BLOCK_LENGTH, Interaction, SpecError,
+                                 diagonal_from_json, natural_ghost)
 
 RING = ScalarRing(12)
 
@@ -123,6 +124,48 @@ def test_diagonalize_forgets_jordan_tail():
     assert diag.qtilde(1, 2) == one
 
 
+def _rule_diagonal(spec):
+    """The diagonal braiding of gr V by the rule of each spec class: a pale
+    spec's epsilon, q12, q21 or q22 by the letters' groups; otherwise the
+    epsilon of a block within it and q_{|u||v|} elsewhere."""
+    if isinstance(spec, PaleBlockPointSpec):
+        pale = {(1, 1): spec.epsilon, (1, 2): spec.q12, (2, 1): spec.q21,
+                (2, 2): spec.q22}
+        return [[pale[u.group, v.group] for v in spec.letters]
+                for u in spec.letters]
+    return [[spec.epsilon(u.group)
+             if u.group == v.group and spec.is_block(u.group)
+             else spec.q(u.group, v.group) for v in spec.letters]
+            for u in spec.letters]
+
+
+def _random_block_point_spec(rng):
+    """Blocks of length 2 and 3 and points over Q(zeta_12), with a nonzero
+    a between every vertex and every other block."""
+    blocks = [(rng.choice(["1", "-1", "z^4"]), rng.choice([2, 3]))
+              for _ in range(rng.randint(1, 2))]
+    theta = len(blocks) + rng.randint(1, 2)
+    qmat = [[RING.zeta(rng.randrange(12)) for _ in range(theta)]
+            for _ in range(theta)]
+    for k, (eps, _) in enumerate(blocks):
+        qmat[k][k] = eps
+    points = [qmat[i][i] for i in range(len(blocks), theta)]
+    avals = {(i, k): rng.choice(["1", "-1", "1/2", "z", "3"])
+             for i in range(1, theta + 1) for k in range(1, len(blocks) + 1)
+             if i != k}
+    return _spec(blocks, points, qmat, avals)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_diagonalize_reads_the_action_table(seed):
+    rng = random.Random(seed)
+    spec = _random_block_point_spec(rng)
+    pale = PaleBlockPointSpec(RING, *(RING.zeta(rng.randrange(12))
+                                      for _ in range(4)))
+    for s in (spec, pale):
+        assert diagonalize(s) == DiagonalBraiding(RING, _rule_diagonal(s))
+
+
 def test_letter_names_and_lookup():
     spec = jordan_point_spec()
     assert [l.name for l in spec.letters] == ["x1", "x1h", "x2"]
@@ -148,6 +191,24 @@ def test_spec_json_roundtrip_is_byte_identical(spec):
     text = json.dumps(obj, sort_keys=True)
     again = spec_to_json(spec_from_json(json.loads(text)))
     assert json.dumps(again, sort_keys=True) == text
+
+
+def test_block_length_is_capped():
+    def blocks(length):
+        return _jordan_point_json(blocks=[{"epsilon": "1", "length": length}])
+    assert spec_from_json(blocks(MAX_BLOCK_LENGTH)).nletters \
+        == MAX_BLOCK_LENGTH + 1
+    for length in (MAX_BLOCK_LENGTH + 1, 10 ** 8):
+        with pytest.raises(SpecError, match=f"block length {length} is "
+                           f"above the maximum {MAX_BLOCK_LENGTH}"):
+            spec_from_json(blocks(length))
+
+
+def test_diagonal_a_equal_to_epsilon_is_accepted():
+    # a_kk = eps_k is the normalization; ghost -2 on eps = 1 is a = 1
+    for changes in ({"a": {"1,1": "1"}}, {"ghost": {"1,1": -2}}):
+        spec = spec_from_json(_jordan_point_json(**changes))
+        assert spec.a(1, 1).is_one()
 
 
 def test_spec_json_ghost_table():
@@ -241,11 +302,14 @@ def _jordan_point_json(**changes):
     _jordan_point_json(ring={"cyclotomic_order": 3},
                        blocks=[{"epsilon": "z", "length": 2}],
                        q=[["z", "1"], ["1", "-1"]], ghost={"2,1": "1"}),
+    _jordan_point_json(a={"1,1": "3"}),
+    _jordan_point_json(ghost={"1,1": 2}),
 ], ids=["list", "small-q", "ragged-q", "ghost-block", "a-vertex", "a-key",
         "no-epsilon", "str-length", "no-point-q", "str-order", "no-q",
         "pale-list", "pale-missing", "pale-extra", "pale-zero",
         "pale-list-scalar", "bool-point", "bool-q",
-        "bool-epsilon", "bool-a", "bool-ghost", "bool-pale", "ghost-epsilon"])
+        "bool-epsilon", "bool-a", "bool-ghost", "bool-pale", "ghost-epsilon",
+        "a-diagonal", "ghost-diagonal"])
 def test_malformed_spec_json_raises_spec_error(obj):
     with pytest.raises(SpecError):
         spec_from_json(obj)

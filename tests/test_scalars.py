@@ -574,6 +574,13 @@ def test_cyclotomic_order_is_capped():
         ScalarRing(3000000)
 
 
+@pytest.mark.parametrize("name", ["z", "a b", "", "1q"])
+def test_parameter_names_are_readable_names(name):
+    # z is zeta_N, and a name that no text reads is refused as well
+    with pytest.raises(ScalarError, match="must be a name other than z"):
+        ScalarRing(2, params=("q", name))
+
+
 # ---------------------------------------------------------------------------
 # rational functions in the parameters against sympy
 

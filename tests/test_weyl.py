@@ -1,5 +1,9 @@
 """Dynkin diagrams, Cartan coefficients, reflections, table patterns."""
 
+from collections import Counter
+from itertools import combinations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,6 +119,26 @@ def _simply_laced(rank, edges):
 ], ids=["D4", "D5", "A2(1)", "A3(1)", "D4(1)", "D5(1)", "E6", "5-cycle"])
 def test_classify_cartan_d_and_affine(rank, edges, expected):
     assert classify_cartan(_simply_laced(rank, edges)) == expected
+
+
+def test_classify_cartan_on_every_simply_laced_graph():
+    """Each type names exactly its n!/|Aut| labelled diagrams among all
+    33,867 symmetric simply-laced Cartan data of rank <= 6, and every other
+    datum is Other."""
+    f = factorial
+    expected = Counter({"A1": 1, **{f"A{n}": f(n) // 2 for n in range(2, 7)},
+                        "D4": f(4) // 6, "D5": f(5) // 2, "D6": f(6) // 2,
+                        "A2(1)": f(3) // 6, "A3(1)": f(4) // 8,
+                        "D4(1)": f(5) // 24, "D5(1)": f(6) // 8})
+    expected[OTHER] = 33867 - sum(expected.values())
+    got = Counter()
+    for rank in range(1, 7):
+        pairs = list(combinations(range(1, rank + 1), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for b, p in enumerate(pairs) if mask >> b & 1]
+            verdict = classify_cartan(_simply_laced(rank, edges))
+            got[getattr(verdict, "name", verdict)] += 1
+    assert got == expected
 
 
 def test_cartan_coeff_rejects_equal_indices():
