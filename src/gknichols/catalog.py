@@ -61,6 +61,11 @@ def _block(k, eps, w):
             [(x, 1, 2), (w, 2, INF), (xh, 1, INF)])
 
 
+# the ladder elements s_n of a poseidon presentation and the z-ladder bound
+# of an lstr entry are capped: a presentation holds a relation or more each
+_MAX_LADDER = 128
+
+
 def _attachment(eps, ghost):
     """(a-value, z-ladder bound) of a point of ghost ``ghost`` on a block of
     sign ``eps``: a = -G/2 and bound G on a Jordan block, a = G and bound 2G
@@ -235,6 +240,9 @@ def _lstr_component(eps, point, G, q12):
     if G < 1:
         raise BadParams("ghost must be a positive integer")
     _, bound = _attachment(eps, G)
+    if bound > _MAX_LADDER:  # z0 .. z_bound, a relation or two each
+        raise BadParams(f"ghost G={G} gives a z-ladder bound of {bound}; "
+                        f"the cap is {_MAX_LADDER}")
     order = 3 if point == "omega" else 1
     _scalar("q12", q12, ScalarRing(order))
     label = "z" if point == "omega" else str(point)
@@ -672,9 +680,6 @@ def _point_component(label, order):
 
 # ---------------------------------------------------------------------------
 # Poseidon and Endymion entries
-
-
-_MAX_LADDER = 128  # ladder elements s_n of a poseidon presentation
 
 
 def _poseidon(params):

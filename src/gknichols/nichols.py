@@ -84,7 +84,10 @@ act, on every ring, with parameters or not, and the images and rows in
 F_p are dicts of ints, so the hot loop builds no ``Scalar``.  ``Scalar``
 values appear only at ``normal_form_vector``, which builds one per
 coordinate it returns, so membership, verification and the probe see
-``Scalar``s as before.
+``Scalar``s as before.  Over Q the kernels share one payload per small
+rational (see :mod:`gknichols.sparse`), and every empty coordinate vector
+:func:`_image` returns is the one dict ``_EMPTY``, which nothing writes:
+the tables of a large truncation hold few objects of their own.
 
 An independent oracle, the quantum symmetrizer, is provided for small degrees.
 """
@@ -102,6 +105,8 @@ from .freealgebra import (SpecMismatch, TensorElement, ad_letter, add_into,
 from .scalars import SCALAR_OPS, GKNicholsError, RingMismatch, Scalar
 
 DEFAULT_BUDGET = 10 ** 6
+# the one empty coordinate vector that _image returns: shared, never written
+_EMPTY = {}
 
 
 class NicholsError(GKNicholsError):
@@ -176,7 +181,8 @@ class NicholsTruncation:
 
     ``stats[n]`` records how degree n was computed: ``dim`` and
     ``ideal_dim``, the ``candidates`` eliminated (the words left by the
-    suffix filter), the candidates ``certified`` independent modulo a
+    suffix filter), the words u.x the suffix filter ``skipped``, the
+    candidates ``certified`` independent modulo a
     prime (those before the failure in a block that went exact included),
     the ``pivots`` of the exact eliminations (the complement words of the
     blocks eliminated exactly, so ``dim <= pivots + certified``), the
@@ -223,15 +229,15 @@ class NicholsTruncation:
         self.dims = [1]
         self.ideal_dims = [0]
         self.stats = [{"n": 0, "dim": 1, "ideal_dim": 0, "candidates": 0,
-                       "pivots": 0, "certified": 0, "inverses": 0,
-                       "memo": 1, "seconds": 0.0}]
+                       "skipped": 0, "pivots": 0, "certified": 0,
+                       "inverses": 0, "memo": 1, "seconds": 0.0}]
         # per degree n, (Z^theta-degree, NF coordinates of the skew
         # derivations in degree n-1) of its complement words, kept while a
         # block above may still need them: the top degree and the blocks
         # filled above it; over a ring with a residue map the coordinates
         # are residues without zero values, or None where one is undefined
         self._dcoords = {0: {(): ((0,) * spec.ngroups,
-                                  [{}] * spec.nletters)}}
+                                  [_EMPTY] * spec.nletters)}}
         # over a ring with a residue map: complement word -> its exact
         # coordinates, for the words of degree >= max_degree - 1 whose
         # exact coordinates were needed
@@ -239,8 +245,8 @@ class NicholsTruncation:
         # the Z^theta-degrees of the blocks filled above max_degree, empty
         # ones too; their complement words are those of _dcoords
         self._filled = set()
-        # degree -> [candidates, pivots, certified, inverses, seconds] of
-        # the passes run there until the degree completes
+        # degree -> [candidates, pivots, certified, inverses, seconds,
+        # skipped] of the passes run there until the degree completes
         self._work = {}
         self.extend(max_degree)
 
@@ -262,11 +268,11 @@ class NicholsTruncation:
             ideal_dim = self.spec.nletters ** n - dim
             self.dims.append(dim)
             self.ideal_dims.append(ideal_dim)
-            candidates, pivots, certified, inverses, seconds = \
+            candidates, pivots, certified, inverses, seconds, skipped = \
                 self._work.pop(n)
             self.stats.append({
                 "n": n, "dim": dim, "ideal_dim": ideal_dim,
-                "candidates": candidates, "pivots": pivots,
+                "candidates": candidates, "skipped": skipped, "pivots": pivots,
                 "certified": certified, "inverses": inverses,
                 "memo": sum(len(self.nf[k]) for k in range(n + 1)),
                 "seconds": seconds})
@@ -315,6 +321,7 @@ class NicholsTruncation:
         ups = {}
         # Z^theta-degree -> its candidates in lex order
         blocks = {}
+        skipped = 0
         for prefix in prefixes:
             counts = prev_d[prefix][0]
             up = ups.get(counts)
@@ -324,7 +331,8 @@ class NicholsTruncation:
             for last in range(L):
                 w = prefix + (last,)
                 if w[1:] not in prev_d:
-                    continue  # the suffix is not a complement word
+                    skipped += 1  # the suffix is not a complement word
+                    continue
                 beta = up[groups[last]]
                 if wanted(beta):
                     blocks.setdefault(beta, []).append(w)
@@ -366,7 +374,8 @@ class NicholsTruncation:
             no_residue = self._no_residue
         nf_n = self.nf.setdefault(n, {})
         new_d = self._dcoords.setdefault(n, {})
-        work = self._work.setdefault(n, [0, 0, 0, 0, 0.0])
+        work = self._work.setdefault(n, [0, 0, 0, 0, 0.0, 0])
+        work[5] += skipped
         for beta, words in blocks.items():
             work[0] += len(words)
             if rmap is not None:
@@ -422,7 +431,7 @@ class NicholsTruncation:
         residue map, built from those of its prefix by :func:`_image` and
         memoised in ``_exact``."""
         if not u:
-            return [{}] * self.spec.nletters
+            return [_EMPTY] * self.spec.nletters
         dvecs = self._exact.get(u)
         if dvecs is None:
             prefix = u[:-1]
@@ -512,7 +521,7 @@ def _image(ops, expansions, nf_k, word_nf, prefix, last, pd):
                     axpy(acc, vec, mul(alpha, coeff))
         if d == last:
             add_term(acc, prefix, ops.one, ops)
-        dvecs.append(acc)
+        dvecs.append(acc or _EMPTY)
     return dvecs
 
 

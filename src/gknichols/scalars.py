@@ -19,7 +19,9 @@ Cyclotomic arithmetic is integer arithmetic: products are integer
 convolutions reduced by the monic integer polynomial Phi_N, sums share one
 denominator, and inverses come from the Galois norm.  A ring picks its
 constant operations once, when it is built: when phi(N) = 1 (N = 1, 2) they
-are integer-pair closures on ``((n,), d)`` with no convolution.
+are integer-pair closures on ``((n,), d)`` with no convolution, which return
+the one shared payload of a small rational (``sparse.SMALL``); no code reads
+a payload's identity.
 
 Most factors in the q-matrices of the paper's braided spaces are roots of
 unity +-z^k, the powers of one generator w (z, or -z for odd N).  Each ring
@@ -61,10 +63,12 @@ from operator import add as _add, methodcaller, mul as _mul, neg as _neg
 from typing import Any, Callable, NamedTuple
 
 from . import sparse
+from .sparse import SMALL, canon
 
 
 MAX_CYCLOTOMIC_ORDER = 1024
 MAX_EXPONENT = 1024  # |n| in a literal power x^n of a scalar or element
+MAX_NESTING = 100  # brackets and unary minus signs inside one another
 
 
 class GKNicholsError(Exception):
@@ -220,11 +224,10 @@ def _rat_add(a, b):
     if d == e:
         n = x + y
         if d == 1:
-            return (n,), 1
+            return SMALL[n + 64] if -64 <= n <= 64 else ((n,), 1)
     else:
         n, d = x * e + y * d, d * e
-    g = _igcd(n, d)
-    return ((n // g,), d // g) if g != 1 else ((n,), d)
+    return canon(n, d)
 
 
 def _rat_mul(a, b):
@@ -232,13 +235,12 @@ def _rat_mul(a, b):
     (y,), e = b
     n, d = x * y, d * e
     if d == 1:
-        return (n,), 1
-    g = _igcd(n, d)
-    return ((n // g,), d // g) if g != 1 else ((n,), d)
+        return SMALL[n + 64] if -64 <= n <= 64 else ((n,), 1)
+    return canon(n, d)
 
 
 def _rat_neg(a):
-    return (-a[0][0],), a[1]
+    return canon(-a[0][0], a[1])
 
 
 def _rat_is_zero(a):
@@ -247,10 +249,8 @@ def _rat_is_zero(a):
 
 def _rat_inv(a):
     (x,), d = a
-    if x > 0:
-        return (d,), x
-    if x < 0:
-        return (-d,), -x
+    if x:
+        return canon(d, x) if x > 0 else canon(-d, -x)
     raise DivisionByZero("rational inverse of zero")
 
 
@@ -308,6 +308,7 @@ class ScalarRing:
         # the constant operations, chosen once: the payload ops and the
         # products of polynomial coefficients call these
         if phi == 1:
+            self._zero_cyc, self._one_cyc = SMALL[64], SMALL[65]
             self.cyc_add, self.cyc_mul = _rat_add, _rat_mul
             self.cyc_neg, self.cyc_inv = _rat_neg, _rat_inv
             cyc_is_zero = _rat_is_zero
@@ -903,10 +904,20 @@ def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
     ``("scalar", node)``, ``("num", numerator, denominator)``,
     ``("name", name)`` for ``z`` and the parameters, and the leaves of
     ``resolve``; ``a/b`` is ``("prod", [a, ("pow", b, -1)])``.  Errors
-    raise :class:`ParseError` at their position in ``text``.
+    raise :class:`ParseError` at their position in ``text``, among them a
+    bracket or unary minus nested more than ``MAX_NESTING`` deep.
     """
-    pos = 0
+    pos = depth = 0
     end = len(text)
+
+    def nested(parse, start, arg):  # parse(arg) one level deeper
+        nonlocal depth
+        if depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", start)
+        depth += 1
+        node = parse(arg)
+        depth -= 1
+        return node
 
     def skip(n):  # step over n characters and the whitespace after them
         nonlocal pos
@@ -948,8 +959,9 @@ def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
 
     def parse_power(scalar):
         if text[pos:pos + 1] == "-":  # weaker than ^: -x^2 is -(x^2)
+            start = pos
             skip(1)
-            return ("neg", parse_power(scalar))
+            return ("neg", nested(parse_power, start, scalar))
         node = parse_atom(scalar)
         if text[pos:pos + 1] != "^":
             return node
@@ -982,7 +994,7 @@ def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
         start = pos
         if ch == "(":
             skip(1)
-            node = parse_sum(scalar)
+            node = nested(parse_sum, start, scalar)
             expect(")")
             return node
         if "0" <= ch <= "9":
@@ -1008,17 +1020,17 @@ def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
                 raise UnknownParameter(f"unknown name {name!r}", start)
             if name == "ad":
                 expect("(")
-                return commutator(")")
+                return nested(commutator, start, ")")
             node = resolve(name)
             if node is None:
                 raise ParseError(f"unknown letter or macro {name!r}", start)
             return node
         if ch == "[" and not scalar:
             skip(1)
-            return commutator("]")
+            return nested(commutator, start, "]")
         if ch == "{" and not scalar:
             skip(1)
-            node = parse_sum(True)
+            node = nested(parse_sum, start, True)
             if pos == end:
                 raise ParseError("unterminated scalar literal", start)
             expect("}")

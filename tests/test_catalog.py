@@ -9,7 +9,8 @@ import pytest
 from gknichols import (BraidedSpaceSpec, FiniteGK, PaleBlockPointSpec,
                        ScalarRing, build_flourished, classify, classify_pale,
                        compute_truncation, expression_degree,
-                       is_zero_in_nichols, parse_element, print_scalar)
+                       is_zero_in_nichols, parse_element, print_scalar,
+                       verify_presentation)
 from gknichols import catalog
 from tests.conftest import entry_instance, entry_report
 from tests.test_acceptance import _random_spec
@@ -194,6 +195,25 @@ def test_bad_parameter_value_raises(name, params, message):
     key."""
     with pytest.raises(catalog.BadParams, match=message):
         catalog.instantiate(name, params)
+
+
+@pytest.mark.parametrize("name,cap", [
+    ("lstr(1,G)", 128), ("lstr(-1,G)", 128), ("lstr_-(1,G)", 64),
+    ("lstr_-(-1,G)", 64)])
+def test_lstr_ladder_is_capped(name, cap):
+    """The z-ladder bound of an lstr entry (G on a Jordan block, 2G on a
+    super Jordan block) is capped as poseidon's ladder is: at the cap the
+    entry verifies, and above it, up to 10^8, it is refused before any
+    relation is built."""
+    spec, pres = catalog.instantiate(name, {"G": cap})
+    assert "z129" in pres.relations  # z_{bound + 1}, bound = 128
+    assert verify_presentation(pres, compute_truncation(spec, 2))["pass"]
+    for G in (cap + 1, 10 ** 8):
+        bound = G * 128 // cap
+        with pytest.raises(catalog.BadParams,
+                           match=f"^ghost G={G} gives a z-ladder bound of "
+                                 f"{bound}; the cap is 128$"):
+            catalog.instantiate(name, {"G": G})
 
 
 @pytest.mark.parametrize("items, message", [

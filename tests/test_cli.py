@@ -57,7 +57,11 @@ def test_catalog_unknown_parameter_key_is_one_line_error():
      "the cap is 128"),
     ("lstr(1,G)", "q12=1.5",
      "parameter 'q12' must be a scalar string or an integer, got 1.5"),
-    ("point", "order=0", "parameter 'order' must be in 1..1024, got 0")])
+    ("point", "order=0", "parameter 'order' must be in 1..1024, got 0"),
+    ("lstr_-(-1,G)", "G=256",
+     "ghost G=256 gives a z-ladder bound of 512; the cap is 128"),
+    ("lstr(1,G)", "G=99999999",
+     "ghost G=99999999 gives a z-ladder bound of 99999999; the cap is 128")])
 def test_catalog_bad_parameter_value_is_one_line_error(name, param, message):
     r = run_cli("catalog", "show", name, "--params", param)
     assert r.returncode == 1 and r.stdout == ""
@@ -130,7 +134,8 @@ def test_dims_stats_writes_one_json_line_per_degree(jordan_spec_file):
     assert [rec["dim"] for rec in records] == json.loads(r.stdout)
     for rec in records:
         assert sorted(rec) == ["candidates", "certified", "dim", "ideal_dim",
-                               "inverses", "memo", "n", "pivots", "seconds"]
+                               "inverses", "memo", "n", "pivots", "seconds",
+                               "skipped"]
 
 
 def test_dims_is_deterministic(jordan_spec_file):
@@ -168,11 +173,12 @@ def test_member_stats_writes_one_json_line_per_degree(jordan_spec_file):
     assert [rec["dim"] for rec in records] == [1, 2, 3, 4]
     for rec in records:
         assert sorted(rec) == ["candidates", "certified", "dim", "ideal_dim",
-                               "inverses", "memo", "n", "pivots", "seconds"]
+                               "inverses", "memo", "n", "pivots", "seconds",
+                               "skipped"]
 
 
 _STATS_KEYS = ["candidates", "certified", "dim", "ideal_dim", "inverses",
-               "memo", "n", "pivots", "seconds"]
+               "memo", "n", "pivots", "seconds", "skipped"]
 
 
 def test_verify_stats_writes_one_json_line_per_degree():
@@ -467,3 +473,23 @@ def test_member_bad_rational_is_one_line_error(jordan_spec_file):
     assert r.returncode == 1
     assert r.stderr == ("gknichols: error: bad rational literal '3/0' "
                         "(at position 0)\n")
+
+
+@pytest.mark.parametrize("element", [
+    "(" * 1200 + "x1" + ")" * 1200,
+    "[" * 600 + "x1, x2]" + ", x2]" * 599], ids=["parentheses", "commutators"])
+def test_member_deep_nesting_is_one_line_error(element, jordan_spec_file):
+    r = run_cli("member", jordan_spec_file, "--element", element)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("gknichols: error: nesting deeper than 100 "
+                        "(at position 100)\n")
+
+
+def test_spec_deep_nesting_is_one_line_error(tmp_path):
+    deep = "(" * 1200 + "1" + ")" * 1200
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"q": [[deep]], "points": [deep]}))
+    r = run_cli("dims", str(path), "--max-degree", "1")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("gknichols: error: nesting deeper than 100 "
+                        "(at position 100)\n")

@@ -130,6 +130,26 @@ def test_expression_degree_without_expansion():
     assert expression_degree("x1^1024", SPEC) == 1024  # the largest exponent
 
 
+def test_element_nesting_is_capped():
+    """An element text nests brackets, ``{scalar}`` literals, commutators
+    and unary minus signs at most MAX_NESTING deep, inside a scalar literal
+    too; one level more is a ParseError at its opening, raised before any
+    term is expanded."""
+    from gknichols.scalars import MAX_NESTING as n
+    x1 = parse_element("x1", SPEC)
+    assert parse_element("(" * n + "x1" + ")" * n, SPEC) == x1
+    assert parse_element("{" + "(" * (n - 1) + "1" + ")" * (n - 1) + "} x1",
+                         SPEC) == x1
+    for text in ("(" * (n + 1) + "x1" + ")" * (n + 1),
+                 "{" + "(" * n + "1" + ")" * n + "} x1",
+                 "[" * (n + 1) + "x1, x2]" + ", x2]" * n,
+                 "ad(" * (n + 1) + "x1, x2)" + ", x2)" * n,
+                 "-" * (n + 1) + "x1"):
+        position = 3 * n if text.startswith("ad(") else n
+        assert _parse_error(parse_element, text) == (
+            f"nesting deeper than {n} (at position {position})", position)
+
+
 def test_parsing_leaves_no_cyclic_garbage():
     """The nested parsers and leaf evaluators call themselves through
     closure cells; they empty those cells when they return or raise, so a

@@ -19,7 +19,7 @@ from gknichols.nichols import (BudgetExceeded, NicholsTruncation, NotWeak,
 from gknichols import nichols, residues
 from gknichols.residues import _is_prime, make_residue_map, residue_prime
 from gknichols.scalars import RingMismatch, Scalar, print_scalar
-from tests.conftest import entry_instance
+from tests.conftest import entry_instance, entry_report
 from tests.test_acceptance import _random_spec
 from tests.data.capture_truncation_golden import (ENTRIES, FIXTURE,
                                                   ZETA12_FIXTURE, summarise,
@@ -104,12 +104,13 @@ def test_truncation_stats_per_degree():
     for t in (trunc, certified, partial):
         assert len(t.stats) == 5
         assert t.stats[0] == {"n": 0, "dim": 1, "ideal_dim": 0,
-                              "candidates": 0, "pivots": 0, "certified": 0,
-                              "inverses": 0, "memo": 1, "seconds": 0.0}
+                              "candidates": 0, "skipped": 0, "pivots": 0,
+                              "certified": 0, "inverses": 0, "memo": 1,
+                              "seconds": 0.0}
         for n, record in enumerate(t.stats[1:], 1):
             assert list(record) == ["n", "dim", "ideal_dim", "candidates",
-                                    "pivots", "certified", "inverses",
-                                    "memo", "seconds"]
+                                    "skipped", "pivots", "certified",
+                                    "inverses", "memo", "seconds"]
             assert record["n"] == n and record["dim"] == t.dims[n]
             assert record["ideal_dim"] == t.ideal_dims[n]
             # the memo holds every candidate's normal form, and grows
@@ -131,6 +132,13 @@ def test_truncation_stats_per_degree():
                 assert 0 < record["certified"] <= record["dim"]
             assert record["dim"] <= record["candidates"] \
                 <= t.dims[n - 1] * t.spec.nletters
+            # one pass per degree: each word u.x is a candidate or skipped
+            # (the passes that filled blocks on demand see some twice)
+            if t is not partial:
+                assert record["candidates"] + record["skipped"] \
+                    == t.dims[n - 1] * t.spec.nletters
+            if n <= 2:  # a suffix of length <= 1 is a complement word
+                assert record["skipped"] == 0
             assert record["seconds"] >= 0
     # the work done on demand counts in its degree's record: the blocks
     # are the same, so are the elimination counts
@@ -638,6 +646,33 @@ def test_truncation_builds_no_scalars(spec, dim5, monkeypatch):
         counts.append(built[0])
     assert trunc.dims[5] == dim5
     assert counts[0] == counts[1] <= 2, counts
+
+
+def test_rational_tables_share_their_payloads():
+    """Over Q the normal forms and skew-derivation coordinates hold one
+    payload object per value in the kernels' shared range: the objects
+    number no more than the distinct values plus those outside that range,
+    and an empty coordinate vector is the one ``_EMPTY``."""
+    trunc = compute_truncation(entry_instance("poseidon")[0], 8)
+    vectors = [vec for k in trunc.nf for vec in trunc.nf[k].values()]
+    vectors += [vec for words in trunc._dcoords.values()
+                for _, dvecs in words.values() for vec in dvecs]
+    payloads = [c for vec in vectors for c in vec.values()]
+    objects = list({id(c): c for c in payloads}.values())
+    outside = [c for c in objects if abs(c[0][0]) > 64 or c[1] > 16]
+    assert len(payloads) > 10000
+    assert len(objects) <= len(set(payloads)) + len(outside)
+    empty = [vec for vec in vectors if not vec]
+    assert empty and all(vec is nichols._EMPTY for vec in empty)
+
+
+def test_shared_empty_vector_stays_empty():
+    """No truncation, membership or verification writes into the shared
+    empty coordinate vector, over every ring of the catalog's cases."""
+    from tests.test_catalog import ENTRY_CASES
+    for name, params, degree in ENTRY_CASES:
+        assert entry_report(name, params, degree)["pass"]
+    assert nichols._EMPTY == {}
 
 
 def test_membership_rejects_another_ring():

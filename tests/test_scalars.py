@@ -13,7 +13,7 @@ from gknichols import ScalarRing, parse_scalar, print_scalar
 from gknichols import scalars as scalars_module
 from gknichols.braidings import natural_ghost
 from gknichols.scalars import (_Q, MAX_CYCLOTOMIC_ORDER, MAX_EXPONENT,
-                               DivisionByZero, ParseError, Scalar,
+                               MAX_NESTING, DivisionByZero, ParseError, Scalar,
                                ScalarError,
                                _cyc_add, _cyc_is_zero, _cyc_neg, _print_poly,
                                qnum)
@@ -146,6 +146,61 @@ def test_rational_axpy_is_the_inlined_kernel():
         assert ring.ops.axpy is not rational_axpy
 
 
+# operands of the rational kernels: the edges of the shared range (|n| = 64
+# and 65, d = 16 and 17) and zero, then seeded random values around it
+_EDGE_RATIONALS = [Fraction(n, d) for n in (0, 1, -1, 63, 64, 65, -64, -65)
+                   for d in (1, 2, 15, 16, 17)]
+
+
+def _rat_payload(x):
+    return (x.numerator,), x.denominator
+
+
+def _rat_value(payload, shared=True):
+    (n,), d = payload
+    assert d > 0 and gcd(n, d) == 1, payload  # canonical
+    if shared and abs(n) <= 64 and d <= 16:  # the object of its value
+        assert payload is scalars_module.SMALL[129 * (d - 1) + n + 64]
+    return Fraction(n, d)
+
+
+def test_rational_kernels_return_shared_canonical_payloads():
+    """``_rat_add``, ``_rat_mul``, ``_rat_neg``, ``_rat_inv`` and
+    ``rational_axpy`` agree with ``Fraction``, return canonical payloads,
+    and return the table's object for every value in the shared range, on
+    the edges of that range, on sums that cancel and on random operands."""
+    from gknichols.scalars import _rat_add, _rat_inv, _rat_mul, _rat_neg
+    from gknichols.sparse import rational_axpy
+    rng = random.Random(32)
+    values = _EDGE_RATIONALS + [
+        Fraction(rng.randint(-200, 200), rng.randint(1, 40))
+        for _ in range(60)]
+    pairs = [(x, y) for x in _EDGE_RATIONALS for y in _EDGE_RATIONALS]
+    pairs += [(x, -x) for x in values]  # sums that cancel
+    pairs += [(rng.choice(values), rng.choice(values)) for _ in range(3000)]
+    for x, y in pairs:
+        a, b = _rat_payload(x), _rat_payload(y)
+        assert _rat_value(_rat_add(a, b)) == x + y
+        assert _rat_value(_rat_mul(a, b)) == x * y
+        assert _rat_value(_rat_neg(a)) == -x
+        if x:
+            assert _rat_value(_rat_inv(a)) == 1 / x
+        # one coordinate of acc += coeff * vec, on a new key or not (a
+        # sparse vector holds no zero); a value that nothing changes is
+        # stored as it is, not shared
+        for fresh in (True, False) if x and y else ():
+            for coeff in (None, rng.choice(values) or Fraction(1)):
+                acc = {} if fresh else {0: a}
+                rational_axpy(acc, {0: b}, None if coeff is None
+                              else _rat_payload(coeff))
+                expected = (0 if fresh else x) + y * (coeff or 1)
+                assert {k: _rat_value(v, not fresh or coeff not in (None, 1))
+                        for k, v in acc.items()} \
+                    == ({0: expected} if expected else {})
+    with pytest.raises(DivisionByZero):
+        _rat_inv(_rat_payload(Fraction(0)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(scalars)
 def test_parse_print_roundtrip(a):
@@ -201,6 +256,24 @@ def test_parse_caps_exponents():
             parse_scalar(text, ring)
         assert str(info.value) == ("exponent above the maximum 1024 "
                                    f"(at position {position})")
+
+
+def test_parse_caps_nesting():
+    """Brackets and unary minus signs nest at most MAX_NESTING deep; one
+    level more is a ParseError at the bracket or sign that opens it, before
+    the recursion of the parser could overflow."""
+    ring = ScalarRing(1)
+    n = MAX_NESTING
+    for open_, close in (("(", ")"), ("-", ""), ("-(", ")")):
+        depth = n // len(open_)
+        assert parse_scalar(open_ * depth + "2" + close * depth, ring) \
+            == ring.from_int(2 if open_ == "(" or depth % 2 == 0 else -2)
+        for text in (open_ * (depth + 1) + "2" + close * (depth + 1),
+                     "(" * 1200 + "1" + ")" * 1200):
+            with pytest.raises(ParseError) as info:
+                parse_scalar(text, ring)
+            assert str(info.value) == (f"nesting deeper than {n} "
+                                       f"(at position {n})")
 
 
 def test_zeta_powers_and_orders():
