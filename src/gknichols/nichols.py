@@ -13,9 +13,12 @@ keys are ints, so the elimination hashes and compares no word: (d, cw) is
 d * M + the lex rank of cw among the M complement words the pass reads,
 and the label of the i-th of a block's k candidates is i - k, negative and
 increasing with i.  Both orders are those of the pairs (d, cw) and (-1, w),
-so the pivots, the inverses and every term order are too.  The coordinates
-of all skew derivations of each complement word in the previous complement
-are kept, so that degree n only needs degree n-1 data.
+so the pivots, the inverses and every term order are too.  :func:`_image`
+writes the int-keyed row of a candidate while it builds the word-keyed
+coordinates of its skew derivations, the same entries in the same order,
+so no pass re-keys an image.  The coordinates of all skew derivations of
+each complement word in the previous complement are kept, so that degree n
+only needs degree n-1 data.
 
 The complement is factor-closed, so the candidates of degree n are only the
 words u.x with u in the degree n-1 complement, x a letter and the suffix of
@@ -136,14 +139,14 @@ class _Echelon:
     Vectors are dicts key -> nonzero value, pivoting on the largest key; the
     values are Scalars, or a ring's payloads with ``ops`` its ``RingOps``,
     F_p's ints (``residues.modular_ops``) included.
-    A pivot row is kept as it was reduced, unscaled, and the inverse of its
-    lead is taken on the first reduction step that uses it, so a pivot that
-    never reduces anything costs no inverse.  A step cancelling the entry c
-    at a lead adds ``-c / lead`` times the row, by one ``ops.axpy``.  To
-    track combinations, a caller gives each vector a label coordinate of
-    value one, keyed below every key it can pivot on: a vector is dependent
-    when it reduces to its label coordinates, which then hold a combination
-    of labels whose vectors sum to zero.  The truncation keys by ints, its
+    A pivot row is kept as it was reduced, unscaled, and ``-1 / lead`` is
+    taken on the first reduction step that uses it, so a pivot that never
+    reduces anything costs no inverse.  A step cancelling the entry c at a
+    lead adds ``c * (-1 / lead)`` times the row, by one ``ops.mul`` and one
+    ``ops.axpy``.  To track combinations, a caller gives each vector a label
+    coordinate of value one, keyed below every key it can pivot on: a vector
+    is dependent when it reduces to its label coordinates, which then hold a
+    combination of labels whose vectors sum to zero.  The truncation keys by ints, its
     labels negative (see the module docstring); any ordered keys work.
     """
 
@@ -151,7 +154,7 @@ class _Echelon:
         self.ops = ops
         # lead key -> (lead value, row without its lead)
         self.pivots = {}
-        # lead key -> inverse of the lead value, for the pivots used so far
+        # lead key -> -1 / the lead value, for the pivots used so far
         self.inverses = {}
 
     def reduce(self, vec):
@@ -164,10 +167,10 @@ class _Echelon:
             hit = pivots.get(key)
             if hit is None:
                 return key
-            inv = inverses.get(key)
-            if inv is None:
-                inv = inverses[key] = invert(hit[0])
-            axpy(vec, hit[1], neg(mul(vec.pop(key), inv)))
+            factor = inverses.get(key)
+            if factor is None:
+                factor = inverses[key] = neg(invert(hit[0]))
+            axpy(vec, hit[1], mul(vec.pop(key), factor))
 
     def insert(self, vec, key):
         """Make ``vec``, which :meth:`reduce` left at the leading key
@@ -303,7 +306,9 @@ class NicholsTruncation:
         accepts, grouped by Z^theta-block in lex order.  Each block is
         certified when the images of its candidates in F_p are defined and
         reduce to nonzero rows of an ``_Echelon`` over F_p, or else, and
-        always over Q, eliminated exactly in an echelon of its own.  An
+        always over Q, eliminated exactly in an echelon of its own; either
+        way :func:`_image` returns a candidate's row with its coordinates,
+        keyed by ``keys``, and the echelon reduces that row in place.  An
         image is undefined where its prefix's residue coordinates are, where
         its last letter is in ``_no_residue`` or where a normal form has no
         residue (``_NoResidue``).  Every candidate gets its normal form in
@@ -338,19 +343,14 @@ class NicholsTruncation:
                     blocks.setdefault(beta, []).append(w)
         # an image's key of (d, cw) is d * M + the rank of cw among the
         # prefixes, which hold every cw of the blocks wanted: the order of
-        # (d, cw) on ints
+        # (d, cw) on ints; keys[d] maps cw to it
         M = len(prefixes)
-        rank = {u: i for i, u in enumerate(prefixes)}
-        starts = [d * M for d in range(L)]
-
-        def keyed(dvecs):
-            return {start + rank[cw]: c for start, acc in zip(starts, dvecs)
-                    for cw, c in acc.items()}
-
+        keys = [{u: d * M + i for i, u in enumerate(prefixes)}
+                for d in range(L)]
         ops = self._ops
         one, neg = ops.one, ops.neg
         image = partial(_image, ops, self._expansions, self.nf[n - 1],
-                        self._word_nf)
+                        self._word_nf, keys)
         rmap = _residue_map(spec.ring)
         if rmap is not None:
             from .residues import modular_ops
@@ -369,7 +369,7 @@ class NicholsTruncation:
                 return vec
 
             residue_image = partial(_image, fp, self._residue_expansions,
-                                    memo, residue_nf)
+                                    memo, residue_nf, keys)
             exact_dcoords, exact = self._exact_dcoords, self._exact
             no_residue = self._no_residue
         nf_n = self.nf.setdefault(n, {})
@@ -386,10 +386,9 @@ class NicholsTruncation:
                     if pd is None or last in no_residue:
                         break
                     try:
-                        got = residue_image(prefix, last, pd)
+                        got, vec = residue_image(prefix, last, pd)
                     except _NoResidue:
                         break
-                    vec = keyed(got)
                     key = rows.reduce(vec)
                     if key is None:
                         break
@@ -404,9 +403,8 @@ class NicholsTruncation:
             echelon = _Echelon(ops)
             for label, w in enumerate(words, -len(words)):
                 prefix = w[:-1]
-                coords = image(prefix, w[-1], prev_d[prefix][1]
-                               if rmap is None else exact_dcoords(prefix))
-                img = keyed(coords)
+                coords, img = image(prefix, w[-1], prev_d[prefix][1]
+                                    if rmap is None else exact_dcoords(prefix))
                 # the label coordinate of w: words[label] is w
                 img[label] = one
                 key = echelon.reduce(img)
@@ -437,7 +435,8 @@ class NicholsTruncation:
             prefix = u[:-1]
             dvecs = self._exact[u] = _image(
                 self._ops, self._expansions, self.nf[len(prefix)],
-                self._word_nf, prefix, u[-1], self._exact_dcoords(prefix))
+                self._word_nf, None, prefix, u[-1],
+                self._exact_dcoords(prefix))[0]
         return dvecs
 
     # ------------------------------------------------------------------
@@ -486,19 +485,25 @@ class NicholsTruncation:
         return {w: Scalar(ring, c) for w, c in acc.items()}
 
 
-def _image(ops, expansions, nf_k, word_nf, prefix, last, pd):
-    """The ``dvecs`` of the word prefix.last over the ring of ``ops``:
-    ``dvecs[d]`` holds the coordinates of its skew derivation by the letter
-    d in the complement of its degree less one, from those of the prefix,
-    ``pd``, the braiding expansions ``expansions[d][last]`` and the normal
-    forms of degree len(prefix), read from ``nf_k`` or built by
-    ``word_nf``.  A new key takes ``mul(alpha, coeff)`` with no zero test:
-    the ring has no zero divisors, and no value or coefficient is zero."""
+def _image(ops, expansions, nf_k, word_nf, keys, prefix, last, pd):
+    """The ``dvecs`` of the word prefix.last over the ring of ``ops`` and,
+    when ``keys`` is given, its elimination row: ``(dvecs, row)``, the row
+    None without ``keys``.  ``dvecs[d]`` holds the coordinates of its skew
+    derivation by the letter d in the complement of its degree less one,
+    from those of the prefix, ``pd``, the braiding expansions
+    ``expansions[d][last]`` and the normal forms of degree len(prefix),
+    read from ``nf_k`` or built by ``word_nf``.  A new key takes
+    ``mul(alpha, coeff)`` with no zero test: the ring has no zero divisors,
+    and no value or coefficient is zero.  ``keys[d][cw]`` is the int key of
+    (d, cw) (see the module docstring); the row holds the entries of
+    ``dvecs[0]``, ``dvecs[1]``, ... under those keys, each in its order,
+    copied as each ``dvecs[d]`` is done, so no second pass re-keys them."""
     mul, add, is_zero, axpy = ops.mul, ops.add, ops.is_zero, ops.axpy
     dvecs = []
-    for d, row in enumerate(expansions):
+    row = None if keys is None else {}
+    for d, targets in enumerate(expansions):
         acc = {}
-        expansion = row[last]
+        expansion = targets[last]
         for u, alpha in pd[d].items():
             for tgt, coeff in expansion:
                 v = u + (tgt,)
@@ -521,8 +526,15 @@ def _image(ops, expansions, nf_k, word_nf, prefix, last, pd):
                     axpy(acc, vec, mul(alpha, coeff))
         if d == last:
             add_term(acc, prefix, ops.one, ops)
-        dvecs.append(acc or _EMPTY)
-    return dvecs
+        if acc:
+            dvecs.append(acc)
+            if row is not None:
+                key_of = keys[d]
+                for cw, c in acc.items():
+                    row[key_of[cw]] = c
+        else:
+            dvecs.append(_EMPTY)
+    return dvecs, row
 
 
 class _NoResidue(Exception):
@@ -537,14 +549,14 @@ def _residue_map(ring):
     Over Q the exact elimination is cheap, and the blocks that certify
     candidates and then meet a relation pay for the exact images anyway:
     with the certificate forced onto Q, a truncation to degree 6 took
-    3.4 ms instead of 2.1 on cyc1, 11.7 instead of 7.6 on cyc2, 7.3
-    instead of 5.8 on lstr(A2,2), 4.2 instead of 2.2 on lstr_-(-1,G) with
-    G = 2, and 20.3 instead of 21.1 on poseidon (in-process, the least of
-    three minima of 7 runs each, Python 3.11, on a shared 2-core VM).
-    Membership loses more than poseidon gains: the five relations of the
-    bench's member-overshoot workload on a fresh degree-5 truncation of
-    lstr(A2,2) took 43.5 ms instead of 31.3, the median relation 1.15 ms
-    instead of 0.71 (+62%)."""
+    3.5 ms instead of 2.2 on cyc1, 11.3 instead of 7.3 on cyc2, 7.6
+    instead of 6.1 on lstr(A2,2), 4.4 instead of 2.3 on lstr_-(-1,G) with
+    G = 2, and 20.6 instead of 20.0 on poseidon (in-process, the least of
+    five sessions of 7 to 21 runs each, Python 3.11, on a shared 2-core
+    VM).  Membership loses too: the five relations of the bench's
+    member-overshoot workload on a fresh degree-5 truncation of lstr(A2,2)
+    took 46.6 ms instead of 33.4, the median relation 1.36 ms instead of
+    0.85 (+60%; the least of 21 interleaved runs)."""
     if ring.phi == 1 and not ring.params:
         return None
     from .residues import residue_map

@@ -1051,8 +1051,21 @@ def parse_tree(text: str, ring: ScalarRing, resolve) -> tuple:
 
 
 def parse_scalar(text: str, ring: ScalarRing) -> Scalar:
-    """Parse a scalar text (see :func:`parse_tree`) over ``ring``."""
-    return scalar_value(parse_tree(text, ring, None), ring)
+    """Parse a scalar text (see :func:`parse_tree`) over ``ring``.
+
+    A spec repeats a few texts (the printed powers of z, ``1``, ``-1``), so
+    the payload of each (text, ring) is parsed once and kept in a bounded
+    cache; the value is built on ``ring`` itself.  Equal rings (equal order
+    and parameters) share entries, as their payloads are the same, and a
+    text that raises is parsed again on the next call.  Payloads are never
+    written, the dicts of a rational function's included, so one serves
+    every call."""
+    return Scalar(ring, _parsed_payload(text, ring))
+
+
+@lru_cache(maxsize=1024)
+def _parsed_payload(text, ring):
+    return scalar_value(parse_tree(text, ring, None), ring).payload
 
 
 def evaluate(node, leaf):

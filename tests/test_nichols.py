@@ -238,6 +238,58 @@ def test_certified_degree_builds_no_exact_image(name, params, monkeypatch):
     assert calls == [] and len(modular) == record["candidates"]
 
 
+def _image_rows(spec, degree, monkeypatch):
+    """Truncate ``spec`` to ``degree`` and fill the blocks of one word of
+    each Z^theta-degree of ``degree + 1``, checking that every elimination
+    row :func:`nichols._image` returns holds its ``dvecs`` re-keyed: (d, cw)
+    goes to d * M + the lex rank of cw among the M prefixes of the pass,
+    d by d in the order of each ``dvecs[d]``.  Returns the number of rows
+    checked over the exact ring and over F_p."""
+    image = nichols._image
+    checked = {"exact": 0, "modular": 0}
+
+    def rows_checked(ops, expansions, nf_k, word_nf, keys, prefix, last,
+                     pd):
+        dvecs, row = image(ops, expansions, nf_k, word_nf, keys, prefix,
+                           last, pd)
+        if keys is None:
+            assert row is None
+        else:
+            prefixes = sorted(keys[0])
+            M = len(prefixes)
+            rank = {u: i for i, u in enumerate(prefixes)}
+            assert list(row.items()) == [
+                (d * M + rank[cw], c)
+                for d, acc in enumerate(dvecs) for cw, c in acc.items()]
+            checked["exact" if ops is spec.ring.ops else "modular"] += 1
+        return dvecs, row
+
+    monkeypatch.setattr(nichols, "_image", rows_checked)
+    trunc = compute_truncation(spec, degree)
+    betas = {tuple(c + (g == h) for h, c in enumerate(beta))
+             for beta, _ in trunc._dcoords[degree].values()
+             for g in range(spec.ngroups)}
+    rng = random.Random(degree)
+    _fill_on_demand(trunc, [_word_of(spec, beta, rng) for beta in betas])
+    return checked
+
+
+def test_image_row_is_its_dvecs_rekeyed(monkeypatch):
+    """On the catalog's cases (to one degree below their verification
+    degree, and one degree above that on demand) and on the Q(zeta_12)
+    specs of the goldens, every row the image builder writes is its
+    ``dvecs`` re-keyed by (d, rank), over the exact ring and over F_p."""
+    from tests.test_catalog import ENTRY_CASES
+    total = {"exact": 0, "modular": 0}
+    cases = [(entry_instance(name, params)[0], degree - 1)
+             for name, params, degree in ENTRY_CASES]
+    cases += [(spec, 3) for spec in zeta12_specs()]
+    for spec, degree in cases:
+        for ring, count in _image_rows(spec, degree, monkeypatch).items():
+            total[ring] += count
+    assert total["exact"] > 1000 and total["modular"] > 1000, total
+
+
 def test_truncation_pickles_over_cyclotomic_ring():
     """The residue map lives in a per-N cache, not on the truncation, so a
     truncation over Q(omega), holding blocks above its max_degree, pickles

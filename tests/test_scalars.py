@@ -258,6 +258,100 @@ def test_parse_caps_exponents():
                                    f"(at position {position})")
 
 
+def _fresh_parse(text, ring):
+    """The value of ``text`` parsed without the cache of parse_scalar."""
+    return scalars_module.scalar_value(
+        scalars_module.parse_tree(text, ring, None), ring)
+
+
+def test_parse_cache_matches_a_fresh_parse(monkeypatch):
+    """Every scalar text of the catalog (each entry at its default
+    parameters, and the catalog tests' cases) and of the Q(zeta_12) sweep
+    family reads through the cache as a fresh parse reads it, on the
+    caller's own ring, and a second read of a text is a cache hit."""
+    from gknichols import braidings, catalog
+    from tests.test_catalog import ENTRY_CASES
+    from tests.data.capture_truncation_golden import zeta12_specs
+    seen = {}
+
+    def recorded(text, ring):
+        seen.setdefault((text, ring), ring)
+        return parse_scalar(text, ring)
+
+    monkeypatch.setattr(braidings, "parse_scalar", recorded)
+    monkeypatch.setattr(catalog, "parse_scalar", recorded)
+    for name in catalog.list_entries():
+        catalog.instantiate(name, {})
+    for name, params, _ in ENTRY_CASES:
+        catalog.instantiate(name, params)
+    zeta12_specs()
+    ring12 = ScalarRing(12)
+    for text in ["0", "1", "-1"] + [print_scalar(ring12.zeta(k))
+                                    for k in range(12)]:
+        seen.setdefault((text, ring12), ring12)
+    assert len(seen) > 30
+    assert any(ring.params for _, ring in seen)
+    for text, ring in seen:
+        for caller in (ring, ScalarRing(ring.cyclotomic_order, ring.params)):
+            value = parse_scalar(text, caller)
+            assert value.ring is caller
+            assert value.payload == _fresh_parse(text, caller).payload
+        hits = scalars_module._parsed_payload.cache_info().hits
+        parse_scalar(text, ring)
+        assert scalars_module._parsed_payload.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("text, error", [
+    ("q + w", ParseError), ("1/0", DivisionByZero),
+    (f"z^{MAX_EXPONENT + 1}", ParseError)])
+def test_parse_cache_keeps_no_error(text, error):
+    """A text that raises raises on every call: an unknown name, a zero
+    divisor and an exponent above the cap are never cached."""
+    ring = ScalarRing(12, ("q",))
+    for _ in range(3):
+        with pytest.raises(error):
+            parse_scalar(text, ring)
+
+
+def test_parse_cache_survives_arithmetic():
+    """Arithmetic on a parsed rational function, which shares the dicts of
+    its payload with its results, writes none of them: a later parse of the
+    same text has the value of a fresh parse."""
+    import copy
+    ring = ScalarRing(3, ("q", "r"))
+    text = "(q + z*r)/(q^2 - r)"
+    a = parse_scalar(text, ring)
+    payload = copy.deepcopy(a.payload)
+    b = parse_scalar("q - 1", ring)
+    c = parse_scalar("z", ring)
+    derived = [a + b, a - b, a * b, a / b, b / a, -a, a.inverse(), a ** 3,
+               a ** -2, a * c, a + c, a - a, a * 0]
+    assert derived[-2:] == [ring.zero(), ring.zero()]
+    assert a.mult_order() is None and print_scalar(a)
+    hash(a)
+    again = parse_scalar(text, ring)
+    assert again.payload == payload == _fresh_parse(text, ring).payload
+    assert again == a
+
+
+def test_parse_cache_keeps_rings_with_other_params_apart():
+    """Rings of one cyclotomic order but other parameters share no entry:
+    a parameter's payload depends on the parameter list, and a name one ring
+    lacks is unknown there, whatever another ring parsed."""
+    rings = [ScalarRing(12, params) for params in
+             (("q",), ("q", "r"), ("r", "q"))]
+    payloads = []
+    for ring in rings:
+        value = parse_scalar("q", ring)
+        assert value.ring is ring
+        assert value.payload == _fresh_parse("q", ring).payload
+        payloads.append(value.payload)
+    assert payloads[0] != payloads[1] != payloads[2] != payloads[0]
+    for params in ((), ("r",)):
+        with pytest.raises(ParseError):
+            parse_scalar("q", ScalarRing(12, params))
+
+
 def test_parse_caps_nesting():
     """Brackets and unary minus signs nest at most MAX_NESTING deep; one
     level more is a ParseError at the bracket or sign that opens it, before
