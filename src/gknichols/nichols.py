@@ -146,8 +146,9 @@ class _Echelon:
     ``ops.axpy``.  To track combinations, a caller gives each vector a label
     coordinate of value one, keyed below every key it can pivot on: a vector
     is dependent when it reduces to its label coordinates, which then hold a
-    combination of labels whose vectors sum to zero.  The truncation keys by ints, its
-    labels negative (see the module docstring); any ordered keys work.
+    combination of labels whose vectors sum to zero.  The truncation keys by
+    ints, its labels negative (see the module docstring); any ordered keys
+    work.
     """
 
     def __init__(self, ops=SCALAR_OPS):
